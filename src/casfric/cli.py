@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import PhysicalParams, TimeGrid
+from .core import MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
 from .coupling import (
     CouplingProfile,
     ExponentialRamp,
@@ -111,12 +111,22 @@ def _build_params(cfg, path="params") -> PhysicalParams:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _tail_rel(cfg, path, default) -> float:
+    value = _expect(cfg, "tail_rel", path, float, required=False, default=default)
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{path}.tail_rel: must be in (0, 1), got {value!r}")
+    return value
+
+
 def _build_grid(cfg, path="grid") -> TimeGrid:
+    n_samples = _expect(cfg, "n_samples", path, int)
+    if n_samples > MAX_GRID_SAMPLES:
+        raise ConfigError(f"{path}.n_samples: {n_samples} is above the budget of {MAX_GRID_SAMPLES} samples")
     try:
         return TimeGrid(
             t_start=_expect(cfg, "t_start", path, float),
             t_end=_expect(cfg, "t_end", path, float),
-            n_samples=_expect(cfg, "n_samples", path, int),
+            n_samples=n_samples,
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -169,11 +179,14 @@ def _build_scan(cfg, path="scan") -> ScanSpec:
         if kind == "eta" and v <= 0:
             raise ConfigError(f"{path}.values[{i}]: eta must be positive, got {v!r}")
         cleaned.append(float(v))
+    dt = _expect(cfg, "dt", path, float, required=False)
+    if dt is not None and not 0.0 < dt < float("inf"):
+        raise ConfigError(f"{path}.dt: must be finite and positive, got {dt!r}")
     return ScanSpec(
         kind=kind,
         values=tuple(cleaned),
-        dt=_expect(cfg, "dt", path, float, required=False),
-        tail_rel=_expect(cfg, "tail_rel", path, float, required=False, default=1e-12),
+        dt=dt,
+        tail_rel=_tail_rel(cfg, path, default=1e-12),
     )
 
 
@@ -232,7 +245,7 @@ def load_config(path) -> Scenario:
         fock_truncation=fock_truncation,
         fock_substeps=_expect(raw, "fock_substeps", "config", int, required=False, default=4),
         mode_substeps=_expect(raw, "mode_substeps", "config", int, required=False, default=1),
-        tail_rel=_expect(raw, "tail_rel", "config", float, required=False, default=1e-10),
+        tail_rel=_tail_rel(raw, "config", default=1e-10),
         scan=scan,
     )
 

@@ -7,10 +7,20 @@ values are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["PhysicalParams", "TimeGrid", "ladder_factor", "grid_times"]
+__all__ = ["PhysicalParams", "TimeGrid", "ladder_factor", "grid_times", "BLOCK_SAMPLES", "MAX_GRID_SAMPLES"]
+
+# Samples per block of the streamed passes over a grid (sampling and the
+# two first-order quadratures): their working set is O(BLOCK_SAMPLES)
+# beside the signal itself, whatever the grid length.
+BLOCK_SAMPLES = 1 << 16
+
+# Largest grid a scan builds or a config may declare: the signal alone
+# takes 8 bytes per sample, so this caps it at 0.8 GB.
+MAX_GRID_SAMPLES = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -63,9 +73,24 @@ class TimeGrid:
     def span(self) -> float:
         return self.t_end - self.t_start
 
-    def times(self) -> np.ndarray:
-        """All sample times; first is exactly t_start, last exactly t_end."""
-        return np.linspace(self.t_start, self.t_end, self.n_samples)
+    def times(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """Sample times with indices in [lo, hi), all of them by default.
+
+        First is exactly t_start, last exactly t_end.  Any slice is
+        bit-identical to the same slice of np.linspace(t_start, t_end, n):
+        the same step, product and sum, elementwise.
+        """
+        n = self.n_samples
+        hi = n if hi is None else hi
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"need 0 <= lo <= hi <= {n}, got [{lo}, {hi})")
+        step = (float(self.t_end) - float(self.t_start)) / (n - 1)
+        out = np.arange(lo, hi, dtype=float)
+        out *= step
+        out += self.t_start
+        if hi == n and hi > lo:
+            out[-1] = self.t_end
+        return out
 
 
 def grid_times(grid: TimeGrid) -> np.ndarray:

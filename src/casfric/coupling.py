@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import TimeGrid
+from .core import BLOCK_SAMPLES, TimeGrid
 
 __all__ = [
     "CouplingProfile",
@@ -160,7 +160,9 @@ class CouplingSignal:
             raise ValueError(
                 f"need exactly {self.grid.n_samples} values, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        # min and max are NaN or infinite exactly when some value is, and
+        # unlike np.isfinite they make no full-length temporary
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("signal values must be finite")
         object.__setattr__(self, "values", values)
 
@@ -184,8 +186,18 @@ def coupling_from_separation(e: float, s: float) -> float:
 
 
 def sample(profile: CouplingProfile, grid: TimeGrid) -> CouplingSignal:
-    """Evaluate ``profile`` on every grid time."""
-    return CouplingSignal(grid, profile.evaluate(grid.times()))
+    """Evaluate ``profile`` on every grid time.
+
+    The profile is evaluated one block of times at a time into the signal
+    array, so no other full-length array is made; every profile is
+    elementwise, so the values equal a single full-grid evaluation bit
+    for bit.
+    """
+    values = np.empty(grid.n_samples)
+    for lo in range(0, grid.n_samples, BLOCK_SAMPLES):
+        hi = min(lo + BLOCK_SAMPLES, grid.n_samples)
+        values[lo:hi] = profile.evaluate(grid.times(lo, hi))
+    return CouplingSignal(grid, values)
 
 
 def load_sampled_csv(path) -> SampledProfile:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from . import oracle as _oracle
-from .core import PhysicalParams, TimeGrid, ladder_factor
+from .core import BLOCK_SAMPLES, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid, ladder_factor
 from .coupling import CouplingProfile, CouplingSignal, ExponentialRamp, SymmetricRamp, sample
 from .errors import TailSpanError
 from .spectral import TAIL_REL_DEFAULT, fourier_analytic, fourier_numeric, tails_resolved
@@ -78,10 +78,16 @@ def time_domain_amplitude(signal: CouplingSignal, params: PhysicalParams) -> com
     """I(inf) = -(i/2 hbar) * integral q(t) e^{2 i w t} dt over the grid.
 
     Trapezoidal quadrature in the time domain, deliberately independent
-    of the spectral module.
+    of the spectral module.  Blocks of BLOCK_SAMPLES intervals, each
+    sharing its end sample with the next, keep the working set
+    O(BLOCK_SAMPLES); a grid of one block is a single trapezoid call.
     """
-    phase = np.exp(2j * params.omega * signal.times())
-    value = np.trapezoid(signal.values * phase, dx=signal.grid.dt)
+    grid, q = signal.grid, signal.values
+    value = 0j
+    for lo in range(0, grid.n_samples - 1, BLOCK_SAMPLES):
+        hi = min(lo + BLOCK_SAMPLES + 1, grid.n_samples)
+        phase = np.exp(2j * params.omega * grid.times(lo, hi))
+        value += np.trapezoid(q[lo:hi] * phase, dx=grid.dt)
     return complex(-0.5j / params.hbar * value)
 
 
@@ -261,6 +267,11 @@ def _ramp_grid(profile, eta: float, dt: float, tail_rel: float) -> TimeGrid:
     span = ramp_tail_span(eta, 0.1 * tail_rel)
     t_start = -span if isinstance(profile, SymmetricRamp) else 0.0
     n = int(np.ceil((span - t_start) / dt)) + 1
+    if n > MAX_GRID_SAMPLES:
+        raise ValueError(
+            f"eta={eta:g} needs a grid of {n} samples, above the budget of "
+            f"{MAX_GRID_SAMPLES}; raise eta or dt"
+        )
     return TimeGrid(t_start, span, n)
 
 
@@ -298,24 +309,30 @@ def adiabatic_scan(
     per scan point; each point gets its own grid, widened as 1/eta so the
     ramp tails decay below ``tail_rel`` of the peak coupling.  ``dt``
     defaults to 32 samples per cycle of the 2*omega transition line.
+    Every grid is sized before any is sampled, so a scan point above
+    MAX_GRID_SAMPLES is refused before the scan runs.
     """
     if not isinstance(family, (SymmetricRamp, ExponentialRamp)):
         raise TypeError(f"adiabatic scans take a ramp family, got {type(family).__name__}")
     etas = np.asarray(list(etas), dtype=float)
     if len(etas) == 0 or np.any(etas <= 0.0):
         raise ValueError("etas must be a nonempty sequence of positive rates")
+    if not 0.0 < tail_rel < 1.0:
+        raise ValueError(f"tail_rel must be in (0, 1), got {tail_rel!r}")
     if dt is None:
         dt = np.pi / (32.0 * params.omega)
 
+    profiles = [replace(family, eta=float(eta)) for eta in etas]
+    grids = [_ramp_grid(profile, profile.eta, dt, tail_rel) for profile in profiles]
     reports = []
-    for eta in etas:
-        profile = replace(family, eta=float(eta))
-        signal = sample(profile, _ramp_grid(profile, float(eta), dt, tail_rel))
+    for profile, grid in zip(profiles, grids):
+        signal = sample(profile, grid)
         if not tails_resolved(signal, tail_rel):
             raise TailSpanError(
-                f"grid span insufficient for eta={eta:g}: coupling tails above {tail_rel:g} of peak"
+                f"grid span insufficient for eta={profile.eta:g}: coupling tails above {tail_rel:g} of peak"
             )
         reports.append(compare_routes(signal, params, routes=routes, tail_rel=tail_rel, **route_options))
+        del signal  # so no two points' samples are held at once
 
     def pick(report: DissipationReport) -> float:
         populated = report.populated()

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import BLOCK_SAMPLES
 from .coupling import (
     CouplingProfile,
     CouplingSignal,
@@ -43,7 +44,7 @@ class SpectralValue:
 def tails_resolved(signal: CouplingSignal, tail_rel: float = TAIL_REL_DEFAULT) -> bool:
     """True when |q| at both grid endpoints is below tail_rel * max|q|."""
     q = signal.values
-    threshold = tail_rel * np.max(np.abs(q))
+    threshold = tail_rel * max(q.max(), -q.min())
     return bool(abs(q[0]) <= threshold and abs(q[-1]) <= threshold)
 
 
@@ -54,14 +55,25 @@ def fourier_numeric(signal: CouplingSignal, omega: float, tail_rel: float = TAIL
     than ``tail_rel`` of the peak coupling (truncated-tail quadrature).
     Hermitian symmetry holds bit-exactly: the integrand at -omega is the
     elementwise conjugate of the integrand at +omega.
+
+    The grid is integrated in blocks of BLOCK_SAMPLES intervals, each
+    sharing its end sample with the next, so the working set is
+    O(BLOCK_SAMPLES) whatever the grid length; a grid of one block is a
+    single trapezoid call.  A power-of-two count of terms per block keeps
+    numpy's pairwise summation close to its full-array order, so long
+    grids move only in the last digits.
     """
     q = signal.values
     if len(q) == 0:
         raise ValueError("empty signal")
-    if not np.all(np.isfinite(q)):
+    if not (np.isfinite(q.min()) and np.isfinite(q.max())):
         raise ValueError("signal contains NaN or infinite values")
-    phase = np.exp(-1j * omega * signal.times())
-    value = np.trapezoid(q * phase, dx=signal.grid.dt)
+    grid = signal.grid
+    value = 0j
+    for lo in range(0, grid.n_samples - 1, BLOCK_SAMPLES):
+        hi = min(lo + BLOCK_SAMPLES + 1, grid.n_samples)
+        phase = np.exp(-1j * omega * grid.times(lo, hi))
+        value += np.trapezoid(q[lo:hi] * phase, dx=grid.dt)
     return SpectralValue(float(omega), complex(value), not tails_resolved(signal, tail_rel))
 
 

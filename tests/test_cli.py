@@ -1,5 +1,6 @@
 """Scenario configs, report rendering, exit codes, and determinism."""
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from casfric.cli import (
     main,
     run_scenario,
 )
+from casfric.core import MAX_GRID_SAMPLES
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -281,3 +283,52 @@ def test_shipped_configs_run_clean(name, tmp_path):
     assert text.startswith(CSV_HEADER)
     data_rows = [line for line in text.strip().split("\n")[1:] if not line.startswith("#")]
     assert len(data_rows) >= 1
+
+
+def eta_scan_config(**scan):
+    return {
+        "params": {"mass": 1.0, "omega": 1.0},
+        "profile": {"type": "symmetric_ramp", "gamma": 0.001, "eta": 1.0},
+        "routes": ["hb"],
+        "scan": {"kind": "eta", "values": [0.1], **scan},
+    }
+
+
+class TestRangesAndSampleBudget:
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            (eta_scan_config(tail_rel=2.0), r"scan\.tail_rel"),
+            (eta_scan_config(tail_rel=-1.0), r"scan\.tail_rel"),
+            (small_benchmark(tail_rel=2.0), r"config\.tail_rel"),
+            (small_benchmark(tail_rel=0.0), r"config\.tail_rel"),
+            (eta_scan_config(dt=0.0), r"scan\.dt"),
+            (eta_scan_config(dt=-0.1), r"scan\.dt"),
+        ],
+    )
+    def test_out_of_range_value_is_exit_two_with_its_field(self, tmp_path, capsys, body, field):
+        assert main([str(write_config(tmp_path, body))]) == 2
+        err = capsys.readouterr().err
+        assert re.search(field, err), err
+
+    def test_tail_rel_message_quotes_the_configured_value(self, tmp_path, capsys):
+        assert main([str(write_config(tmp_path, eta_scan_config(tail_rel=-1.0)))]) == 2
+        err = capsys.readouterr().err
+        assert "got -1.0" in err and "-0.1" not in err
+
+    def test_eta_scan_over_the_budget_is_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("a grid was sampled")
+
+        monkeypatch.setattr("casfric.dissipation.sample", no_sampling)
+        body = eta_scan_config()
+        body["scan"]["values"] = [0.01, 1e-6]
+        assert main([str(write_config(tmp_path, body))]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"eta=1e-06 needs a grid of \d+ samples", err), err
+        assert str(MAX_GRID_SAMPLES) in err
+
+    def test_explicit_grid_over_the_budget_is_exit_two(self, tmp_path, capsys):
+        body = small_benchmark(grid={"t_start": -12.0, "t_end": 12.0, "n_samples": MAX_GRID_SAMPLES + 1})
+        assert main([str(write_config(tmp_path, body))]) == 2
+        assert "grid.n_samples" in capsys.readouterr().err

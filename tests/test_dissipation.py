@@ -291,3 +291,17 @@ class TestAdiabaticScan:
         span = ramp_tail_span(eta, rel)
         peak = 1.0 / (np.e * eta)  # max of t*exp(-eta*t)
         np.testing.assert_allclose(span * np.exp(-eta * span) / peak, rel, rtol=1e-9)
+
+
+class TestScanPreflight:
+    def test_tail_rel_out_of_range_names_the_value_given(self):
+        with pytest.raises(ValueError, match=r"got -1\.0"):
+            adiabatic_scan(SymmetricRamp(gamma=1.0, eta=1.0), [0.1], PARAMS, tail_rel=-1.0)
+
+    def test_grid_over_the_budget_is_refused_before_any_point_runs(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("a grid was sampled")
+
+        monkeypatch.setattr("casfric.dissipation.sample", no_sampling)
+        with pytest.raises(ValueError, match=r"eta=1e-06 needs a grid of \d+ samples"):
+            adiabatic_scan(ExponentialRamp(gamma=1.0, eta=1.0), [0.01, 1e-6], PARAMS)
