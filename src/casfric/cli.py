@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
+from .core import MAX_FOCK_TRUNCATION, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
 from .coupling import (
     CouplingProfile,
     ExponentialRamp,
@@ -109,6 +109,15 @@ def _build_params(cfg, path="params") -> PhysicalParams:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _int_in_range(cfg, key, default, low, high=None, path="config") -> int:
+    value = _expect(cfg, key, path, int, required=False, default=default)
+    if value < low:
+        raise ConfigError(f"{path}.{key}: must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{path}.{key}: {value} is above the budget of {high}")
+    return value
 
 
 def _tail_rel(cfg, path, default) -> float:
@@ -231,10 +240,6 @@ def load_config(path) -> Scenario:
         if not isinstance(profile, (ExponentialRamp, SymmetricRamp, GaussianPulse)):
             raise ConfigError("config.scan: amplitude scans need a profile with an amplitude parameter")
 
-    fock_truncation = _expect(raw, "fock_truncation", "config", int, required=False, default=10)
-    if fock_truncation < 2:
-        raise ConfigError(f"config.fock_truncation: must be >= 2, got {fock_truncation}")
-
     return Scenario(
         scenario_id=scenario_id,
         params=params,
@@ -242,9 +247,10 @@ def load_config(path) -> Scenario:
         profile_config=dict(profile_config),
         grid=grid,
         routes=tuple(routes),
-        fock_truncation=fock_truncation,
-        fock_substeps=_expect(raw, "fock_substeps", "config", int, required=False, default=4),
-        mode_substeps=_expect(raw, "mode_substeps", "config", int, required=False, default=1),
+        # checked whether or not their route runs
+        fock_truncation=_int_in_range(raw, "fock_truncation", default=10, low=2, high=MAX_FOCK_TRUNCATION),
+        fock_substeps=_int_in_range(raw, "fock_substeps", default=4, low=1),
+        mode_substeps=_int_in_range(raw, "mode_substeps", default=1, low=1),
         tail_rel=_tail_rel(raw, "config", default=1e-10),
         scan=scan,
     )
@@ -403,10 +409,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError("--seedless is reserved: there is no randomness to disable")
         scenario = load_config(args.config)
         payload = emit_report(run_scenario(scenario), args.format)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

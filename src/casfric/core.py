@@ -6,12 +6,21 @@ values are immutable after construction and every operation is pure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-__all__ = ["PhysicalParams", "TimeGrid", "ladder_factor", "grid_times", "BLOCK_SAMPLES", "MAX_GRID_SAMPLES"]
+__all__ = [
+    "PhysicalParams",
+    "TimeGrid",
+    "ladder_factor",
+    "grid_times",
+    "BLOCK_SAMPLES",
+    "MAX_GRID_SAMPLES",
+    "MAX_FOCK_TRUNCATION",
+]
 
 # Samples per block of the streamed passes over a grid (sampling and the
 # two first-order quadratures): their working set is O(BLOCK_SAMPLES)
@@ -21,6 +30,11 @@ BLOCK_SAMPLES = 1 << 16
 # Largest grid a scan builds or a config may declare: the signal alone
 # takes 8 bytes per sample, so this caps it at 0.8 GB.
 MAX_GRID_SAMPLES = 100_000_000
+
+# Largest Fock truncation N a config may declare or evolve_fock accepts:
+# its dense coupling operator is (N+1)^2 x (N+1)^2 complex, 16*(N+1)^4
+# bytes, held to the same 0.8 GB as the largest grid (N = 83).
+MAX_FOCK_TRUNCATION = math.isqrt(math.isqrt(8 * MAX_GRID_SAMPLES // 16)) - 1
 
 
 @dataclass(frozen=True)

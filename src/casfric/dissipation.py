@@ -18,16 +18,17 @@ oscillator) with energy gap exactly 2 hbar w.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import lambertw
 
 from . import oracle as _oracle
 from .core import BLOCK_SAMPLES, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid, ladder_factor
 from .coupling import CouplingProfile, CouplingSignal, ExponentialRamp, SymmetricRamp, sample
-from .errors import TailSpanError
+from .errors import NumericalFailure, TailSpanError
 from .spectral import TAIL_REL_DEFAULT, fourier_analytic, fourier_numeric, tails_resolved
 
 __all__ = [
@@ -252,13 +253,27 @@ def ramp_tail_span(eta: float, tail_rel: float) -> float:
     """Smallest T with |q(T)| <= tail_rel * max|q| for a ramp of rate eta.
 
     For q ~ t e^{-eta t} the peak sits at t = 1/eta, so the condition is
-    x e^{-x} = tail_rel/e with x = eta*T; solved on the lower real branch
-    of the Lambert W function.
+    x e^{-x} = tail_rel/e with x = eta*T, i.e. x = -W_{-1}(-tail_rel/e)
+    on the lower real branch of the Lambert W function.  Solved by
+    Halley's iteration (Corless et al., Adv. Comput. Math. 5, 1996, eq.
+    5.9) from w = log(-z), with the same start, step and stopping rule
+    as scipy.special.lambertw(z, -1), so the span is bit-identical to it.
     """
     if not 0.0 < tail_rel < 1.0:
         raise ValueError(f"tail_rel must be in (0, 1), got {tail_rel!r}")
-    x = -lambertw(-tail_rel / np.e, -1).real
-    return float(x / eta)
+    z = -tail_rel / math.e
+    if -z < sys.float_info.min:  # subnormal: the iteration can divide by zero
+        raise ValueError(f"tail_rel={tail_rel!r} is too small: tail_rel/e is below the smallest normal float")
+    w = math.log(-z)
+    for _ in range(100):
+        ew = math.exp(w)
+        wew = w * ew
+        wewz = wew - z
+        wn = w - wewz / (wew + ew - (w + 2.0) * wewz / (2.0 * w + 2.0))
+        if abs(wn - w) <= 1e-8 * abs(wn):
+            return -wn / eta
+        w = wn
+    raise NumericalFailure(f"the W_-1 iteration did not converge for tail_rel={tail_rel!r}")
 
 
 def _ramp_grid(profile, eta: float, dt: float, tail_rel: float) -> TimeGrid:
@@ -321,6 +336,8 @@ def adiabatic_scan(
         raise ValueError(f"tail_rel must be in (0, 1), got {tail_rel!r}")
     if dt is None:
         dt = np.pi / (32.0 * params.omega)
+    elif not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
 
     profiles = [replace(family, eta=float(eta)) for eta in etas]
     grids = [_ramp_grid(profile, profile.eta, dt, tail_rel) for profile in profiles]

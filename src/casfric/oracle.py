@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, ladder_factor
+from .core import MAX_FOCK_TRUNCATION, PhysicalParams, ladder_factor
 from .coupling import CouplingSignal
 from .errors import InvertedModeError, NormDriftError
 from .spectral import TAIL_REL_DEFAULT, tails_resolved
@@ -236,6 +236,11 @@ def evolve_fock(
     """
     if int(truncation) != truncation or truncation < 2:
         raise ValueError(f"truncation must be an integer >= 2, got {truncation!r}")
+    if truncation > MAX_FOCK_TRUNCATION:
+        raise ValueError(
+            f"truncation {truncation} is above the budget of {MAX_FOCK_TRUNCATION}: "
+            f"its coupling operator would take {16 * (truncation + 1) ** 4} bytes"
+        )
     _warn_unresolved_tails(signal, "evolve_fock")
     n_levels = truncation + 1
     h, q_nodes, q_mid = _substep_coupling(signal, dt_substeps)
@@ -244,7 +249,9 @@ def evolve_fock(
     n2 = np.tile(np.arange(n_levels), n_levels)
     h0_diag = params.hbar * params.omega * (n1 + n2 + 1.0)
     x = _ladder_position(truncation)
-    coupling_op = (ladder_factor(params) * np.kron(x, x)).astype(np.complex128)
+    # built complex and scaled in place: no float or scaled copy beside it
+    coupling_op = np.kron(x.astype(np.complex128), x)
+    coupling_op *= ladder_factor(params)
 
     minus_i_h0 = (-1j / params.hbar) * h0_diag
     minus_i = -1j / params.hbar

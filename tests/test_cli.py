@@ -15,7 +15,7 @@ from casfric.cli import (
     main,
     run_scenario,
 )
-from casfric.core import MAX_GRID_SAMPLES
+from casfric.core import MAX_FOCK_TRUNCATION, MAX_GRID_SAMPLES
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -332,3 +332,27 @@ class TestRangesAndSampleBudget:
         body = small_benchmark(grid={"t_start": -12.0, "t_end": 12.0, "n_samples": MAX_GRID_SAMPLES + 1})
         assert main([str(write_config(tmp_path, body))]) == 2
         assert "grid.n_samples" in capsys.readouterr().err
+
+
+class TestFockAndSubstepLimits:
+    @pytest.mark.parametrize("truncation", [MAX_FOCK_TRUNCATION + 1, 200])
+    def test_truncation_over_the_budget_is_exit_two_before_running(self, tmp_path, capsys, monkeypatch, truncation):
+        def no_evolution(*args):
+            raise AssertionError("an evolution ran")
+
+        monkeypatch.setattr("casfric.cli.compare_routes", no_evolution)
+        assert main([str(write_config(tmp_path, small_benchmark(fock_truncation=truncation)))]) == 2
+        err = capsys.readouterr().err
+        assert "config.fock_truncation" in err and str(truncation) in err, err
+
+    def test_truncation_at_the_budget_loads(self, tmp_path):
+        scenario = load_config(write_config(tmp_path, small_benchmark(fock_truncation=MAX_FOCK_TRUNCATION)))
+        assert scenario.fock_truncation == MAX_FOCK_TRUNCATION
+
+    @pytest.mark.parametrize("key", ["fock_substeps", "mode_substeps"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_substeps_below_one_are_exit_two_even_with_their_route_off(self, tmp_path, capsys, key, value):
+        body = small_benchmark(routes=["barton", "hb"], **{key: value})
+        assert main([str(write_config(tmp_path, body))]) == 2
+        err = capsys.readouterr().err
+        assert f"config.{key}" in err and f"got {value}" in err, err

@@ -5,6 +5,11 @@ transforms chained through the dissipation formulas (cross-checked with
 mpmath.quad); the quadrature paths must land on them within the stated
 grid tolerances.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +36,7 @@ from casfric import (
     spectral_transition_coefficient,
     time_domain_amplitude,
 )
+import casfric
 from casfric.dissipation import ramp_tail_span
 
 PARAMS = PhysicalParams(mass=1.0, omega=1.0)
@@ -292,8 +298,27 @@ class TestAdiabaticScan:
         peak = 1.0 / (np.e * eta)  # max of t*exp(-eta*t)
         np.testing.assert_allclose(span * np.exp(-eta * span) / peak, rel, rtol=1e-9)
 
+    def test_tail_span_is_bit_identical_to_scipy_lambertw(self):
+        special = pytest.importorskip("scipy.special")
+        rels = np.concatenate([np.geomspace(1e-300, 0.9, 2001), [1e-13, 1e-12, 1e-11, 1e-10]])
+        for eta in (1.0, 1e-3, 0.37):
+            expected = -special.lambertw(-rels / np.e, -1).real / eta
+            got = np.array([ramp_tail_span(eta, float(rel)) for rel in rels])
+            mismatched = rels[got != expected]
+            assert mismatched.size == 0, f"eta={eta}: differs at tail_rel={mismatched[:5]}"
+
+    @pytest.mark.parametrize("rel", [5e-324, 1e-323, 1e-322, 1e-310])
+    def test_tail_rel_below_the_normal_range_is_refused(self, rel):
+        with pytest.raises(ValueError, match="too small"):
+            ramp_tail_span(1.0, rel)
+
 
 class TestScanPreflight:
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+    def test_bad_dt_is_refused_with_its_value(self, dt):
+        with pytest.raises(ValueError, match=rf"dt must be finite and positive, got {dt!r}"):
+            adiabatic_scan(SymmetricRamp(gamma=1.0, eta=1.0), [0.1], PARAMS, dt=dt)
+
     def test_tail_rel_out_of_range_names_the_value_given(self):
         with pytest.raises(ValueError, match=r"got -1\.0"):
             adiabatic_scan(SymmetricRamp(gamma=1.0, eta=1.0), [0.1], PARAMS, tail_rel=-1.0)
@@ -305,3 +330,14 @@ class TestScanPreflight:
         monkeypatch.setattr("casfric.dissipation.sample", no_sampling)
         with pytest.raises(ValueError, match=r"eta=1e-06 needs a grid of \d+ samples"):
             adiabatic_scan(ExponentialRamp(gamma=1.0, eta=1.0), [0.01, 1e-6], PARAMS)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(casfric.__file__).resolve().parents[1])
+    code = (
+        "import sys, casfric.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout

@@ -6,6 +6,8 @@ analytic profile; the fixed-step evolution here sees the grid's linear
 interpolant instead, which shifts results by O(dt^2), so tolerances are
 set from the measured dt^2 coefficient.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from casfric import (
     sample,
     wronskian,
 )
+from casfric.core import MAX_FOCK_TRUNCATION
 from casfric.coupling import CouplingSignal
 
 PARAMS = PhysicalParams(mass=1.0, omega=1.0)
@@ -203,6 +206,29 @@ class TestEvolveFock:
     def test_rejects_tiny_truncation(self):
         with pytest.raises(ValueError, match="truncation"):
             evolve_fock(zero_signal(), PARAMS, truncation=1)
+
+    def test_truncation_over_the_budget_is_refused_before_any_allocation(self, monkeypatch):
+        def no_allocation(*args):
+            raise AssertionError("an array was built")
+
+        monkeypatch.setattr("casfric.oracle._substep_coupling", no_allocation)
+        monkeypatch.setattr("casfric.oracle._ladder_position", no_allocation)
+        with pytest.raises(ValueError, match=rf"truncation {MAX_FOCK_TRUNCATION + 1} is above the budget"):
+            evolve_fock(zero_signal(), PARAMS, truncation=MAX_FOCK_TRUNCATION + 1)
+
+    def test_peak_memory_is_one_coupling_operator(self):
+        truncation = 30
+        operator_bytes = 16 * (truncation + 1) ** 4
+        tracemalloc.start()
+        try:
+            evolve_fock(zero_signal(n=21, span=1.0), PARAMS, truncation=truncation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * operator_bytes, peak / operator_bytes
+
+    def test_truncation_budget_is_the_largest_operator_within_0_8_gb(self):
+        assert 16 * (MAX_FOCK_TRUNCATION + 1) ** 4 <= 8e8 < 16 * (MAX_FOCK_TRUNCATION + 2) ** 4
 
 
 class TestDeltaEFock:
