@@ -9,17 +9,15 @@ integration), and exposes switching-rate scans that separate genuine
 slow-switching friction from the abrupt-start artefact.
 """
 
-from .core import PhysicalParams, TimeGrid, grid_times, ladder_factor
+from .core import PhysicalParams, TimeGrid, ladder_factor
 from .coupling import (
     CouplingProfile,
     CouplingSignal,
     ExponentialRamp,
     Flyby,
     GaussianPulse,
-    SampledProfile,
     SymmetricRamp,
     coupling_from_separation,
-    evaluate,
     load_sampled_csv,
     sample,
     with_amplitude,
@@ -57,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PhysicalParams",
     "TimeGrid",
-    "grid_times",
     "ladder_factor",
     "CouplingProfile",
     "CouplingSignal",
@@ -65,9 +62,7 @@ __all__ = [
     "SymmetricRamp",
     "GaussianPulse",
     "Flyby",
-    "SampledProfile",
     "coupling_from_separation",
-    "evaluate",
     "sample",
     "load_sampled_csv",
     "with_amplitude",

@@ -16,19 +16,20 @@ from typing import Optional, Sequence
 from .core import MAX_FOCK_TRUNCATION, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
 from .coupling import (
     CouplingProfile,
+    CouplingSignal,
     ExponentialRamp,
     Flyby,
     GaussianPulse,
-    SampledProfile,
     SymmetricRamp,
     load_sampled_csv,
     sample,
     with_amplitude,
 )
 from .dissipation import (
+    _SCAN_TAIL_FACTOR,
     ROUTES,
     AdiabaticScanResult,
-    DissipationReport,
+    _check_tail_rel,
     adiabatic_scan,
     compare_routes,
 )
@@ -36,12 +37,33 @@ from .errors import NumericalFailure
 
 __all__ = ["ConfigError", "Scenario", "ScanSpec", "ScenarioResult", "load_config", "run_scenario", "emit_report", "main"]
 
-CSV_HEADER = (
-    "scenario_id,profile,eta_or_amp,delta_e_barton,delta_e_hb,"
-    "delta_e_mode,delta_e_fock,relative_spread,validity_flag"
+# (report column, DissipationReport attribute): the CSV columns after
+# eta_or_amp, and the JSON row keys beside it
+_REPORT_COLUMNS = (
+    ("delta_e_barton", "delta_e_time_domain"),
+    ("delta_e_hb", "delta_e_spectral"),
+    ("delta_e_mode", "delta_e_mode_oracle"),
+    ("delta_e_fock", "delta_e_fock_oracle"),
+    ("relative_spread", "relative_spread"),
+    ("validity_flag", "validity_flag"),
 )
 
-_PROFILE_TYPES = ("exponential_ramp", "symmetric_ramp", "gaussian_pulse", "flyby", "sampled")
+CSV_HEADER = ",".join(["scenario_id", "profile", "eta_or_amp"] + [column for column, _ in _REPORT_COLUMNS])
+
+# the fields each config object accepts; any other key is refused
+_TOP_LEVEL_KEYS = ("scenario_id", "params", "profile", "grid", "routes", "scan",
+                   "fock_truncation", "fock_substeps", "mode_substeps", "tail_rel")
+_PARAMS_KEYS = ("mass", "omega", "charge", "hbar")
+_GRID_KEYS = ("t_start", "t_end", "n_samples")
+# dt and tail_rel size the per-eta grids; an amplitude scan runs on config.grid
+_SCAN_KEYS = {"eta": ("kind", "values", "dt", "tail_rel"), "amplitude": ("kind", "values")}
+_PROFILE_KEYS = {
+    "exponential_ramp": ("type", "gamma", "eta"),
+    "symmetric_ramp": ("type", "gamma", "eta"),
+    "gaussian_pulse": ("type", "q0", "tau"),
+    "flyby": ("type", "charge", "d", "v"),
+    "sampled": ("type", "csv", "grid", "values"),
+}
 
 
 class ConfigError(ValueError):
@@ -78,6 +100,12 @@ class ScenarioResult:
     scan: Optional[AdiabaticScanResult] = None
 
 
+def _reject_unknown_keys(mapping, allowed, path):
+    for key in mapping:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}: unknown field; valid fields are {list(allowed)}")
+
+
 def _expect(mapping, key, path, kind, required=True, default=None):
     if key not in mapping:
         if required:
@@ -98,6 +126,7 @@ def _expect(mapping, key, path, kind, required=True, default=None):
 
 
 def _build_params(cfg, path="params") -> PhysicalParams:
+    _reject_unknown_keys(cfg, _PARAMS_KEYS, path)
     try:
         return PhysicalParams(
             mass=_expect(cfg, "mass", path, float),
@@ -128,6 +157,7 @@ def _tail_rel(cfg, path, default) -> float:
 
 
 def _build_grid(cfg, path="grid") -> TimeGrid:
+    _reject_unknown_keys(cfg, _GRID_KEYS, path)
     n_samples = _expect(cfg, "n_samples", path, int)
     if n_samples > MAX_GRID_SAMPLES:
         raise ConfigError(f"{path}.n_samples: {n_samples} is above the budget of {MAX_GRID_SAMPLES} samples")
@@ -145,6 +175,9 @@ def _build_grid(cfg, path="grid") -> TimeGrid:
 
 def _build_profile(cfg, config_dir: Path, path="profile") -> CouplingProfile:
     kind = _expect(cfg, "type", path, str)
+    if kind not in _PROFILE_KEYS:
+        raise ConfigError(f"{path}.type: unknown profile type {kind!r}; valid types are {list(_PROFILE_KEYS)}")
+    _reject_unknown_keys(cfg, _PROFILE_KEYS[kind], path)
     try:
         if kind == "exponential_ramp":
             return ExponentialRamp(_expect(cfg, "gamma", path, float), _expect(cfg, "eta", path, float))
@@ -158,26 +191,26 @@ def _build_profile(cfg, config_dir: Path, path="profile") -> CouplingProfile:
                 _expect(cfg, "d", path, float),
                 _expect(cfg, "v", path, float),
             )
-        if kind == "sampled":
-            if "csv" in cfg:
-                csv_path = Path(_expect(cfg, "csv", path, str))
-                if not csv_path.is_absolute():
-                    csv_path = config_dir / csv_path
-                return load_sampled_csv(csv_path)
-            grid = _build_grid(_expect(cfg, "grid", path, dict), f"{path}.grid")
-            values = _expect(cfg, "values", path, list)
-            return SampledProfile(grid, values)
+        if "csv" in cfg:  # sampled
+            if "grid" in cfg or "values" in cfg:
+                raise ConfigError(f"{path}: give either csv or grid and values, not both")
+            csv_path = Path(_expect(cfg, "csv", path, str))
+            if not csv_path.is_absolute():
+                csv_path = config_dir / csv_path
+            return load_sampled_csv(csv_path)
+        grid = _build_grid(_expect(cfg, "grid", path, dict), f"{path}.grid")
+        return CouplingSignal(grid, _expect(cfg, "values", path, list))
     except (ValueError, OSError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.type: unknown profile type {kind!r}; valid types are {list(_PROFILE_TYPES)}")
 
 
 def _build_scan(cfg, path="scan") -> ScanSpec:
     kind = _expect(cfg, "kind", path, str)
-    if kind not in ("eta", "amplitude"):
+    if kind not in _SCAN_KEYS:
         raise ConfigError(f"{path}.kind: expected 'eta' or 'amplitude', got {kind!r}")
+    _reject_unknown_keys(cfg, _SCAN_KEYS[kind], path)
     values = _expect(cfg, "values", path, list)
     if not values:
         raise ConfigError(f"{path}.values: scan list must be nonempty")
@@ -191,12 +224,13 @@ def _build_scan(cfg, path="scan") -> ScanSpec:
     dt = _expect(cfg, "dt", path, float, required=False)
     if dt is not None and not 0.0 < dt < float("inf"):
         raise ConfigError(f"{path}.dt: must be finite and positive, got {dt!r}")
-    return ScanSpec(
-        kind=kind,
-        values=tuple(cleaned),
-        dt=dt,
-        tail_rel=_tail_rel(cfg, path, default=1e-12),
-    )
+    tail_rel = _expect(cfg, "tail_rel", path, float, required=False, default=1e-12)
+    try:
+        # each eta's grid span is solved for a fraction of tail_rel
+        _check_tail_rel(tail_rel, _SCAN_TAIL_FACTOR)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.tail_rel: {exc}") from exc
+    return ScanSpec(kind=kind, values=tuple(cleaned), dt=dt, tail_rel=tail_rel)
 
 
 def load_config(path) -> Scenario:
@@ -212,6 +246,7 @@ def load_config(path) -> Scenario:
         raise ConfigError(f"{path.name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path.name}: top level must be a JSON object")
+    _reject_unknown_keys(raw, _TOP_LEVEL_KEYS, "config")
 
     scenario_id = _expect(raw, "scenario_id", "config", str, required=False, default="scenario")
     params = _build_params(_expect(raw, "params", "config", dict))
@@ -290,19 +325,12 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     return ScenarioResult(scenario, rows=rows, scan=scan)
 
 
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else f"{value:.17g}"
-
-
-def _row_values(report: DissipationReport) -> dict:
-    return {
-        "delta_e_barton": report.delta_e_time_domain,
-        "delta_e_hb": report.delta_e_spectral,
-        "delta_e_mode": report.delta_e_mode_oracle,
-        "delta_e_fock": report.delta_e_fock_oracle,
-        "relative_spread": report.relative_spread,
-        "validity_flag": report.validity_flag,
-    }
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.17g}"
 
 
 def _render_csv(result: ScenarioResult) -> str:
@@ -310,18 +338,9 @@ def _render_csv(result: ScenarioResult) -> str:
     profile_tag = scenario.profile_config.get("type", "unknown")
     lines = [CSV_HEADER]
     for eta_or_amp, report in result.rows:
-        v = _row_values(report)
-        lines.append(",".join([
-            scenario.scenario_id,
-            profile_tag,
-            _fmt(eta_or_amp),
-            _fmt(v["delta_e_barton"]),
-            _fmt(v["delta_e_hb"]),
-            _fmt(v["delta_e_mode"]),
-            _fmt(v["delta_e_fock"]),
-            _fmt(v["relative_spread"]),
-            "true" if v["validity_flag"] else "false",
-        ]))
+        cells = [scenario.scenario_id, profile_tag, _cell(eta_or_amp)]
+        cells += [_cell(getattr(report, attribute)) for _, attribute in _REPORT_COLUMNS]
+        lines.append(",".join(cells))
     scan = result.scan
     if scan is not None:
         lines.append("# adiabatic,eta,delta_e,delta_e_times_eta")
@@ -336,15 +355,9 @@ def _render_json(result: ScenarioResult) -> str:
     scenario = result.scenario
     rows = []
     for eta_or_amp, report in result.rows:
-        v = _row_values(report)
         rows.append({
             "eta_or_amp": eta_or_amp,
-            "delta_e_barton": v["delta_e_barton"],
-            "delta_e_hb": v["delta_e_hb"],
-            "delta_e_mode": v["delta_e_mode"],
-            "delta_e_fock": v["delta_e_fock"],
-            "relative_spread": v["relative_spread"],
-            "validity_flag": v["validity_flag"],
+            **{column: getattr(report, attribute) for column, attribute in _REPORT_COLUMNS},
             "tail_warning": report.tail_warning,
             "grid": {
                 "t_start": report.grid.t_start,

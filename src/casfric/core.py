@@ -16,7 +16,6 @@ __all__ = [
     "PhysicalParams",
     "TimeGrid",
     "ladder_factor",
-    "grid_times",
     "BLOCK_SAMPLES",
     "MAX_GRID_SAMPLES",
     "MAX_FOCK_TRUNCATION",
@@ -105,8 +104,3 @@ class TimeGrid:
         if hi == n and hi > lo:
             out[-1] = self.t_end
         return out
-
-
-def grid_times(grid: TimeGrid) -> np.ndarray:
-    """Sample times of ``grid`` (uniform spacing, endpoints included)."""
-    return grid.times()

@@ -19,9 +19,7 @@ __all__ = [
     "SymmetricRamp",
     "GaussianPulse",
     "Flyby",
-    "SampledProfile",
     "CouplingSignal",
-    "evaluate",
     "sample",
     "coupling_from_separation",
     "load_sampled_csv",
@@ -47,9 +45,6 @@ class CouplingProfile:
         arr = np.asarray(t, dtype=float)
         out = self._eval_array(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out
-
-    def __call__(self, t):
-        return self.evaluate(t)
 
 
 @dataclass(frozen=True)
@@ -123,33 +118,12 @@ class Flyby(CouplingProfile):
 
 
 @dataclass(frozen=True, eq=False)
-class SampledProfile(CouplingProfile):
-    """q(t) given by samples on a uniform grid; linear interpolation between."""
+class CouplingSignal(CouplingProfile):
+    """q sampled on a uniform grid; the common input of every route.
 
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or len(values) != self.grid.n_samples:
-            raise ValueError(
-                f"need exactly {self.grid.n_samples} values, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sampled values must be finite")
-        object.__setattr__(self, "values", values)
-
-    def _eval_array(self, t):
-        if np.any(t < self.grid.t_start) or np.any(t > self.grid.t_end):
-            raise ValueError(
-                f"query outside the sampled span [{self.grid.t_start}, {self.grid.t_end}]"
-            )
-        return np.interp(t, self.grid.times(), self.values)
-
-
-@dataclass(frozen=True, eq=False)
-class CouplingSignal:
-    """q sampled on a uniform grid; the common input of every route."""
+    As a profile it interpolates linearly between samples and refuses
+    queries outside the sampled span.
+    """
 
     grid: TimeGrid
     values: np.ndarray
@@ -166,16 +140,15 @@ class CouplingSignal:
             raise ValueError("signal values must be finite")
         object.__setattr__(self, "values", values)
 
-    def times(self) -> np.ndarray:
-        return self.grid.times()
+    def _eval_array(self, t):
+        if np.any(t < self.grid.t_start) or np.any(t > self.grid.t_end):
+            raise ValueError(
+                f"query outside the sampled span [{self.grid.t_start}, {self.grid.t_end}]"
+            )
+        return np.interp(t, self.grid.times(), self.values)
 
     def scaled(self, factor: float) -> "CouplingSignal":
         return CouplingSignal(self.grid, factor * self.values)
-
-
-def evaluate(profile: CouplingProfile, t):
-    """q(t) for the given profile; scalar in, scalar out."""
-    return profile.evaluate(t)
 
 
 def coupling_from_separation(e: float, s: float) -> float:
@@ -200,11 +173,11 @@ def sample(profile: CouplingProfile, grid: TimeGrid) -> CouplingSignal:
     return CouplingSignal(grid, values)
 
 
-def load_sampled_csv(path) -> SampledProfile:
+def load_sampled_csv(path) -> CouplingSignal:
     """Load a (time, q) profile from a two-column CSV with a one-line header.
 
     Times must be strictly increasing and uniformly spaced to within a
-    1e-9 relative tolerance; the samples become a SampledProfile on the
+    1e-9 relative tolerance; the samples become a CouplingSignal on the
     implied uniform grid.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
@@ -220,7 +193,7 @@ def load_sampled_csv(path) -> SampledProfile:
     if np.max(np.abs(steps - dt)) > 1e-9 * dt:
         raise ValueError(f"{path}: times must be uniform to 1e-9 relative spacing")
     grid = TimeGrid(float(times[0]), float(times[-1]), len(times))
-    return SampledProfile(grid, values)
+    return CouplingSignal(grid, values)
 
 
 def with_amplitude(profile: CouplingProfile, amplitude: float) -> CouplingProfile:

@@ -29,7 +29,7 @@ from . import oracle as _oracle
 from .core import BLOCK_SAMPLES, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid, ladder_factor
 from .coupling import CouplingProfile, CouplingSignal, ExponentialRamp, SymmetricRamp, sample
 from .errors import NumericalFailure, TailSpanError
-from .spectral import TAIL_REL_DEFAULT, fourier_analytic, fourier_numeric, tails_resolved
+from .spectral import TAIL_REL_DEFAULT, _transform, tails_resolved
 
 __all__ = [
     "TransitionAmplitude",
@@ -55,6 +55,10 @@ STRAINED_PROBABILITY = 0.1
 ROUTES = ("barton", "hb", "mode_oracle", "fock_oracle")
 
 _SPREAD_FLOOR = 1e-300
+
+# A scan solves each grid's span for this fraction of its tail_rel, so the
+# endpoint samples sit safely below the threshold, not on it.
+_SCAN_TAIL_FACTOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -109,14 +113,6 @@ def spectral_transition_coefficient(qhat_at_minus_2omega: complex, params: Physi
     return (-1.0 / (1j * params.hbar)) * interaction_matrix_element(params) * qhat_at_minus_2omega
 
 
-def _qhat_minus_2omega(source, params: PhysicalParams, tail_rel: float) -> complex:
-    if isinstance(source, CouplingSignal):
-        return fourier_numeric(source, -2.0 * params.omega, tail_rel).value
-    if isinstance(source, CouplingProfile):
-        return fourier_analytic(source, -2.0 * params.omega).value
-    raise TypeError(f"expected a CouplingSignal or CouplingProfile, got {type(source).__name__}")
-
-
 def delta_e_spectral(source, params: PhysicalParams, tail_rel: float = TAIL_REL_DEFAULT) -> float:
     """dE = (2 hbar w) * B_1100 with B_1100 = (b^2/hbar^2) |qhat(-2w)|^2.
 
@@ -124,7 +120,7 @@ def delta_e_spectral(source, params: PhysicalParams, tail_rel: float = TAIL_REL_
     profile (analytic transform).  Computed through the spectral module,
     never through the time-domain amplitude.
     """
-    qhat = _qhat_minus_2omega(source, params, tail_rel)
+    qhat = _transform(source, -2.0 * params.omega, tail_rel).value
     b_1100 = spectral_transition_coefficient(qhat, params)
     return 2.0 * params.hbar * params.omega * abs(b_1100) ** 2
 
@@ -249,6 +245,20 @@ def compare_routes(
     )
 
 
+def _check_tail_rel(tail_rel: float, factor: float = 1.0) -> None:
+    """Refuse a tail_rel for which ramp_tail_span(eta, factor*tail_rel) has no span.
+
+    The message quotes ``tail_rel`` itself, so a scan, which solves for
+    _SCAN_TAIL_FACTOR of its tail_rel, names the value it was given.
+    """
+    if not 0.0 < tail_rel < 1.0:
+        raise ValueError(f"tail_rel must be in (0, 1), got {tail_rel!r}")
+    # below the smallest normal float the W_-1 iteration can divide by zero
+    if factor * tail_rel / math.e < sys.float_info.min:
+        floor = sys.float_info.min * math.e / factor
+        raise ValueError(f"tail_rel={tail_rel!r} is too small: the span solve needs at least ~{floor:.3g}")
+
+
 def ramp_tail_span(eta: float, tail_rel: float) -> float:
     """Smallest T with |q(T)| <= tail_rel * max|q| for a ramp of rate eta.
 
@@ -259,11 +269,8 @@ def ramp_tail_span(eta: float, tail_rel: float) -> float:
     5.9) from w = log(-z), with the same start, step and stopping rule
     as scipy.special.lambertw(z, -1), so the span is bit-identical to it.
     """
-    if not 0.0 < tail_rel < 1.0:
-        raise ValueError(f"tail_rel must be in (0, 1), got {tail_rel!r}")
+    _check_tail_rel(tail_rel)
     z = -tail_rel / math.e
-    if -z < sys.float_info.min:  # subnormal: the iteration can divide by zero
-        raise ValueError(f"tail_rel={tail_rel!r} is too small: tail_rel/e is below the smallest normal float")
     w = math.log(-z)
     for _ in range(100):
         ew = math.exp(w)
@@ -277,9 +284,7 @@ def ramp_tail_span(eta: float, tail_rel: float) -> float:
 
 
 def _ramp_grid(profile, eta: float, dt: float, tail_rel: float) -> TimeGrid:
-    # solve the span for a tenth of the threshold so the endpoint samples
-    # sit safely below it, not on it
-    span = ramp_tail_span(eta, 0.1 * tail_rel)
+    span = ramp_tail_span(eta, _SCAN_TAIL_FACTOR * tail_rel)
     t_start = -span if isinstance(profile, SymmetricRamp) else 0.0
     n = int(np.ceil((span - t_start) / dt)) + 1
     if n > MAX_GRID_SAMPLES:
@@ -332,8 +337,7 @@ def adiabatic_scan(
     etas = np.asarray(list(etas), dtype=float)
     if len(etas) == 0 or np.any(etas <= 0.0):
         raise ValueError("etas must be a nonempty sequence of positive rates")
-    if not 0.0 < tail_rel < 1.0:
-        raise ValueError(f"tail_rel must be in (0, 1), got {tail_rel!r}")
+    _check_tail_rel(tail_rel, _SCAN_TAIL_FACTOR)
     if dt is None:
         dt = np.pi / (32.0 * params.omega)
     elif not 0.0 < dt < math.inf:

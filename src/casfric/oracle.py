@@ -91,7 +91,7 @@ def _substep_coupling(signal: CouplingSignal, substeps: int):
     """Coupling at substep nodes and midpoints (linear inside grid cells)."""
     if int(substeps) != substeps or substeps < 1:
         raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
-    times = signal.times()
+    times = signal.grid.times()
     h = signal.grid.dt / substeps
     n_steps = (signal.grid.n_samples - 1) * substeps
     t_nodes = times[0] + h * np.arange(n_steps + 1)
@@ -162,13 +162,11 @@ def evolve_mode(
     """
     if mode_sign not in (+1, -1):
         raise ValueError(f"mode_sign must be +1 or -1, got {mode_sign!r}")
-    if int(substeps) != substeps or substeps < 1:
-        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
+    h, q_nodes, q_mid = _substep_coupling(signal, substeps)
     _warn_unresolved_tails(signal, "evolve_mode")
     if not np.any(signal.values):
         # zero coupling is exactly free evolution; nothing to integrate
         return BogoliubovPair(1.0 + 0.0j, 0.0j)
-    h, q_nodes, q_mid = _substep_coupling(signal, substeps)
 
     w = params.omega
     w2_nodes = w**2 + mode_sign * q_nodes / params.mass

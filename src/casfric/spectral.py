@@ -98,16 +98,20 @@ def fourier_analytic(profile: CouplingProfile, omega: float) -> SpectralValue:
     return SpectralValue(w, complex(value))
 
 
+def _transform(source, omega: float, tail_rel: float) -> SpectralValue:
+    """qhat(omega) of a CouplingSignal (numeric) or a closed-form profile (analytic)."""
+    # a CouplingSignal is a CouplingProfile too, so it is tested first
+    if isinstance(source, CouplingSignal):
+        return fourier_numeric(source, omega, tail_rel)
+    if isinstance(source, CouplingProfile):
+        return fourier_analytic(source, omega)
+    raise TypeError(f"expected a CouplingSignal or CouplingProfile, got {type(source).__name__}")
+
+
 def power_at(source, omega: float, tail_rel: float = TAIL_REL_DEFAULT) -> float:
     """qhat(w)*qhat(-w) for real q, i.e. |qhat(w)|^2.
 
     Accepts a CouplingSignal (numeric transform) or a closed-form profile
     (analytic transform).
     """
-    if isinstance(source, CouplingSignal):
-        sv = fourier_numeric(source, omega, tail_rel)
-    elif isinstance(source, CouplingProfile):
-        sv = fourier_analytic(source, omega)
-    else:
-        raise TypeError(f"expected a CouplingSignal or CouplingProfile, got {type(source).__name__}")
-    return abs(sv.value) ** 2
+    return abs(_transform(source, omega, tail_rel).value) ** 2

@@ -17,7 +17,6 @@ from casfric import (
     Flyby,
     GaussianPulse,
     PhysicalParams,
-    SampledProfile,
     SymmetricRamp,
     TimeGrid,
     adiabatic_scan,
@@ -47,7 +46,7 @@ def profile_corpus():
     """Five profile families on grids wide enough to resolve their tails."""
     mixture_grid = TimeGrid(-15.0, 15.0, 6001)
     mixture_times = mixture_grid.times()
-    mixture = SampledProfile(
+    mixture = CouplingSignal(
         mixture_grid,
         0.008 * np.exp(-((mixture_times + 2.0) / 1.5) ** 2)
         + 0.004 * np.exp(-((mixture_times - 1.0) / 1.0) ** 2),

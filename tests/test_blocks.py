@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casfric import GaussianPulse, PhysicalParams, SampledProfile, SymmetricRamp, TimeGrid, sample
+from casfric import CouplingSignal, GaussianPulse, PhysicalParams, SymmetricRamp, TimeGrid, sample
 from casfric.core import BLOCK_SAMPLES
 from casfric.dissipation import time_domain_amplitude
 from casfric.spectral import fourier_numeric
@@ -52,7 +52,7 @@ def reference_trapezoid(signal, omega):
 class TestBlockedQuadratures:
     def test_sampling_matches_one_full_grid_evaluation(self):
         coarse = TimeGrid(-20.0, 20.0, 2001)
-        tabulated = SampledProfile(coarse, GaussianPulse(q0=1.0, tau=2.0).evaluate(coarse.times()))
+        tabulated = CouplingSignal(coarse, GaussianPulse(q0=1.0, tau=2.0).evaluate(coarse.times()))
         for profile in (GaussianPulse(q0=1.0, tau=2.0), SymmetricRamp(gamma=0.3, eta=0.2), tabulated):
             grid = TimeGrid(-20.0, 20.0, 3 * BLOCK_SAMPLES + 17)
             np.testing.assert_array_equal(sample(profile, grid).values, profile.evaluate(grid.times()))

@@ -18,6 +18,7 @@ from casfric.cli import (
 from casfric.core import MAX_FOCK_TRUNCATION, MAX_GRID_SAMPLES
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+EXPECTED_DIR = Path(__file__).resolve().parent / "expected"
 
 
 def write_config(tmp_path, body, name="scenario.json"):
@@ -214,6 +215,21 @@ class TestJsonOutput:
         assert parsed["scan"] is None
 
 
+def test_json_row_keys_are_the_csv_columns_after_profile(tmp_path):
+    result = run_scenario(load_config(write_config(tmp_path, small_benchmark(routes=["barton", "hb"]))))
+    row = json.loads(emit_report(result, "json"))["rows"][0]
+    columns = CSV_HEADER.split(",")
+    assert set(row) == set(columns[columns.index("profile") + 1:]) | {"tail_warning", "grid"}
+    cells = emit_report(result, "csv").decode().splitlines()[1].split(",")
+    for column, cell in zip(columns[2:], cells[2:]):
+        if row[column] is None:
+            assert cell == ""
+        elif isinstance(row[column], bool):
+            assert cell == ("true" if row[column] else "false")
+        else:
+            assert float(cell) == row[column]
+
+
 class TestScans:
     def test_amplitude_scan_rows_scale_quadratically(self, tmp_path, capsys):
         body = small_benchmark(
@@ -264,6 +280,33 @@ class TestScans:
         assert np.isfinite(scan["slope_delta_e"])
 
 
+def assert_matches_recorded(produced, recorded):
+    """Header, line count and text fields exact; numbers within 1e-9 relative.
+
+    libm and BLAS may differ in the last bits between CPUs, so numbers are
+    not compared byte for byte.  barton and hb agree to the last bit, so
+    their relative_spread is 0 and a last-bit change in either makes it
+    ~1e-16; it also passes when both values are at most 1e-12.
+    """
+    got_lines, want_lines = produced.splitlines(), recorded.splitlines()
+    assert got_lines[0] == want_lines[0]
+    assert len(got_lines) == len(want_lines)
+    columns = want_lines[0].split(",")
+    for got, want in zip(got_lines[1:], want_lines[1:]):
+        got_fields, want_fields = got.split(","), want.split(",")
+        assert len(got_fields) == len(want_fields), (got, want)
+        for column, g, w in zip(columns, got_fields, want_fields):
+            try:
+                g_num, w_num = float(g), float(w)
+            except ValueError:
+                assert g == w, (got, want)
+                continue
+            close = abs(g_num - w_num) <= 1e-9 * abs(w_num)
+            if column == "relative_spread" and not want.startswith("#"):
+                close = close or max(g_num, w_num) <= 1e-12
+            assert close, (column, got, want)
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -273,16 +316,19 @@ class TestScans:
         "sampled_profile.json",
         "amplitude_scan.json",
         "adiabatic_scan.json",
+        "gaussian_benchmark.json",
     ],
 )
 def test_shipped_configs_run_clean(name, tmp_path):
-    """Every documented example config must execute end to end."""
+    """Every documented example config must execute end to end and
+    reproduce its recorded report."""
     out = tmp_path / "report.csv"
     assert main([str(CONFIG_DIR / name), "--out", str(out)]) == 0
     text = out.read_text()
     assert text.startswith(CSV_HEADER)
     data_rows = [line for line in text.strip().split("\n")[1:] if not line.startswith("#")]
     assert len(data_rows) >= 1
+    assert_matches_recorded(text, (EXPECTED_DIR / name).with_suffix(".csv").read_text())
 
 
 def eta_scan_config(**scan):
@@ -310,6 +356,17 @@ class TestRangesAndSampleBudget:
         assert main([str(write_config(tmp_path, body))]) == 2
         err = capsys.readouterr().err
         assert re.search(field, err), err
+
+    def test_scan_tail_rel_below_the_span_floor_is_refused_at_load_time(self, tmp_path, capsys):
+        path = write_config(tmp_path, eta_scan_config(tail_rel=1e-322))
+        with pytest.raises(ConfigError, match=r"scan\.tail_rel: tail_rel=1e-322 is too small"):
+            load_config(path)
+        assert main([str(path)]) == 2
+        assert "1e-323" not in capsys.readouterr().err
+
+    def test_small_scan_tail_rel_above_the_floor_runs(self, tmp_path, capsys):
+        assert main([str(write_config(tmp_path, eta_scan_config(tail_rel=1e-300)))]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 2 + 4  # header, row, footer
 
     def test_tail_rel_message_quotes_the_configured_value(self, tmp_path, capsys):
         assert main([str(write_config(tmp_path, eta_scan_config(tail_rel=-1.0)))]) == 2
@@ -356,3 +413,51 @@ class TestFockAndSubstepLimits:
         assert main([str(write_config(tmp_path, body))]) == 2
         err = capsys.readouterr().err
         assert f"config.{key}" in err and f"got {value}" in err, err
+
+
+def sampled_inline(**profile):
+    body = small_benchmark(routes=["barton", "hb"])
+    body["profile"] = {
+        "type": "sampled",
+        "grid": {"t_start": -12.0, "t_end": 12.0, "n_samples": 5},
+        "values": [0.0, 0.005, 0.01, 0.005, 0.0],
+        **profile,
+    }
+    return body
+
+
+def with_key(body, section, key, value):
+    """``body`` with ``key`` set in ``body[section]`` (the top level for None)."""
+    target = body
+    for name in section.split(".") if section else ():
+        target = target[name]
+    target[key] = value
+    return body
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            (with_key(small_benchmark(), None, "fock_trunction", 500), "config.fock_trunction"),
+            (with_key(small_benchmark(), "params", "omgea", 2.0), "params.omgea"),
+            (with_key(small_benchmark(), "grid", "n_sampels", 11), "grid.n_sampels"),
+            (with_key(eta_scan_config(), "scan", "tail_rle", 1e-3), "scan.tail_rle"),
+            (with_key(small_benchmark(scan={"kind": "amplitude", "values": [0.01]}), "scan", "dt", 0.1), "scan.dt"),
+            (with_key(small_benchmark(), "profile", "eta", 1.0), "profile.eta"),
+            (with_key(sampled_inline(), "profile.grid", "n_sampels", 9), "profile.grid.n_sampels"),
+        ],
+    )
+    def test_unknown_key_is_exit_two_with_its_path(self, tmp_path, capsys, body, field):
+        assert main([str(write_config(tmp_path, body))]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: unknown field" in err, err
+
+    def test_inline_sampled_profile_runs(self, tmp_path, capsys):
+        assert main([str(write_config(tmp_path, sampled_inline()))]) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert row[1] == "sampled" and float(row[3]) > 0.0
+
+    def test_sampled_csv_with_inline_samples_is_refused(self, tmp_path, capsys):
+        assert main([str(write_config(tmp_path, sampled_inline(csv="samples.csv")))]) == 2
+        assert "either csv or grid and values" in capsys.readouterr().err

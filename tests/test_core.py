@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casfric import PhysicalParams, TimeGrid, grid_times, ladder_factor
+from casfric import PhysicalParams, TimeGrid, ladder_factor
 
 
 class TestLadderFactor:
@@ -40,13 +40,13 @@ def test_params_reject_nonpositive(field, bad):
 
 class TestTimeGrid:
     def test_two_point_grid_is_endpoints(self):
-        np.testing.assert_array_equal(grid_times(TimeGrid(0.0, 1.0, 2)), [0.0, 1.0])
+        np.testing.assert_array_equal(TimeGrid(0.0, 1.0, 2).times(), [0.0, 1.0])
 
     def test_three_point_grid_hits_midpoint(self):
-        np.testing.assert_array_equal(grid_times(TimeGrid(0.0, 1.0, 3)), [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(TimeGrid(0.0, 1.0, 3).times(), [0.0, 0.5, 1.0])
 
     def test_symmetric_grid(self):
-        np.testing.assert_array_equal(grid_times(TimeGrid(-2.0, 2.0, 5)), [-2.0, -1.0, 0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(TimeGrid(-2.0, 2.0, 5).times(), [-2.0, -1.0, 0.0, 1.0, 2.0])
 
     @pytest.mark.parametrize("n", [0, 1, -3])
     def test_rejects_too_few_samples(self, n):

@@ -9,34 +9,33 @@ from casfric import (
     ExponentialRamp,
     Flyby,
     GaussianPulse,
-    SampledProfile,
     SymmetricRamp,
     TimeGrid,
     coupling_from_separation,
-    evaluate,
     load_sampled_csv,
     sample,
     with_amplitude,
 )
+from casfric.core import BLOCK_SAMPLES
 
 finite_times = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
 class TestEvaluate:
     def test_ramp_is_zero_before_switch_on(self):
-        assert evaluate(ExponentialRamp(gamma=1.0, eta=1.0), -0.5) == 0.0
-        assert evaluate(ExponentialRamp(gamma=1.0, eta=1.0), 0.0) == 0.0
+        assert ExponentialRamp(gamma=1.0, eta=1.0).evaluate(-0.5) == 0.0
+        assert ExponentialRamp(gamma=1.0, eta=1.0).evaluate(0.0) == 0.0
 
     def test_ramp_value_after_switch_on(self):
         np.testing.assert_allclose(
-            evaluate(ExponentialRamp(gamma=2.0, eta=1.0), 1.0), 2.0 * np.exp(-1.0), rtol=1e-15
+            ExponentialRamp(gamma=2.0, eta=1.0).evaluate(1.0), 2.0 * np.exp(-1.0), rtol=1e-15
         )
 
     def test_ramp_does_not_overflow_at_large_negative_times(self):
-        assert evaluate(ExponentialRamp(gamma=1.0, eta=1.0), -1e6) == 0.0
+        assert ExponentialRamp(gamma=1.0, eta=1.0).evaluate(-1e6) == 0.0
 
     def test_flyby_peak_is_closest_approach(self):
-        assert evaluate(Flyby(charge=1.0, d=1.0, v=1.0), 0.0) == 1.0
+        assert Flyby(charge=1.0, d=1.0, v=1.0).evaluate(0.0) == 1.0
 
     def test_scalar_in_scalar_out_array_in_array_out(self):
         pulse = GaussianPulse(q0=1.0, tau=1.0)
@@ -81,7 +80,7 @@ class TestCouplingFromSeparation:
         e, d = 1.3, 0.8
         np.testing.assert_allclose(
             coupling_from_separation(e, d),
-            evaluate(Flyby(charge=e, d=d, v=2.0), 0.0),
+            Flyby(charge=e, d=d, v=2.0).evaluate(0.0),
             rtol=1e-15,
         )
 
@@ -110,19 +109,26 @@ class TestSample:
 
 
 class TestSampledProfile:
+    """A CouplingSignal as a profile: linear interpolation between its samples."""
+
     def test_linear_interpolation_between_neighbors(self):
-        profile = SampledProfile(TimeGrid(0.0, 2.0, 3), np.array([0.0, 2.0, 0.0]))
+        profile = CouplingSignal(TimeGrid(0.0, 2.0, 3), np.array([0.0, 2.0, 0.0]))
         assert profile.evaluate(0.5) == 1.0
         assert profile.evaluate(1.5) == 1.0
 
     def test_exact_at_nodes(self):
         grid = TimeGrid(-1.0, 1.0, 5)
         values = np.array([0.1, 0.2, 0.3, 0.2, 0.1])
-        profile = SampledProfile(grid, values)
+        profile = CouplingSignal(grid, values)
         np.testing.assert_array_equal(sample(profile, grid).values, values)
 
+    def test_sampling_on_its_own_grid_returns_its_values_bit_for_bit(self):
+        grid = TimeGrid(-3.0, 7.0, BLOCK_SAMPLES + 3)  # more than one sampling block
+        signal = CouplingSignal(grid, np.random.default_rng(0).standard_normal(grid.n_samples))
+        assert sample(signal, signal.grid).values.tobytes() == signal.values.tobytes()
+
     def test_out_of_span_query_is_an_error(self):
-        profile = SampledProfile(TimeGrid(0.0, 1.0, 2), np.array([0.0, 1.0]))
+        profile = CouplingSignal(TimeGrid(0.0, 1.0, 2), np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="span"):
             profile.evaluate(1.5)
         with pytest.raises(ValueError, match="span"):
@@ -130,7 +136,7 @@ class TestSampledProfile:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            SampledProfile(TimeGrid(0.0, 1.0, 3), np.array([1.0, 2.0]))
+            CouplingSignal(TimeGrid(0.0, 1.0, 3), np.array([1.0, 2.0]))
 
 
 class TestCsvLoading:
@@ -184,7 +190,7 @@ class TestAmplitudeKnob:
         with pytest.raises(TypeError):
             with_amplitude(Flyby(charge=1.0, d=1.0, v=1.0), 0.3)
         with pytest.raises(TypeError):
-            with_amplitude(SampledProfile(TimeGrid(0.0, 1.0, 2), np.zeros(2)), 0.3)
+            with_amplitude(CouplingSignal(TimeGrid(0.0, 1.0, 2), np.zeros(2)), 0.3)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from casfric import (
     Flyby,
     GaussianPulse,
     PhysicalParams,
-    SampledProfile,
     SymmetricRamp,
     TailSpanError,
     TimeGrid,
@@ -322,6 +321,10 @@ class TestScanPreflight:
     def test_tail_rel_out_of_range_names_the_value_given(self):
         with pytest.raises(ValueError, match=r"got -1\.0"):
             adiabatic_scan(SymmetricRamp(gamma=1.0, eta=1.0), [0.1], PARAMS, tail_rel=-1.0)
+
+    def test_tail_rel_below_the_span_floor_names_the_value_given(self):
+        with pytest.raises(ValueError, match=r"tail_rel=1e-322 is too small"):
+            adiabatic_scan(SymmetricRamp(gamma=1.0, eta=1.0), [0.1], PARAMS, tail_rel=1e-322)
 
     def test_grid_over_the_budget_is_refused_before_any_point_runs(self, monkeypatch):
         def no_sampling(*args):

@@ -14,7 +14,6 @@ from casfric import (
     ExponentialRamp,
     Flyby,
     GaussianPulse,
-    SampledProfile,
     SymmetricRamp,
     TimeGrid,
     fourier_analytic,
@@ -136,7 +135,7 @@ class TestFourierAnalytic:
         with pytest.raises(TypeError, match="fourier_numeric"):
             fourier_analytic(Flyby(charge=1.0, d=1.0, v=1.0), 1.0)
         with pytest.raises(TypeError, match="fourier_numeric"):
-            fourier_analytic(SampledProfile(TimeGrid(0.0, 1.0, 2), np.zeros(2)), 1.0)
+            fourier_analytic(CouplingSignal(TimeGrid(0.0, 1.0, 2), np.zeros(2)), 1.0)
 
     def test_trapezoid_error_is_second_order_in_dt(self):
         """The switch-on kink makes the ramp a clean order-2 probe."""
