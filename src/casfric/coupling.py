@@ -141,11 +141,28 @@ class CouplingSignal(CouplingProfile):
         object.__setattr__(self, "values", values)
 
     def _eval_array(self, t):
-        if np.any(t < self.grid.t_start) or np.any(t > self.grid.t_end):
-            raise ValueError(
-                f"query outside the sampled span [{self.grid.t_start}, {self.grid.t_end}]"
-            )
-        return np.interp(t, self.grid.times(), self.values)
+        grid = self.grid
+        if not t.size:
+            return np.empty(0)
+        t_min, t_max = t.min(), t.max()
+        # a NaN time compares false and is refused with the rest
+        if not (grid.t_start <= t_min and t_max <= grid.t_end):
+            raise ValueError(f"query outside the sampled span [{grid.t_start}, {grid.t_end}]")
+        return self._interpolate(t, t_min, t_max)
+
+    def _interpolate(self, t: np.ndarray, t_min: float, t_max: float) -> np.ndarray:
+        """np.interp of the signal at times t in [t_min, t_max], bit for bit,
+        from the samples of the cells those times fall in.
+
+        The slice of the grid is padded by one cell at each end, so a cell
+        index off by one in rounding still leaves every query inside it,
+        and np.interp picks the same two samples as on the whole grid.
+        Queries past a grid end (by rounding) get its end sample, as there.
+        """
+        grid = self.grid
+        lo = max(int((t_min - grid.t_start) / grid.dt) - 1, 0)
+        hi = min(int((t_max - grid.t_start) / grid.dt) + 3, grid.n_samples)
+        return np.interp(t, grid.times(lo, hi), self.values[lo:hi])
 
     def scaled(self, factor: float) -> "CouplingSignal":
         return CouplingSignal(self.grid, factor * self.values)

@@ -87,17 +87,28 @@ def mode_state_at(pair: BogoliubovPair, params: PhysicalParams, t: float) -> Mod
     return ModeFunctionState(complex(f), complex(fdot))
 
 
-def _substep_coupling(signal: CouplingSignal, substeps: int):
-    """Coupling at substep nodes and midpoints (linear inside grid cells)."""
+# Steps per chunk of both oracles' sweeps: each chunk's coupling, step
+# matrices and Fock drive are O(chunk) whatever the grid length.  A power
+# of two, so a chunk is a whole subtree of the mode oracle's pairwise fold.
+_CHUNK_STEPS = 1 << 12
+
+
+def _substeps(signal: CouplingSignal, substeps: int):
+    """Substep h = dt/substeps and the number of substeps across the grid."""
     if int(substeps) != substeps or substeps < 1:
         raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
-    times = signal.grid.times()
-    h = signal.grid.dt / substeps
-    n_steps = (signal.grid.n_samples - 1) * substeps
-    t_nodes = times[0] + h * np.arange(n_steps + 1)
-    q_nodes = np.interp(t_nodes, times, signal.values)
-    q_mid = np.interp(t_nodes[:-1] + 0.5 * h, times, signal.values)
-    return h, q_nodes, q_mid
+    return signal.grid.dt / substeps, (signal.grid.n_samples - 1) * substeps
+
+
+def _substep_coupling(signal: CouplingSignal, h: float, lo: int, hi: int):
+    """Coupling at substep nodes lo..hi and the midpoints between them
+    (linear inside grid cells), from the grid cells those steps cross."""
+    t_nodes = signal.grid.t_start + h * np.arange(lo, hi + 1)
+    t_first, t_last = t_nodes[0], t_nodes[-1]
+    q_nodes = signal._interpolate(t_nodes, t_first, t_last)
+    t_nodes[:-1] += 0.5 * h
+    q_mid = signal._interpolate(t_nodes[:-1], t_first, t_last)
+    return q_nodes, q_mid
 
 
 def _warn_unresolved_tails(signal: CouplingSignal, caller: str):
@@ -124,24 +135,28 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
 def _rk4_transfer_matrices(w2_start, w2_mid, w2_end, h: float) -> np.ndarray:
     """Per-step RK4 propagators for u' = A(t) u, A = [[0, 1], [-Omega^2, 0]].
 
-    The ODE is linear, so one RK4 step is a 2x2 matrix; building all steps
-    at once keeps the sequential recurrence out of Python.
+    The ODE is linear, so one RK4 step is the 2x2 matrix
+    1 + h/6 (k1 + 2 k2 + 2 k3 + k4) with k1 = A0, k2 = A1 (1 + h/2 k1),
+    k3 = A1 (1 + h/2 k2), k4 = A2 (1 + h k3).  It is written out entry
+    by entry: every product in those 2x2 products has an exact 0 or 1
+    factor, so each entry takes the same roundings as the matrix form.
     """
-    n = len(w2_start)
-    eye = np.broadcast_to(np.eye(2), (n, 2, 2))
-
-    def a_mat(w2):
-        a = np.zeros((n, 2, 2))
-        a[:, 0, 1] = 1.0
-        a[:, 1, 0] = -w2
-        return a
-
-    a0, a1, a2 = a_mat(w2_start), a_mat(w2_mid), a_mat(w2_end)
-    k1 = a0
-    k2 = a1 @ (eye + (0.5 * h) * k1)
-    k3 = a1 @ (eye + (0.5 * h) * k2)
-    k4 = a2 @ (eye + h * k3)
-    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    s = 0.5 * h
+    ms = w2_mid * s
+    # k2 = [[-s w2_start, 1], [-w2_mid, -ms]]
+    k2_00 = -s * w2_start
+    # k3 = [[-ms, k3_01], [k3_10, -ms]]
+    k3_01 = 1.0 - s * ms
+    k3_10 = -w2_mid * (1.0 + s * k2_00)
+    # k4 = [[h k3_10, p], [-w2_end p, -w2_end h k3_01]] with p = 1 - h ms
+    p = 1.0 - h * ms
+    c = h / 6.0
+    steps = np.empty((len(w2_mid), 2, 2))
+    steps[:, 0, 0] = 1.0 + c * ((2.0 * k2_00 - 2.0 * ms) + h * k3_10)
+    steps[:, 0, 1] = c * ((3.0 + 2.0 * k3_01) + p)
+    steps[:, 1, 0] = c * (((-w2_start - 2.0 * w2_mid) + 2.0 * k3_10) - w2_end * p)
+    steps[:, 1, 1] = 1.0 + c * (-4.0 * ms - w2_end * (h * k3_01))
+    return steps
 
 
 def evolve_mode(
@@ -162,23 +177,30 @@ def evolve_mode(
     """
     if mode_sign not in (+1, -1):
         raise ValueError(f"mode_sign must be +1 or -1, got {mode_sign!r}")
-    h, q_nodes, q_mid = _substep_coupling(signal, substeps)
+    h, n_steps = _substeps(signal, substeps)
     _warn_unresolved_tails(signal, "evolve_mode")
     if not np.any(signal.values):
         # zero coupling is exactly free evolution; nothing to integrate
         return BogoliubovPair(1.0 + 0.0j, 0.0j)
 
     w = params.omega
-    w2_nodes = w**2 + mode_sign * q_nodes / params.mass
-    w2_mid = w**2 + mode_sign * q_mid / params.mass
-    if np.min(w2_nodes) <= 0.0 or np.min(w2_mid) <= 0.0:
-        raise InvertedModeError(
-            f"Omega^2 <= 0 for mode {mode_sign:+d}: max|q| = {np.max(np.abs(signal.values)):g} "
-            f"reaches m*w^2 = {params.mass * w**2:g}"
-        )
-
-    steps = _rk4_transfer_matrices(w2_nodes[:-1], w2_mid, w2_nodes[1:], h)
-    propagator = _ordered_product(steps)
+    # one product per chunk, folded again at the end: the same pairwise
+    # tree as one fold over every step, so the same bits
+    starts = range(0, n_steps, _CHUNK_STEPS)
+    chunk_products = np.empty((len(starts), 2, 2))
+    for k, lo in enumerate(starts):
+        q_nodes, q_mid = _substep_coupling(signal, h, lo, min(lo + _CHUNK_STEPS, n_steps))
+        w2_nodes = w**2 + mode_sign * q_nodes / params.mass
+        w2_mid = w**2 + mode_sign * q_mid / params.mass
+        if np.min(w2_nodes) <= 0.0 or np.min(w2_mid) <= 0.0:
+            q = signal.values
+            raise InvertedModeError(
+                f"Omega^2 <= 0 for mode {mode_sign:+d}: max|q| = {max(q.max(), -q.min()):g} "
+                f"reaches m*w^2 = {params.mass * w**2:g}"
+            )
+        steps = _rk4_transfer_matrices(w2_nodes[:-1], w2_mid, w2_nodes[1:], h)
+        chunk_products[k] = _ordered_product(steps)
+    propagator = _ordered_product(chunk_products)
 
     t0, t1 = signal.grid.t_start, signal.grid.t_end
     f0 = np.exp(-1j * w * t0)
@@ -241,7 +263,7 @@ def evolve_fock(
         )
     _warn_unresolved_tails(signal, "evolve_fock")
     n_levels = truncation + 1
-    h, q_nodes, q_mid = _substep_coupling(signal, dt_substeps)
+    h, n_steps = _substeps(signal, dt_substeps)
 
     n1 = np.repeat(np.arange(n_levels), n_levels)
     n2 = np.tile(np.arange(n_levels), n_levels)
@@ -260,12 +282,14 @@ def evolve_fock(
     def rhs(q, y):
         return minus_i_h0 * y + (minus_i * q) * (coupling_op @ y)
 
-    for j in range(len(q_mid)):
-        k1 = rhs(q_nodes[j], psi)
-        k2 = rhs(q_mid[j], psi + (0.5 * h) * k1)
-        k3 = rhs(q_mid[j], psi + (0.5 * h) * k2)
-        k4 = rhs(q_nodes[j + 1], psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for lo in range(0, n_steps, _CHUNK_STEPS):
+        q_nodes, q_mid = _substep_coupling(signal, h, lo, min(lo + _CHUNK_STEPS, n_steps))
+        for j in range(len(q_mid)):
+            k1 = rhs(q_nodes[j], psi)
+            k2 = rhs(q_mid[j], psi + (0.5 * h) * k1)
+            k3 = rhs(q_mid[j], psi + (0.5 * h) * k2)
+            k4 = rhs(q_nodes[j + 1], psi + h * k3)
+            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     state = FockStateVector(truncation, psi.reshape(n_levels, n_levels))
     if state.norm_drift > norm_tol:

@@ -39,6 +39,38 @@ class TestGridSlices:
                 grid.times(lo, hi)
 
 
+class TestSignalInterpolation:
+    """CouplingSignal interpolates from a padded slice of its grid; the
+    values are those of np.interp on the whole grid, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t0=st.floats(min_value=-1e4, max_value=1e4),
+        span=st.floats(min_value=1e-3, max_value=1e4),
+        n=st.sampled_from(SIZES),
+        cuts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_query_range_is_the_full_array_interp(self, t0, span, n, cuts, seed):
+        grid = TimeGrid(t0, t0 + span, n)
+        rng = np.random.default_rng(seed)
+        signal = CouplingSignal(grid, rng.standard_normal(n))
+        a, b = sorted(grid.t_start + c * grid.span for c in cuts)
+        queries = np.concatenate(
+            [rng.uniform(a, b, 500), grid.times(int(n * cuts[0]), n)[:50], [a, b], [grid.t_start, grid.t_end]]
+        )
+        queries = np.clip(queries, grid.t_start, grid.t_end)
+        rng.shuffle(queries)
+        want = np.interp(queries, grid.times(), signal.values)
+        assert np.array_equal(signal.evaluate(queries), want)
+
+    def test_empty_and_nan_queries(self):
+        signal = CouplingSignal(TimeGrid(0.0, 1.0, 3), np.array([0.0, 1.0, 0.0]))
+        assert signal.evaluate(np.array([])).shape == (0,)
+        with pytest.raises(ValueError, match="span"):
+            signal.evaluate(np.array([0.5, np.nan]))
+
+
 def pulse(n):
     """Well-conditioned integrand: |qhat(2)| is a few % of the integral of |q|."""
     return sample(GaussianPulse(q0=1.0, tau=2.0), TimeGrid(-20.0, 20.0, n))
@@ -104,6 +136,24 @@ class TestWorkingSet:
             # a few blocks' temporaries; the long signal itself takes 32 MB
             assert peak_long < 128 * BLOCK_SAMPLES, name
             assert peak_long <= peak_short + 4096, name
+
+    def test_sampling_a_signal_reads_only_slices_of_its_grid(self, monkeypatch):
+        """Each block interpolates from the few cells it covers, not from
+        the whole time array of the sampled signal (which made sampling
+        quadratic in the grid length)."""
+        grid = TimeGrid(-20.0, 20.0, 3 * BLOCK_SAMPLES + 17)
+        signal = pulse(grid.n_samples)
+        calls = []
+        original_times = TimeGrid.times
+
+        def recorded(self, lo=0, hi=None):
+            calls.append((lo, self.n_samples if hi is None else hi))
+            return original_times(self, lo, hi)
+
+        monkeypatch.setattr(TimeGrid, "times", recorded)
+        again = sample(signal, signal.grid)
+        assert again.values.tobytes() == signal.values.tobytes()
+        assert calls and max(hi - lo for lo, hi in calls) <= BLOCK_SAMPLES + 4, calls
 
     def test_sampling_allocates_the_signal_and_one_block(self):
         profile = SymmetricRamp(gamma=1.0, eta=0.01)

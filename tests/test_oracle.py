@@ -30,8 +30,15 @@ from casfric import (
     sample,
     wronskian,
 )
-from casfric.core import MAX_FOCK_TRUNCATION
+from casfric.core import MAX_FOCK_TRUNCATION, ladder_factor
 from casfric.coupling import CouplingSignal
+from casfric.oracle import (
+    _CHUNK_STEPS,
+    _ordered_product,
+    _rk4_transfer_matrices,
+    _substep_coupling,
+    _substeps,
+)
 
 PARAMS = PhysicalParams(mass=1.0, omega=1.0)
 
@@ -241,3 +248,167 @@ class TestDeltaEFock:
         amplitudes = np.zeros((4, 4), dtype=complex)
         amplitudes[1, 1] = 1.0
         assert delta_e_fock(FockStateVector(3, amplitudes), PARAMS) == 2.0 * PARAMS.hbar * PARAMS.omega
+
+
+# Reference copies of the whole-array mode oracle the chunked one replaced:
+# the full-length substep interpolant, the stacked 2x2 build and one fold
+# over every step.  The chunked oracle must give the same bits.
+
+
+def whole_array_substep_coupling(signal, substeps):
+    times = signal.grid.times()
+    h = signal.grid.dt / substeps
+    n_steps = (signal.grid.n_samples - 1) * substeps
+    t_nodes = times[0] + h * np.arange(n_steps + 1)
+    q_nodes = np.interp(t_nodes, times, signal.values)
+    q_mid = np.interp(t_nodes[:-1] + 0.5 * h, times, signal.values)
+    return h, q_nodes, q_mid
+
+
+def stacked_transfer_matrices(w2_start, w2_mid, w2_end, h):
+    n = len(w2_start)
+    eye = np.broadcast_to(np.eye(2), (n, 2, 2))
+
+    def a_mat(w2):
+        a = np.zeros((n, 2, 2))
+        a[:, 0, 1] = 1.0
+        a[:, 1, 0] = -w2
+        return a
+
+    a0, a1, a2 = a_mat(w2_start), a_mat(w2_mid), a_mat(w2_end)
+    k1 = a0
+    k2 = a1 @ (eye + (0.5 * h) * k1)
+    k3 = a1 @ (eye + (0.5 * h) * k2)
+    k4 = a2 @ (eye + h * k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def whole_array_omega2(signal, params, mode_sign, substeps):
+    h, q_nodes, q_mid = whole_array_substep_coupling(signal, substeps)
+    w2_nodes = params.omega**2 + mode_sign * q_nodes / params.mass
+    w2_mid = params.omega**2 + mode_sign * q_mid / params.mass
+    return h, w2_nodes, w2_mid
+
+
+def whole_array_evolve_mode(signal, params, mode_sign, substeps):
+    h, w2_nodes, w2_mid = whole_array_omega2(signal, params, mode_sign, substeps)
+    propagator = _ordered_product(stacked_transfer_matrices(w2_nodes[:-1], w2_mid, w2_nodes[1:], h))
+    w = params.omega
+    f0 = np.exp(-1j * w * signal.grid.t_start)
+    f, fdot = propagator @ np.array([f0, -1j * w * f0])
+    alpha = 0.5 * (f + 1j * fdot / w) * np.exp(1j * w * signal.grid.t_end)
+    beta = 0.5 * (f - 1j * fdot / w) * np.exp(-1j * w * signal.grid.t_end)
+    return complex(alpha), complex(beta)
+
+
+def criterion_3_pulse():
+    return gauss_signal(q0=1e-2, n=48001)
+
+
+class TestChunkedModeSweep:
+    @pytest.mark.parametrize("h", [1e-3, 0.05, 0.7])
+    def test_entry_by_entry_build_is_the_stacked_build_on_random_omega2(self, h):
+        rng = np.random.default_rng(7)
+        w2_start, w2_mid, w2_end = rng.uniform(1e-3, 10.0, (3, 1000))
+        got = _rk4_transfer_matrices(w2_start, w2_mid, w2_end, h)
+        assert np.array_equal(got, stacked_transfer_matrices(w2_start, w2_mid, w2_end, h))
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_entry_by_entry_build_is_the_stacked_build_on_the_criterion_3_pulse(self, sign):
+        h, w2_nodes, w2_mid = whole_array_omega2(criterion_3_pulse(), PARAMS, sign, 1)
+        args = (w2_nodes[:-1], w2_mid, w2_nodes[1:], h)
+        assert np.array_equal(_rk4_transfer_matrices(*args), stacked_transfer_matrices(*args))
+
+    @pytest.mark.filterwarnings("ignore:evolve_mode. coupling not negligible")
+    @pytest.mark.parametrize("substeps", [1, 3])
+    @pytest.mark.parametrize("intervals", [1, 2, 4095, 4096, 4097, 8192, 100000])
+    def test_chunked_sweep_is_one_whole_array_fold(self, intervals, substeps):
+        signal = gauss_signal(q0=0.3, n=intervals + 1)
+        for sign in (+1, -1):
+            pair = evolve_mode(signal, PARAMS, sign, substeps=substeps)
+            assert (pair.alpha, pair.beta) == whole_array_evolve_mode(signal, PARAMS, sign, substeps)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            TimeGrid(-12.0, 12.0, 48001),
+            TimeGrid(-12.0, 12.0, 2),
+            TimeGrid(0.0, 1.0, _CHUNK_STEPS + 1),
+            TimeGrid(-3.7, 1e3 + 0.1, 3 * _CHUNK_STEPS + 5),
+            TimeGrid(123.456, 123.5, 777),
+        ],
+    )
+    @pytest.mark.parametrize("substeps", [1, 2, 3, 4])
+    def test_chunked_interpolant_is_the_full_array_interp(self, grid, substeps):
+        signal = CouplingSignal(grid, np.random.default_rng(3).standard_normal(grid.n_samples))
+        h, q_nodes, q_mid = whole_array_substep_coupling(signal, substeps)
+        h_chunked, n_steps = _substeps(signal, substeps)
+        assert h_chunked == h and n_steps == len(q_mid)
+        for lo in range(0, n_steps, _CHUNK_STEPS):
+            hi = min(lo + _CHUNK_STEPS, n_steps)
+            nodes, mid = _substep_coupling(signal, h, lo, hi)
+            assert np.array_equal(nodes, q_nodes[lo : hi + 1])
+            assert np.array_equal(mid, q_mid[lo:hi])
+
+    def test_inversion_in_a_later_chunk_is_the_same_error(self):
+        # the pulse peaks ~40000 steps in; the first chunks are nearly free
+        signal = sample(GaussianPulse(q0=1.5, tau=1.0), TimeGrid(-100.0, 12.0, 48001))
+        assert np.max(np.abs(signal.values[: 4 * _CHUNK_STEPS])) < 1e-10
+        message = (
+            f"Omega^2 <= 0 for mode -1: max|q| = {np.max(np.abs(signal.values)):g} "
+            f"reaches m*w^2 = {PARAMS.mass * PARAMS.omega**2:g}"
+        )
+        with pytest.raises(InvertedModeError) as raised:
+            evolve_mode(signal, PARAMS, -1)
+        assert str(raised.value) == message
+
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        """Chunk-sized temporaries, plus 32 B per chunk for the chunk products."""
+        peaks = []
+        for n in (2 * (1 << 20) + 1, 4 * (1 << 20) + 1):
+            signal = sample(GaussianPulse(q0=1.0, tau=2.0), TimeGrid(-20.0, 20.0, n))
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                evolve_mode(signal, PARAMS, +1)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+            # the signal itself takes 16 MB at the shorter length
+            assert peaks[-1] < 1024 * _CHUNK_STEPS, peaks
+        grown_chunks = (4 - 2) * (1 << 20) // _CHUNK_STEPS
+        assert peaks[1] <= peaks[0] + 2 * 32 * grown_chunks + 4096, peaks
+
+
+def whole_array_evolve_fock(signal, params, truncation, dt_substeps):
+    """evolve_fock's loop over the full-length substep interpolant."""
+    h, q_nodes, q_mid = whole_array_substep_coupling(signal, dt_substeps)
+    n_levels = truncation + 1
+    n = np.arange(n_levels)
+    h0_diag = params.hbar * params.omega * (n[:, None] + n[None, :] + 1.0).ravel()
+    x = np.diag(np.sqrt(np.arange(1.0, n_levels)), 1)
+    x = x + x.T
+    coupling_op = np.kron(x.astype(np.complex128), x)
+    coupling_op *= ladder_factor(params)
+    minus_i_h0 = (-1j / params.hbar) * h0_diag
+    minus_i = -1j / params.hbar
+    psi = np.zeros(n_levels * n_levels, dtype=np.complex128)
+    psi[0] = 1.0
+
+    def rhs(q, y):
+        return minus_i_h0 * y + (minus_i * q) * (coupling_op @ y)
+
+    for j in range(len(q_mid)):
+        k1 = rhs(q_nodes[j], psi)
+        k2 = rhs(q_mid[j], psi + (0.5 * h) * k1)
+        k3 = rhs(q_mid[j], psi + (0.5 * h) * k2)
+        k4 = rhs(q_nodes[j + 1], psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return psi.reshape(n_levels, n_levels)
+
+
+def test_chunked_fock_sweep_is_the_whole_array_loop():
+    signal = gauss_signal(n=4801)  # 9600 substeps: two whole chunks and a part
+    state = evolve_fock(signal, PARAMS, truncation=2, dt_substeps=2)
+    assert np.array_equal(state.amplitudes, whole_array_evolve_fock(signal, PARAMS, 2, 2))
