@@ -26,29 +26,22 @@ from .dissipation import (
     ROUTES,
     AdiabaticScanResult,
     DissipationReport,
-    TransitionAmplitude,
     adiabatic_scan,
     compare_routes,
     delta_e_spectral,
     delta_e_time_domain,
-    dissipation_from_transitions,
-    interaction_matrix_element,
-    spectral_transition_coefficient,
     time_domain_amplitude,
 )
 from .errors import InvertedModeError, NormDriftError, NumericalFailure, TailSpanError
 from .oracle import (
     BogoliubovPair,
     FockStateVector,
-    ModeFunctionState,
     delta_e_fock,
     delta_e_modes,
     evolve_fock,
     evolve_mode,
-    mode_state_at,
-    wronskian,
 )
-from .spectral import SpectralValue, fourier_analytic, fourier_numeric, power_at
+from .spectral import SpectralValue, fourier_analytic, fourier_numeric
 
 __version__ = "0.1.0"
 
@@ -69,28 +62,20 @@ __all__ = [
     "SpectralValue",
     "fourier_numeric",
     "fourier_analytic",
-    "power_at",
-    "TransitionAmplitude",
     "DissipationReport",
     "AdiabaticScanResult",
     "ROUTES",
     "time_domain_amplitude",
     "delta_e_time_domain",
-    "interaction_matrix_element",
-    "spectral_transition_coefficient",
     "delta_e_spectral",
-    "dissipation_from_transitions",
     "compare_routes",
     "adiabatic_scan",
-    "ModeFunctionState",
     "BogoliubovPair",
     "FockStateVector",
     "evolve_mode",
     "delta_e_modes",
     "evolve_fock",
     "delta_e_fock",
-    "mode_state_at",
-    "wronskian",
     "NumericalFailure",
     "InvertedModeError",
     "NormDriftError",

@@ -106,6 +106,15 @@ def _reject_unknown_keys(mapping, allowed, path):
             raise ConfigError(f"{path}.{key}: unknown field; valid fields are {list(allowed)}")
 
 
+def _finite_number(value, path) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    # json.loads also accepts NaN, Infinity and integers beyond the float range
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _expect(mapping, key, path, kind, required=True, default=None):
     if key not in mapping:
         if required:
@@ -113,9 +122,7 @@ def _expect(mapping, key, path, kind, required=True, default=None):
         return default
     value = mapping[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-        return float(value)
+        return _finite_number(value, f"{path}.{key}")
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
@@ -216,14 +223,13 @@ def _build_scan(cfg, path="scan") -> ScanSpec:
         raise ConfigError(f"{path}.values: scan list must be nonempty")
     cleaned = []
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{path}.values[{i}]: expected a number, got {v!r}")
+        v = _finite_number(v, f"{path}.values[{i}]")
         if kind == "eta" and v <= 0:
             raise ConfigError(f"{path}.values[{i}]: eta must be positive, got {v!r}")
-        cleaned.append(float(v))
+        cleaned.append(v)
     dt = _expect(cfg, "dt", path, float, required=False)
-    if dt is not None and not 0.0 < dt < float("inf"):
-        raise ConfigError(f"{path}.dt: must be finite and positive, got {dt!r}")
+    if dt is not None and dt <= 0.0:
+        raise ConfigError(f"{path}.dt: must be positive, got {dt!r}")
     tail_rel = _expect(cfg, "tail_rel", path, float, required=False, default=1e-12)
     try:
         # each eta's grid span is solved for a fraction of tail_rel
@@ -410,16 +416,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("config", help="path to the scenario config (JSON)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     parser.add_argument("--out", default=None, help="output path (default: standard output)")
-    parser.add_argument("--seedless", action="store_true",
-                        help="reserved; the tool has no randomness and rejects this flag")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
     try:
-        if args.seedless:
-            raise ConfigError("--seedless is reserved: there is no randomness to disable")
         scenario = load_config(args.config)
         payload = emit_report(run_scenario(scenario), args.format)
     except ValueError as exc:  # ConfigError included

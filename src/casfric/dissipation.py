@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,17 +33,13 @@ from .errors import NumericalFailure, TailSpanError
 from .spectral import TAIL_REL_DEFAULT, _transform, tails_resolved
 
 __all__ = [
-    "TransitionAmplitude",
     "DissipationReport",
     "AdiabaticScanResult",
     "STRAINED_PROBABILITY",
     "ROUTES",
     "time_domain_amplitude",
     "delta_e_time_domain",
-    "interaction_matrix_element",
-    "spectral_transition_coefficient",
     "delta_e_spectral",
-    "dissipation_from_transitions",
     "compare_routes",
     "adiabatic_scan",
 ]
@@ -59,24 +56,6 @@ _SPREAD_FLOOR = 1e-300
 # A scan solves each grid's span for this fraction of its tail_rel, so the
 # endpoint samples sit safely below the threshold, not on it.
 _SCAN_TAIL_FACTOR = 0.1
-
-
-@dataclass(frozen=True)
-class TransitionAmplitude:
-    """First-order amplitude connecting two unperturbed states."""
-
-    from_state: tuple
-    to_state: tuple
-    amplitude: complex
-
-    @property
-    def probability(self) -> float:
-        return abs(self.amplitude) ** 2
-
-    @property
-    def perturbation_strained(self) -> bool:
-        """Transition probability large enough to strain first order."""
-        return self.probability > STRAINED_PROBABILITY
 
 
 def time_domain_amplitude(signal: CouplingSignal, params: PhysicalParams) -> complex:
@@ -103,58 +82,19 @@ def delta_e_time_domain(signal: CouplingSignal, params: PhysicalParams) -> float
     return 8.0 * params.hbar * params.omega * b**2 * abs(amp) ** 2
 
 
-def interaction_matrix_element(params: PhysicalParams) -> float:
-    """<11| -y1*y2 |00> = -<1|y|0>^2 = -b; always strictly negative."""
-    return -ladder_factor(params)
-
-
-def spectral_transition_coefficient(qhat_at_minus_2omega: complex, params: PhysicalParams) -> complex:
-    """b_1100 = -(1/i hbar) * A_1100 * qhat(-2w), the ground -> |11> amplitude."""
-    return (-1.0 / (1j * params.hbar)) * interaction_matrix_element(params) * qhat_at_minus_2omega
-
-
 def delta_e_spectral(source, params: PhysicalParams, tail_rel: float = TAIL_REL_DEFAULT) -> float:
     """dE = (2 hbar w) * B_1100 with B_1100 = (b^2/hbar^2) |qhat(-2w)|^2.
+
+    The transition sum dE = sum_nm (E_n - E_m) P_m B_nm at T = 0, with its
+    one open channel |00> -> |11> and A_1100 = <11| -y1*y2 |00> = -b.
 
     ``source`` is a CouplingSignal (numeric transform) or a closed-form
     profile (analytic transform).  Computed through the spectral module,
     never through the time-domain amplitude.
     """
     qhat = _transform(source, -2.0 * params.omega, tail_rel).value
-    b_1100 = spectral_transition_coefficient(qhat, params)
+    b_1100 = (-1.0 / (1j * params.hbar)) * -ladder_factor(params) * qhat
     return 2.0 * params.hbar * params.omega * abs(b_1100) ** 2
-
-
-def dissipation_from_transitions(
-    levels: Sequence[tuple],
-    occupation: Mapping,
-    amplitudes: Sequence[TransitionAmplitude],
-) -> float:
-    """General transition sum dE = sum_nm (E_n - E_m) P_m B_nm.
-
-    ``levels`` pairs each state label with its unperturbed energy;
-    ``occupation`` maps state labels to probabilities (sum to one within
-    1e-12).  At T = 0 the ground state carries probability one and, with
-    the single open channel |00> -> |11>, the sum reduces to
-    (2 hbar w) * B_1100.
-    """
-    energies = dict(levels)
-    probs = dict(occupation)
-    for state, p in probs.items():
-        if p < 0.0:
-            raise ValueError(f"negative occupation probability for state {state!r}: {p}")
-        if state not in energies:
-            raise ValueError(f"occupation references unknown state {state!r}")
-    total = sum(probs.values())
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"occupation probabilities sum to {total!r}, expected 1")
-    delta_e = 0.0
-    for amp in amplitudes:
-        if amp.from_state not in energies or amp.to_state not in energies:
-            raise ValueError(f"transition {amp.from_state!r} -> {amp.to_state!r} uses unknown states")
-        gap = energies[amp.to_state] - energies[amp.from_state]
-        delta_e += gap * probs.get(amp.from_state, 0.0) * amp.probability
-    return delta_e
 
 
 @dataclass(frozen=True)
@@ -192,6 +132,15 @@ def _relative_spread(values: Sequence[float]) -> float:
     return spread
 
 
+@contextmanager
+def _overflow_fails(route: str):
+    """Report a float overflow inside a route as a NumericalFailure naming it."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise NumericalFailure(f"{route}: float overflow") from exc
+
+
 def compare_routes(
     signal: CouplingSignal,
     params: PhysicalParams,
@@ -206,7 +155,8 @@ def compare_routes(
     Route tokens: "barton" (time-domain), "hb" (spectral), "mode_oracle"
     (Bogoliubov mode functions), "fock_oracle" (truncated number basis).
     The perturbative-validity flag is always evaluated, whichever routes
-    run, from the transition probability B_1100.
+    run, from hb's transition probability B_1100 = dE/(2 hbar w).  A float
+    overflow inside a route is raised as a NumericalFailure naming it.
     """
     unknown = [r for r in routes if r not in ROUTES]
     if unknown:
@@ -214,23 +164,26 @@ def compare_routes(
     if not routes:
         raise ValueError("at least one route must be selected")
 
-    de_time = delta_e_time_domain(signal, params) if "barton" in routes else None
-    de_spec = delta_e_spectral(signal, params, tail_rel) if "hb" in routes else None
+    with _overflow_fails("barton"):
+        de_time = delta_e_time_domain(signal, params) if "barton" in routes else None
+    with _overflow_fails("hb"):
+        de_hb = delta_e_spectral(signal, params, tail_rel)
+    de_spec = de_hb if "hb" in routes else None
 
     de_mode = None
     if "mode_oracle" in routes:
-        pair_plus = _oracle.evolve_mode(signal, params, +1, substeps=mode_substeps)
-        pair_minus = _oracle.evolve_mode(signal, params, -1, substeps=mode_substeps)
-        de_mode = _oracle.delta_e_modes(pair_plus, pair_minus, params)
+        with _overflow_fails("mode_oracle"):
+            pair_plus = _oracle.evolve_mode(signal, params, +1, substeps=mode_substeps)
+            pair_minus = _oracle.evolve_mode(signal, params, -1, substeps=mode_substeps)
+            de_mode = _oracle.delta_e_modes(pair_plus, pair_minus, params)
 
     de_fock = None
     if "fock_oracle" in routes:
-        state = _oracle.evolve_fock(signal, params, fock_truncation, fock_substeps)
-        de_fock = _oracle.delta_e_fock(state, params)
+        with _overflow_fails("fock_oracle"):
+            state = _oracle.evolve_fock(signal, params, fock_truncation, fock_substeps)
+            de_fock = _oracle.delta_e_fock(state, params)
 
-    # B_1100 = dE/(2 hbar w) of the spectral route; reuse it when it ran.
-    de_for_validity = de_spec if de_spec is not None else delta_e_spectral(signal, params, tail_rel)
-    b_1100_probability = de_for_validity / (2.0 * params.hbar * params.omega)
+    b_1100_probability = de_hb / (2.0 * params.hbar * params.omega)
 
     populated = [v for v in (de_time, de_spec, de_mode, de_fock) if v is not None]
     return DissipationReport(

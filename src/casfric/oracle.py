@@ -32,33 +32,13 @@ from .errors import InvertedModeError, NormDriftError
 from .spectral import TAIL_REL_DEFAULT, tails_resolved
 
 __all__ = [
-    "ModeFunctionState",
     "BogoliubovPair",
     "FockStateVector",
     "evolve_mode",
     "delta_e_modes",
     "evolve_fock",
     "delta_e_fock",
-    "mode_state_at",
-    "wronskian",
 ]
-
-
-@dataclass(frozen=True)
-class ModeFunctionState:
-    """Mode function and its time derivative at one instant."""
-
-    f: complex
-    fdot: complex
-
-
-def wronskian(state: ModeFunctionState) -> float:
-    """W = i*(f*conj(fdot) - conj(f)*fdot); conserved by the evolution.
-
-    With the incoming normalization f = e^{-iwt} the conserved value is
-    -2*omega, and W_end/W_start equals |alpha|^2 - |beta|^2.
-    """
-    return float((1j * (state.f * np.conj(state.fdot) - np.conj(state.f) * state.fdot)).real)
 
 
 @dataclass(frozen=True)
@@ -77,14 +57,6 @@ class BogoliubovPair:
     def normalization_defect(self) -> float:
         """|alpha|^2 - |beta|^2 - 1; zero for exact evolution."""
         return abs(self.alpha) ** 2 - abs(self.beta) ** 2 - 1.0
-
-
-def mode_state_at(pair: BogoliubovPair, params: PhysicalParams, t: float) -> ModeFunctionState:
-    """Free-asymptotics mode function alpha e^{-iwt} + beta e^{iwt} at time t."""
-    w = params.omega
-    f = pair.alpha * np.exp(-1j * w * t) + pair.beta * np.exp(1j * w * t)
-    fdot = -1j * w * pair.alpha * np.exp(-1j * w * t) + 1j * w * pair.beta * np.exp(1j * w * t)
-    return ModeFunctionState(complex(f), complex(fdot))
 
 
 # Steps per chunk of both oracles' sweeps: each chunk's coupling, step

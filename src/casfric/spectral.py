@@ -27,7 +27,7 @@ from .coupling import (
     SymmetricRamp,
 )
 
-__all__ = ["SpectralValue", "fourier_numeric", "fourier_analytic", "power_at", "TAIL_REL_DEFAULT"]
+__all__ = ["SpectralValue", "fourier_numeric", "fourier_analytic", "TAIL_REL_DEFAULT"]
 
 TAIL_REL_DEFAULT = 1e-10
 
@@ -106,12 +106,3 @@ def _transform(source, omega: float, tail_rel: float) -> SpectralValue:
     if isinstance(source, CouplingProfile):
         return fourier_analytic(source, omega)
     raise TypeError(f"expected a CouplingSignal or CouplingProfile, got {type(source).__name__}")
-
-
-def power_at(source, omega: float, tail_rel: float = TAIL_REL_DEFAULT) -> float:
-    """qhat(w)*qhat(-w) for real q, i.e. |qhat(w)|^2.
-
-    Accepts a CouplingSignal (numeric transform) or a closed-form profile
-    (analytic transform).
-    """
-    return abs(_transform(source, omega, tail_rel).value) ** 2

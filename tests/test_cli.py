@@ -124,7 +124,7 @@ class TestExitCodes:
     def test_seedless_flag_is_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, small_benchmark())
         assert main([str(path), "--seedless"]) == 2
-        assert "reserved" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_format_flag_is_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, small_benchmark())
@@ -144,6 +144,22 @@ class TestExitCodes:
         )
         assert main([str(write_config(tmp_path, body))]) == 3
         assert "norm" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "profile, params",
+        [
+            ({"type": "symmetric_ramp", "gamma": 1e300, "eta": 1.0}, {"mass": 1.0, "omega": 1.0}),
+            ({"type": "gaussian_pulse", "q0": 1e200, "tau": 1.0}, {"mass": 1.0, "omega": 1.0}),
+            ({"type": "symmetric_ramp", "gamma": 0.001, "eta": 1.0}, {"mass": 1e-300, "omega": 1.0}),
+        ],
+    )
+    def test_overflow_is_exit_three_naming_the_route(self, tmp_path, capsys, profile, params):
+        body = small_benchmark(profile=profile, params=params, routes=["barton", "hb", "mode_oracle"],
+                               grid={"t_start": -40.0, "t_end": 40.0, "n_samples": 3201})
+        assert main([str(write_config(tmp_path, body))]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical failure: barton: float overflow"), err
 
 
 class TestCsvOutput:
@@ -350,6 +366,16 @@ class TestRangesAndSampleBudget:
             (small_benchmark(tail_rel=0.0), r"config\.tail_rel"),
             (eta_scan_config(dt=0.0), r"scan\.dt"),
             (eta_scan_config(dt=-0.1), r"scan\.dt"),
+            # json.loads accepts NaN and Infinity; they are refused at load time
+            (small_benchmark(profile={"type": "gaussian_pulse", "q0": float("nan"), "tau": 1.0}),
+             r"profile\.q0: must be a finite number"),
+            (eta_scan_config(values=[0.1, float("nan")]), r"scan\.values\[1\]: must be a finite number"),
+            (small_benchmark(scan={"kind": "amplitude", "values": [0.01, float("nan")]}),
+             r"scan\.values\[1\]: must be a finite number"),
+            (small_benchmark(params={"mass": float("inf"), "omega": 1.0}), r"params\.mass: must be a finite number"),
+            (small_benchmark(grid={"t_start": float("-inf"), "t_end": 12.0, "n_samples": 1201}),
+             r"grid\.t_start: must be a finite number"),
+            (small_benchmark(params={"mass": 10**400, "omega": 1.0}), r"params\.mass: must be a finite number"),
         ],
     )
     def test_out_of_range_value_is_exit_two_with_its_field(self, tmp_path, capsys, body, field):

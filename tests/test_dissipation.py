@@ -1,4 +1,4 @@
-"""Both first-order dissipation routes, the transition sum, and eta scans.
+"""Both first-order dissipation routes, their comparison, and eta scans.
 
 Frozen expectations come from 30-digit evaluation of the closed-form
 transforms chained through the dissipation formulas (cross-checked with
@@ -20,19 +20,16 @@ from casfric import (
     ExponentialRamp,
     Flyby,
     GaussianPulse,
+    NumericalFailure,
     PhysicalParams,
     SymmetricRamp,
     TailSpanError,
     TimeGrid,
-    TransitionAmplitude,
     adiabatic_scan,
     compare_routes,
     delta_e_spectral,
     delta_e_time_domain,
-    dissipation_from_transitions,
-    interaction_matrix_element,
     sample,
-    spectral_transition_coefficient,
     time_domain_amplitude,
 )
 import casfric
@@ -100,38 +97,6 @@ class TestDeltaETimeDomain:
         assert delta_e_time_domain(signal, PARAMS) >= 0.0
 
 
-class TestInteractionMatrixElement:
-    def test_unit_parameters(self):
-        assert interaction_matrix_element(PARAMS) == -0.5
-
-    def test_heavy_slow_oscillator(self):
-        assert interaction_matrix_element(PhysicalParams(mass=2.0, omega=0.25)) == -1.0
-
-    @given(
-        m=st.floats(min_value=1e-3, max_value=1e3),
-        w=st.floats(min_value=1e-3, max_value=1e3),
-    )
-    def test_always_strictly_negative(self, m, w):
-        assert interaction_matrix_element(PhysicalParams(mass=m, omega=w)) < 0.0
-
-
-class TestSpectralTransitionCoefficient:
-    def test_zero_transform(self):
-        assert spectral_transition_coefficient(0.0j, PARAMS) == 0.0
-
-    def test_reduces_to_twice_b_times_amplitude(self):
-        """With qhat(-2w) = 2i*hbar*I the coefficient is exactly 2*b*I."""
-        amp = 0.3 - 0.4j
-        qhat = 2j * PARAMS.hbar * amp
-        coeff = spectral_transition_coefficient(qhat, PARAMS)
-        np.testing.assert_allclose(coeff, 2.0 * 0.5 * amp, rtol=1e-15)
-
-    def test_gaussian_benchmark_value(self):
-        qhat = 6.5204933217329218e-3 + 0.0j
-        coeff = spectral_transition_coefficient(qhat, PARAMS)
-        np.testing.assert_allclose(coeff, -3.2602466608664609e-3j, rtol=1e-15)
-
-
 class TestDeltaESpectral:
     def test_zero_signal(self):
         assert delta_e_spectral(zero_signal(), PARAMS) == 0.0
@@ -165,59 +130,13 @@ class TestDeltaESpectral:
         assert abs(de_spec - de_time) / max(de_spec, 1e-300) <= 1e-12
 
 
-class TestDissipationFromTransitions:
-    LEVELS = [((0, 0), 1.0), ((1, 1), 3.0), ((2, 0), 3.0)]
-    GROUND = {(0, 0): 1.0}
-
-    def test_empty_amplitude_set(self):
-        assert dissipation_from_transitions(self.LEVELS, self.GROUND, []) == 0.0
-
-    def test_single_channel_recovers_route_formula(self):
-        """Gap 2*hbar*w and B = 4 b^2 |I|^2 combine to 8 hbar w b^2 |I|^2."""
-        amp_i = 1.2e-3 - 0.7e-3j
-        channel = TransitionAmplitude((0, 0), (1, 1), 2.0 * 0.5 * amp_i)
-        result = dissipation_from_transitions(self.LEVELS, self.GROUND, [channel])
-        expected = 8.0 * 1.0 * 1.0 * 0.25 * abs(amp_i) ** 2
-        np.testing.assert_allclose(result, expected, rtol=1e-15)
-
-    def test_two_half_channels_sum_to_the_same_total(self):
-        amp = 3e-3 + 1e-3j
-        one = dissipation_from_transitions(
-            self.LEVELS, self.GROUND, [TransitionAmplitude((0, 0), (1, 1), amp)]
-        )
-        halved = amp / np.sqrt(2.0)
-        two = dissipation_from_transitions(
-            self.LEVELS,
-            self.GROUND,
-            [
-                TransitionAmplitude((0, 0), (1, 1), halved),
-                TransitionAmplitude((0, 0), (2, 0), halved),
-            ],
-        )
-        np.testing.assert_allclose(two, one, rtol=1e-14)
-
-    def test_rejects_negative_probability(self):
-        with pytest.raises(ValueError, match="negative"):
-            dissipation_from_transitions(self.LEVELS, {(0, 0): 1.5, (1, 1): -0.5}, [])
-
-    def test_rejects_unnormalized_occupation(self):
-        with pytest.raises(ValueError, match="sum"):
-            dissipation_from_transitions(self.LEVELS, {(0, 0): 0.9}, [])
-
-    def test_rejects_unknown_states(self):
-        with pytest.raises(ValueError, match="unknown"):
-            dissipation_from_transitions(
-                self.LEVELS, self.GROUND, [TransitionAmplitude((0, 0), (9, 9), 0.1)]
-            )
-        with pytest.raises(ValueError, match="unknown"):
-            dissipation_from_transitions(self.LEVELS, {(5, 5): 1.0}, [])
-
-    def test_strained_flag_threshold(self):
-        assert not TransitionAmplitude((0, 0), (1, 1), 0.31j).perturbation_strained
-        assert TransitionAmplitude((0, 0), (1, 1), 0.5j).perturbation_strained
-
-
 class TestCompareRoutes:
+    @pytest.mark.parametrize("route", ["barton", "hb"])
+    def test_overflow_is_a_numerical_failure_naming_the_route(self, route):
+        with pytest.raises(NumericalFailure, match=f"^{route}: float overflow") as info:
+            compare_routes(gauss_signal(q0=1e200, n=801), PARAMS, routes=(route,))
+        assert isinstance(info.value.__cause__, OverflowError)
+
     def test_zero_signal_report(self):
         report = compare_routes(zero_signal(), PARAMS, routes=("barton", "hb"))
         assert report.delta_e_time_domain == 0.0
