@@ -41,7 +41,7 @@ from .oracle import (
     evolve_fock,
     evolve_mode,
 )
-from .spectral import SpectralValue, fourier_analytic, fourier_numeric
+from .spectral import fourier_analytic, fourier_numeric
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "sample",
     "load_sampled_csv",
     "with_amplitude",
-    "SpectralValue",
     "fourier_numeric",
     "fourier_analytic",
     "DissipationReport",

@@ -28,6 +28,7 @@ from .coupling import (
 from .dissipation import (
     _SCAN_TAIL_FACTOR,
     ROUTES,
+    TAIL_REL_DEFAULT,
     AdiabaticScanResult,
     _check_tail_rel,
     adiabatic_scan,
@@ -89,7 +90,7 @@ class Scenario:
     fock_truncation: int = 10
     fock_substeps: int = 4
     mode_substeps: int = 1
-    tail_rel: float = 1e-10
+    tail_rel: float = TAIL_REL_DEFAULT
     scan: Optional[ScanSpec] = None
 
 
@@ -260,10 +261,16 @@ def load_config(path) -> Scenario:
     profile = _build_profile(profile_config, path.parent)
     scan = _build_scan(raw["scan"]) if raw.get("scan") is not None else None
 
+    eta_scan = scan is not None and scan.kind == "eta"
+    if eta_scan and not isinstance(profile, (ExponentialRamp, SymmetricRamp)):
+        raise ConfigError("config.scan: eta scans need an exponential_ramp or symmetric_ramp profile")
+    for key, instead in (("grid", "scan.dt"), ("tail_rel", "scan.tail_rel")):
+        if eta_scan and key in raw:  # it sizes its own grids and tests their tails
+            raise ConfigError(f"config.{key}: an eta scan builds its own grids; set {instead} instead")
     grid = None
     if raw.get("grid") is not None:
         grid = _build_grid(raw["grid"])
-    elif scan is None or scan.kind != "eta":
+    elif not eta_scan:
         raise ConfigError("config.grid: required unless the scenario is an eta scan")
 
     routes = _expect(raw, "routes", "config", list)
@@ -273,11 +280,7 @@ def load_config(path) -> Scenario:
         if route not in ROUTES:
             raise ConfigError(f"config.routes[{i}]: unknown route {route!r}; valid routes are {list(ROUTES)}")
 
-    if scan is not None and scan.kind == "eta" and not isinstance(profile, (ExponentialRamp, SymmetricRamp)):
-        raise ConfigError("config.scan: eta scans need an exponential_ramp or symmetric_ramp profile")
     if scan is not None and scan.kind == "amplitude":
-        if grid is None:
-            raise ConfigError("config.grid: required for amplitude scans")
         if not isinstance(profile, (ExponentialRamp, SymmetricRamp, GaussianPulse)):
             raise ConfigError("config.scan: amplitude scans need a profile with an amplitude parameter")
 
@@ -292,7 +295,7 @@ def load_config(path) -> Scenario:
         fock_truncation=_int_in_range(raw, "fock_truncation", default=10, low=2, high=MAX_FOCK_TRUNCATION),
         fock_substeps=_int_in_range(raw, "fock_substeps", default=4, low=1),
         mode_substeps=_int_in_range(raw, "mode_substeps", default=1, low=1),
-        tail_rel=_tail_rel(raw, "config", default=1e-10),
+        tail_rel=_tail_rel(raw, "config", default=TAIL_REL_DEFAULT),
         scan=scan,
     )
 
@@ -423,7 +426,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         scenario = load_config(args.config)
-        payload = emit_report(run_scenario(scenario), args.format)
+        result = run_scenario(scenario)
+        payload = emit_report(result, args.format)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -431,6 +435,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
+    # an eta scan refuses an unresolved grid, so a flag is set at config.tail_rel
+    flagged = [str(i) for i, (_, report) in enumerate(result.rows) if report.tail_warning]
+    if flagged:
+        print(f"warning: row(s) {', '.join(flagged)}: coupling at a grid endpoint above "
+              f"tail_rel={scenario.tail_rel:g} of its peak", file=sys.stderr)
     if args.out is None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

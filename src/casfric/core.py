@@ -82,10 +82,6 @@ class TimeGrid:
     def dt(self) -> float:
         return (self.t_end - self.t_start) / (self.n_samples - 1)
 
-    @property
-    def span(self) -> float:
-        return self.t_end - self.t_start
-
     def times(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Sample times with indices in [lo, hi), all of them by default.
 

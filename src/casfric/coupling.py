@@ -94,7 +94,8 @@ class GaussianPulse(CouplingProfile):
         _require_positive(self, "tau")
 
     def _eval_array(self, t):
-        return self.q0 * np.exp(-((t / self.tau) ** 2))
+        with np.errstate(over="ignore"):  # a square overflowing to inf: exp(-inf) = 0 exactly
+            return self.q0 * np.exp(-((t / self.tau) ** 2))
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,8 @@ class Flyby(CouplingProfile):
         _require_positive(self, "charge", "d", "v")
 
     def _eval_array(self, t):
-        return self.charge**2 / (self.d**2 + (self.v * t) ** 2) ** 1.5
+        with np.errstate(over="ignore"):  # a square overflowing to inf: e^2/inf = 0 exactly
+            return self.charge**2 / (self.d**2 + (self.v * t) ** 2) ** 1.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +165,6 @@ class CouplingSignal(CouplingProfile):
         lo = max(int((t_min - grid.t_start) / grid.dt) - 1, 0)
         hi = min(int((t_max - grid.t_start) / grid.dt) + 3, grid.n_samples)
         return np.interp(t, grid.times(lo, hi), self.values[lo:hi])
-
-    def scaled(self, factor: float) -> "CouplingSignal":
-        return CouplingSignal(self.grid, factor * self.values)
 
 
 def coupling_from_separation(e: float, s: float) -> float:

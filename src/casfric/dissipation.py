@@ -30,7 +30,7 @@ from . import oracle as _oracle
 from .core import BLOCK_SAMPLES, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid, ladder_factor
 from .coupling import CouplingProfile, CouplingSignal, ExponentialRamp, SymmetricRamp, sample
 from .errors import NumericalFailure, TailSpanError
-from .spectral import TAIL_REL_DEFAULT, _transform, tails_resolved
+from .spectral import _transform
 
 __all__ = [
     "DissipationReport",
@@ -52,6 +52,9 @@ STRAINED_PROBABILITY = 0.1
 ROUTES = ("barton", "hb", "mode_oracle", "fock_oracle")
 
 _SPREAD_FLOOR = 1e-300
+
+# |q| at a grid endpoint, relative to max|q|, above which a report has tail_warning.
+TAIL_REL_DEFAULT = 1e-10
 
 # A scan solves each grid's span for this fraction of its tail_rel, so the
 # endpoint samples sit safely below the threshold, not on it.
@@ -82,7 +85,7 @@ def delta_e_time_domain(signal: CouplingSignal, params: PhysicalParams) -> float
     return 8.0 * params.hbar * params.omega * b**2 * abs(amp) ** 2
 
 
-def delta_e_spectral(source, params: PhysicalParams, tail_rel: float = TAIL_REL_DEFAULT) -> float:
+def delta_e_spectral(source, params: PhysicalParams) -> float:
     """dE = (2 hbar w) * B_1100 with B_1100 = (b^2/hbar^2) |qhat(-2w)|^2.
 
     The transition sum dE = sum_nm (E_n - E_m) P_m B_nm at T = 0, with its
@@ -92,7 +95,7 @@ def delta_e_spectral(source, params: PhysicalParams, tail_rel: float = TAIL_REL_
     profile (analytic transform).  Computed through the spectral module,
     never through the time-domain amplitude.
     """
-    qhat = _transform(source, -2.0 * params.omega, tail_rel).value
+    qhat = _transform(source, -2.0 * params.omega)
     b_1100 = (-1.0 / (1j * params.hbar)) * -ladder_factor(params) * qhat
     return 2.0 * params.hbar * params.omega * abs(b_1100) ** 2
 
@@ -132,6 +135,13 @@ def _relative_spread(values: Sequence[float]) -> float:
     return spread
 
 
+def tails_resolved(signal: CouplingSignal, tail_rel: float) -> bool:
+    """True when |q| at both grid endpoints is below tail_rel * max|q|."""
+    q = signal.values
+    threshold = tail_rel * max(q.max(), -q.min())
+    return bool(abs(q[0]) <= threshold and abs(q[-1]) <= threshold)
+
+
 @contextmanager
 def _overflow_fails(route: str):
     """Report a float overflow inside a route as a NumericalFailure naming it."""
@@ -155,8 +165,10 @@ def compare_routes(
     Route tokens: "barton" (time-domain), "hb" (spectral), "mode_oracle"
     (Bogoliubov mode functions), "fock_oracle" (truncated number basis).
     The perturbative-validity flag is always evaluated, whichever routes
-    run, from hb's transition probability B_1100 = dE/(2 hbar w).  A float
-    overflow inside a route is raised as a NumericalFailure naming it.
+    run, from hb's transition probability B_1100 = dE/(2 hbar w); so is
+    tail_warning, set when |q| at a grid endpoint exceeds tail_rel * max|q|
+    (the incoming or outgoing state is not free).  A float overflow inside
+    a route is raised as a NumericalFailure naming it.
     """
     unknown = [r for r in routes if r not in ROUTES]
     if unknown:
@@ -167,7 +179,7 @@ def compare_routes(
     with _overflow_fails("barton"):
         de_time = delta_e_time_domain(signal, params) if "barton" in routes else None
     with _overflow_fails("hb"):
-        de_hb = delta_e_spectral(signal, params, tail_rel)
+        de_hb = delta_e_spectral(signal, params)
     de_spec = de_hb if "hb" in routes else None
 
     de_mode = None

@@ -3,7 +3,8 @@
 Trapezoidal quadrature on uniform grids, no FFT: every route needs the
 transform at isolated frequencies (the +-2*omega transition lines), not a
 full spectrum.  Slowly decaying tails are handled by requiring wide grids
-plus a tail warning rather than analytic tail corrections.
+(checked by compare_routes' endpoint tail test) rather than analytic tail
+corrections.
 
 For a ramp q(t) = gamma*t*exp(-eta*|t|) the closed-form transform is
 -4i*gamma*eta*w/(eta^2+w^2)^2, so the product qhat(w)*qhat(-w) equals
@@ -13,8 +14,6 @@ here always come from the transform itself, never from a separately
 quoted product formula.)
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,32 +26,12 @@ from .coupling import (
     SymmetricRamp,
 )
 
-__all__ = ["SpectralValue", "fourier_numeric", "fourier_analytic", "TAIL_REL_DEFAULT"]
-
-TAIL_REL_DEFAULT = 1e-10
+__all__ = ["fourier_numeric", "fourier_analytic"]
 
 
-@dataclass(frozen=True)
-class SpectralValue:
-    """qhat at a single angular frequency, with a grid-adequacy flag."""
-
-    omega: float
-    value: complex
-    tail_warning: bool = False
-
-
-def tails_resolved(signal: CouplingSignal, tail_rel: float = TAIL_REL_DEFAULT) -> bool:
-    """True when |q| at both grid endpoints is below tail_rel * max|q|."""
-    q = signal.values
-    threshold = tail_rel * max(q.max(), -q.min())
-    return bool(abs(q[0]) <= threshold and abs(q[-1]) <= threshold)
-
-
-def fourier_numeric(signal: CouplingSignal, omega: float, tail_rel: float = TAIL_REL_DEFAULT) -> SpectralValue:
+def fourier_numeric(signal: CouplingSignal, omega: float) -> complex:
     """Trapezoidal quadrature of q(t) exp(-i*omega*t) over the signal grid.
 
-    A tail warning is attached when the grid endpoints still carry more
-    than ``tail_rel`` of the peak coupling (truncated-tail quadrature).
     Hermitian symmetry holds bit-exactly: the integrand at -omega is the
     elementwise conjugate of the integrand at +omega.
 
@@ -64,8 +43,6 @@ def fourier_numeric(signal: CouplingSignal, omega: float, tail_rel: float = TAIL
     grids move only in the last digits.
     """
     q = signal.values
-    if len(q) == 0:
-        raise ValueError("empty signal")
     if not (np.isfinite(q.min()) and np.isfinite(q.max())):
         raise ValueError("signal contains NaN or infinite values")
     grid = signal.grid
@@ -74,10 +51,10 @@ def fourier_numeric(signal: CouplingSignal, omega: float, tail_rel: float = TAIL
         hi = min(lo + BLOCK_SAMPLES + 1, grid.n_samples)
         phase = np.exp(-1j * omega * grid.times(lo, hi))
         value += np.trapezoid(q[lo:hi] * phase, dx=grid.dt)
-    return SpectralValue(float(omega), complex(value), not tails_resolved(signal, tail_rel))
+    return complex(value)
 
 
-def fourier_analytic(profile: CouplingProfile, omega: float) -> SpectralValue:
+def fourier_analytic(profile: CouplingProfile, omega: float) -> complex:
     """Closed-form transform for the profiles that have one.
 
     ExponentialRamp: gamma/(eta + i*w)^2
@@ -95,14 +72,14 @@ def fourier_analytic(profile: CouplingProfile, omega: float) -> SpectralValue:
         value = profile.q0 * profile.tau * np.sqrt(np.pi) * np.exp(-(w * profile.tau) ** 2 / 4.0)
     else:
         raise TypeError(f"no closed-form transform for {type(profile).__name__}; use fourier_numeric")
-    return SpectralValue(w, complex(value))
+    return complex(value)
 
 
-def _transform(source, omega: float, tail_rel: float) -> SpectralValue:
+def _transform(source, omega: float) -> complex:
     """qhat(omega) of a CouplingSignal (numeric) or a closed-form profile (analytic)."""
     # a CouplingSignal is a CouplingProfile too, so it is tested first
     if isinstance(source, CouplingSignal):
-        return fourier_numeric(source, omega, tail_rel)
+        return fourier_numeric(source, omega)
     if isinstance(source, CouplingProfile):
         return fourier_analytic(source, omega)
     raise TypeError(f"expected a CouplingSignal or CouplingProfile, got {type(source).__name__}")

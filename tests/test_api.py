@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "sample",
     "load_sampled_csv",
     "with_amplitude",
-    "SpectralValue",
     "fourier_numeric",
     "fourier_analytic",
     "DissipationReport",
@@ -40,7 +39,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 33
     assert sorted(casfric.__all__) == sorted(PUBLIC_NAMES)
 
 

@@ -55,7 +55,7 @@ class TestSignalInterpolation:
         grid = TimeGrid(t0, t0 + span, n)
         rng = np.random.default_rng(seed)
         signal = CouplingSignal(grid, rng.standard_normal(n))
-        a, b = sorted(grid.t_start + c * grid.span for c in cuts)
+        a, b = sorted(grid.t_start + c * (grid.t_end - grid.t_start) for c in cuts)
         queries = np.concatenate(
             [rng.uniform(a, b, 500), grid.times(int(n * cuts[0]), n)[:50], [a, b], [grid.t_start, grid.t_end]]
         )
@@ -93,7 +93,7 @@ class TestBlockedQuadratures:
     def test_both_routes_match_a_full_array_trapezoid(self, n):
         signal = pulse(n)
         want = reference_trapezoid(signal, -2.0)
-        got_hb = fourier_numeric(signal, -2.0).value
+        got_hb = fourier_numeric(signal, -2.0)
         got_barton = time_domain_amplitude(signal, PARAMS) / -0.5j
         assert abs(got_hb - want) <= 1e-13 * abs(want)
         assert abs(got_barton - want) <= 1e-13 * abs(want)
@@ -101,14 +101,14 @@ class TestBlockedQuadratures:
     @pytest.mark.parametrize("n", [2, BLOCK_SAMPLES, BLOCK_SAMPLES + 1])
     def test_one_block_is_one_trapezoid_call(self, n):
         signal = pulse(n)
-        assert fourier_numeric(signal, -2.0).value == reference_trapezoid(signal, -2.0)
+        assert fourier_numeric(signal, -2.0) == reference_trapezoid(signal, -2.0)
         assert time_domain_amplitude(signal, PARAMS) == complex(-0.5j * reference_trapezoid(signal, -2.0))
 
     @pytest.mark.parametrize("omega", [0.7, 2.0, 31.0])
     def test_hermitian_symmetry_is_bit_exact_across_blocks(self, omega):
         signal = pulse(3 * BLOCK_SAMPLES + 17)
-        plus = fourier_numeric(signal, omega).value
-        minus = fourier_numeric(signal, -omega).value
+        plus = fourier_numeric(signal, omega)
+        minus = fourier_numeric(signal, -omega)
         assert minus == plus.conjugate()
 
 

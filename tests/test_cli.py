@@ -145,6 +145,37 @@ class TestExitCodes:
         assert main([str(write_config(tmp_path, body))]) == 3
         assert "norm" in capsys.readouterr().err
 
+    def test_diverging_fock_state_is_exit_three_not_nan(self, tmp_path, capsys):
+        body = small_benchmark(profile={"type": "gaussian_pulse", "q0": 1e100, "tau": 1.0},
+                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 481},
+                               routes=["fock_oracle"], fock_truncation=3)
+        assert main([str(write_config(tmp_path, body))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith("numerical failure: norm drifted by nan"), captured.err
+
+    def test_unresolved_tails_are_one_warning_line_and_exit_zero(self, tmp_path, capsys):
+        body = small_benchmark(grid={"t_start": -2.0, "t_end": 2.0, "n_samples": 41},
+                               routes=["mode_oracle", "fock_oracle"], fock_truncation=4)
+        assert main([str(write_config(tmp_path, body))]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: row(s) 0: coupling at a grid endpoint above tail_rel=1e-10 of its peak\n"
+        )
+        assert captured.out.startswith(CSV_HEADER)
+
+    def test_tail_warning_names_the_flagged_rows_at_the_configured_tail_rel(self, tmp_path, capsys):
+        # exp(-4) = 1.8e-2 at the endpoints: flagged at 1e-3, not at 0.5
+        body = small_benchmark(grid={"t_start": -2.0, "t_end": 2.0, "n_samples": 41}, routes=["hb"],
+                               scan={"kind": "amplitude", "values": [0.01, 0.02]}, tail_rel=1e-3)
+        assert main([str(write_config(tmp_path, body))]) == 0
+        assert capsys.readouterr().err == (
+            "warning: row(s) 0, 1: coupling at a grid endpoint above tail_rel=0.001 of its peak\n"
+        )
+        assert main([str(write_config(tmp_path, dict(body, tail_rel=0.5)))]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "profile, params",
@@ -376,6 +407,10 @@ class TestRangesAndSampleBudget:
             (small_benchmark(grid={"t_start": float("-inf"), "t_end": 12.0, "n_samples": 1201}),
              r"grid\.t_start: must be a finite number"),
             (small_benchmark(params={"mass": 10**400, "omega": 1.0}), r"params\.mass: must be a finite number"),
+            # an eta scan builds its own grids and tests their tails at scan.tail_rel
+            (dict(eta_scan_config(), grid={"t_start": -1.0, "t_end": 1.0, "n_samples": 3}),
+             r"config\.grid: .*scan\.dt"),
+            (dict(eta_scan_config(), tail_rel=0.999), r"config\.tail_rel: .*scan\.tail_rel"),
         ],
     )
     def test_out_of_range_value_is_exit_two_with_its_field(self, tmp_path, capsys, body, field):

@@ -76,7 +76,6 @@ class TestTimeGrid:
         atol = 2.0 * np.spacing(max(abs(t0), abs(t0 + span)))
         np.testing.assert_allclose(np.diff(times), grid.dt, rtol=0.0, atol=atol)
 
-    def test_dt_and_span(self):
+    def test_dt(self):
         grid = TimeGrid(-1.0, 3.0, 9)
         assert grid.dt == 0.5
-        assert grid.span == 4.0

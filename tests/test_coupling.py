@@ -1,4 +1,6 @@
 """Coupling profiles: pointwise values, symmetries, sampling, CSV loading."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -33,6 +35,16 @@ class TestEvaluate:
 
     def test_ramp_does_not_overflow_at_large_negative_times(self):
         assert ExponentialRamp(gamma=1.0, eta=1.0).evaluate(-1e6) == 0.0
+
+    @pytest.mark.parametrize(
+        "profile", [GaussianPulse(q0=1.0, tau=1e-300), Flyby(charge=1.0, d=1.0, v=1e200)]
+    )
+    def test_a_square_overflowing_to_inf_samples_its_exact_limit(self, profile):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            signal = sample(profile, TimeGrid(-1.0, 1.0, 5))
+        # off t = 0 the true value underflows to 0 as well
+        assert signal.values.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
     def test_flyby_peak_is_closest_approach(self):
         assert Flyby(charge=1.0, d=1.0, v=1.0).evaluate(0.0) == 1.0

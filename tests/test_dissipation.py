@@ -8,6 +8,7 @@ grid tolerances.
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +90,7 @@ class TestDeltaETimeDomain:
     def test_quadratic_coupling_scaling(self, lam):
         signal = gauss_signal(n=801)
         base = delta_e_time_domain(signal, PARAMS)
-        scaled = delta_e_time_domain(signal.scaled(lam), PARAMS)
+        scaled = delta_e_time_domain(CouplingSignal(signal.grid, lam * signal.values), PARAMS)
         np.testing.assert_allclose(scaled, lam**2 * base, rtol=1e-12)
 
     def test_nonnegative_for_odd_profiles(self):
@@ -170,6 +171,25 @@ class TestCompareRoutes:
         narrow = sample(GaussianPulse(q0=0.01, tau=1.0), TimeGrid(-2.0, 2.0, 41))
         report = compare_routes(narrow, PARAMS, routes=("hb",))
         assert report.tail_warning
+
+    def test_unresolved_tails_are_a_report_flag_not_a_warning(self):
+        narrow = sample(GaussianPulse(q0=0.01, tau=1.0), TimeGrid(-2.0, 2.0, 101))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare_routes(narrow, PARAMS, routes=("mode_oracle", "fock_oracle"), fock_truncation=4)
+        assert report.tail_warning
+
+    def test_the_one_tail_threshold_is_the_callers_tail_rel(self):
+        # exp(-s^2) = 3e-10 at both endpoints, between the two thresholds
+        s = np.sqrt(-np.log(3e-10))
+        signal = sample(GaussianPulse(q0=0.01, tau=1.0), TimeGrid(-s, s, 401))
+        ratios = signal.values[[0, -1]] / signal.values.max()
+        assert np.all((1e-10 < ratios) & (ratios < 1e-9))
+        for tail_rel, flagged in ((1e-10, True), (1e-9, False)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = compare_routes(signal, PARAMS, routes=("mode_oracle",), tail_rel=tail_rel)
+            assert report.tail_warning is flagged
 
 
 class TestAdiabaticScan:
