@@ -30,9 +30,11 @@ BLOCK_SAMPLES = 1 << 16
 # takes 8 bytes per sample, so this caps it at 0.8 GB.
 MAX_GRID_SAMPLES = 100_000_000
 
-# Largest Fock truncation N a config may declare or evolve_fock accepts:
-# its dense coupling operator is (N+1)^2 x (N+1)^2 complex, 16*(N+1)^4
-# bytes, held to the same 0.8 GB as the largest grid (N = 83).
+# Largest Fock truncation N a config may declare or evolve_fock accepts.
+# It was derived from a dense (N+1)^2 x (N+1)^2 complex coupling operator,
+# 16*(N+1)^4 bytes, held to the same 0.8 GB as the largest grid (N = 83).
+# evolve_fock now holds O((N+1)^2) numbers; the cap stays until a load-time
+# bound on the work per run (steps times per-step cost) replaces it.
 MAX_FOCK_TRUNCATION = math.isqrt(math.isqrt(8 * MAX_GRID_SAMPLES // 16)) - 1
 
 

@@ -113,6 +113,10 @@ class Flyby(CouplingProfile):
 
     def __post_init__(self):
         _require_positive(self, "charge", "d", "v")
+        for name in ("charge", "d"):  # _eval_array squares them as Python floats
+            value = float(getattr(self, name))
+            if np.isinf(value * value):
+                raise ValueError(f"Flyby.{name} must have a finite square, got {value!r}")
 
     def _eval_array(self, t):
         with np.errstate(over="ignore"):  # a square overflowing to inf: e^2/inf = 0 exactly

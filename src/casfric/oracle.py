@@ -219,38 +219,75 @@ def evolve_fock(
     if truncation > MAX_FOCK_TRUNCATION:
         raise ValueError(
             f"truncation {truncation} is above the budget of {MAX_FOCK_TRUNCATION}: "
-            f"its coupling operator would take {16 * (truncation + 1) ** 4} bytes"
+            "the cap on the number basis, kept until a bound on the work per run replaces it"
         )
     n_levels = truncation + 1
     h, n_steps = _substeps(signal, dt_substeps)
 
-    n1 = np.repeat(np.arange(n_levels), n_levels)
-    n2 = np.tile(np.arange(n_levels), n_levels)
-    h0_diag = params.hbar * params.omega * (n1 + n2 + 1.0)
+    # The state is the amplitude matrix Y[n1, n2], x = a + a' truncated, and
+    # -i/hbar H(q) Y = -i [w (n1 + n2 + 1) Y + q b/hbar x Y x].  On the float
+    # view of Y (re, im interleaved along n2), -i is the 2x2 block J acting
+    # from the right, so the derivative is sum_j L_j Y R_j over
+    # (L_j, R_j) = (q x, b/hbar x kron J), (w N1, 1 kron J) and
+    # (1, w diag(n2 + 1) kron J).  With the R_j side by side, Y @ right is
+    # (N+1, 3*2(N+1)), which reads as (3(N+1), 2(N+1)) with row 3 m + j;
+    # interleaving the L_j columns the same way makes the sum over j one
+    # more product.  Two real matmuls per stage, O((N+1)^2) memory.
     x = _ladder_position(truncation)
-    # built complex and scaled in place: no float or scaled copy beside it
-    coupling_op = np.kron(x.astype(np.complex128), x)
-    coupling_op *= ladder_factor(params)
+    minus_i = np.array([[0.0, -1.0], [1.0, 0.0]])
+    n = np.arange(n_levels, dtype=float)
+    right = np.hstack([
+        np.kron((ladder_factor(params) / params.hbar) * x, minus_i),
+        np.kron(np.eye(n_levels), minus_i),
+        np.kron(np.diag(params.omega * (n + 1.0)), minus_i),
+    ])
+    left = np.stack([x, np.diag(params.omega * n), np.eye(n_levels)], axis=2).reshape(n_levels, -1)
+    coupling_columns = left[:, 0::3]  # q x, rewritten at each new q
+    products = np.empty((n_levels, right.shape[1]))
+    products_by_row = products.reshape(3 * n_levels, 2 * n_levels)
 
-    minus_i_h0 = (-1j / params.hbar) * h0_diag
-    minus_i = -1j / params.hbar
+    def derivative(y, out):
+        np.dot(y, right, out=products)
+        np.dot(left, products_by_row, out=out)
 
-    psi = np.zeros(n_levels * n_levels, dtype=np.complex128)
-    psi[0] = 1.0
-
-    def rhs(q, y):
-        return minus_i_h0 * y + (minus_i * q) * (coupling_op @ y)
+    # k1..k4 and psi (last) in one stack, so every stage input and the
+    # update is one weighted sum over it; the update goes into the psi slot
+    # of the other stack and the two swap each step.  Zeros, not empty: a
+    # zero weight times uninitialised NaN would still be NaN.
+    stacks = np.zeros((2, 5, n_levels, n_levels), dtype=np.complex128)
+    stacks[0, 4, 0, 0] = 1.0
+    stacks_real = stacks.view(np.float64)
+    # per stack: the k1..k4 and psi float views, then the stack as 5 rows
+    now, after = ((*stacks_real[i], stacks_real[i].reshape(5, -1)) for i in range(2))
+    stage_input = np.empty((n_levels, 2 * n_levels))
+    stage_input_flat = stage_input.reshape(-1)
+    to_k2 = np.array([0.5 * h, 0.0, 0.0, 0.0, 1.0])
+    to_k3 = np.array([0.0, 0.5 * h, 0.0, 0.0, 1.0])
+    to_k4 = np.array([0.0, 0.0, h, 0.0, 1.0])
+    update = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0, 1.0])
 
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging state fails the norm test
         for lo in range(0, n_steps, _CHUNK_STEPS):
             q_nodes, q_mid = _substep_coupling(signal, h, lo, min(lo + _CHUNK_STEPS, n_steps))
-            for j in range(len(q_mid)):
-                k1 = rhs(q_nodes[j], psi)
-                k2 = rhs(q_mid[j], psi + (0.5 * h) * k1)
-                k3 = rhs(q_mid[j], psi + (0.5 * h) * k2)
-                k4 = rhs(q_nodes[j + 1], psi + h * k3)
-                psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        state = FockStateVector(truncation, psi.reshape(n_levels, n_levels))
+            q_nodes = q_nodes.tolist()
+            np.multiply(q_nodes[0], x, out=coupling_columns)
+            # the columns hold the step's start q here: set at the chunk
+            # start, then by the previous step's k4
+            for q_half, q_end in zip(q_mid.tolist(), q_nodes[1:]):
+                k1, k2, k3, k4, psi, stack = now
+                derivative(psi, k1)
+                np.multiply(q_half, x, out=coupling_columns)
+                np.dot(to_k2, stack, out=stage_input_flat)
+                derivative(stage_input, k2)
+                np.dot(to_k3, stack, out=stage_input_flat)
+                derivative(stage_input, k3)
+                np.multiply(q_end, x, out=coupling_columns)
+                np.dot(to_k4, stack, out=stage_input_flat)
+                derivative(stage_input, k4)
+                np.dot(update, stack, out=after[-1][4])
+                now, after = after, now
+        amplitudes = now[4].view(np.complex128).copy()
+        state = FockStateVector(truncation, amplitudes)
         norm_drift = state.norm_drift
     if not norm_drift <= norm_tol:  # NaN fails it too
         raise NormDriftError(

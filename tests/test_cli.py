@@ -407,6 +407,11 @@ class TestRangesAndSampleBudget:
             (small_benchmark(grid={"t_start": float("-inf"), "t_end": 12.0, "n_samples": 1201}),
              r"grid\.t_start: must be a finite number"),
             (small_benchmark(params={"mass": 10**400, "omega": 1.0}), r"params\.mass: must be a finite number"),
+            # a Python float square raises instead of overflowing to inf
+            (small_benchmark(profile={"type": "flyby", "charge": 1e200, "d": 1.0, "v": 1.0}, routes=["hb"]),
+             r"profile: Flyby\.charge must have a finite square"),
+            (small_benchmark(profile={"type": "flyby", "charge": 1.0, "d": 1e200, "v": 1.0}, routes=["hb"]),
+             r"profile: Flyby\.d must have a finite square"),
             # an eta scan builds its own grids and tests their tails at scan.tail_rel
             (dict(eta_scan_config(), grid={"t_start": -1.0, "t_end": 1.0, "n_samples": 3}),
              r"config\.grid: .*scan\.dt"),

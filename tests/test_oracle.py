@@ -230,16 +230,30 @@ class TestEvolveFock:
         with pytest.raises(ValueError, match=rf"truncation {MAX_FOCK_TRUNCATION + 1} is above the budget"):
             evolve_fock(zero_signal(), PARAMS, truncation=MAX_FOCK_TRUNCATION + 1)
 
-    def test_peak_memory_is_one_coupling_operator(self):
-        truncation = 30
-        operator_bytes = 16 * (truncation + 1) ** 4
+    def test_working_set_is_a_few_amplitude_matrices(self):
+        """At N=30 the dense coupling operator alone would take 14.8 MB."""
         tracemalloc.start()
         try:
-            evolve_fock(zero_signal(n=21, span=1.0), PARAMS, truncation=truncation)
+            evolve_fock(zero_signal(n=21, span=1.0), PARAMS, truncation=30)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * operator_bytes, peak / operator_bytes
+        assert peak < 1 << 20, peak
+
+    def test_converges_in_the_truncation(self):
+        """A strong pulse (q0 = 0.5): the error in dE against N = 40 and the
+        population on the truncation edge both fall with N."""
+        signal = gauss_signal(q0=0.5, n=481)
+        states = {n: evolve_fock(signal, PARAMS, n, dt_substeps=4) for n in (3, 6, 10, 20, 40)}
+        reference = delta_e_fock(states.pop(40), PARAMS)
+        errors, edges = [], []
+        for n, state in states.items():
+            errors.append(abs(delta_e_fock(state, PARAMS) - reference) / reference)
+            populations = np.abs(state.amplitudes) ** 2
+            edges.append(populations[n, :].sum() + populations[:n, n].sum())
+        assert all(a > b for a, b in zip(errors, errors[1:])), errors
+        assert all(a > b for a, b in zip(edges, edges[1:])), edges
+        assert errors[0] > 1e-3 and edges[0] > 1e-4  # N = 3 is visibly truncated
 
     def test_truncation_budget_is_the_largest_operator_within_0_8_gb(self):
         assert 16 * (MAX_FOCK_TRUNCATION + 1) ** 4 <= 8e8 < 16 * (MAX_FOCK_TRUNCATION + 2) ** 4
@@ -388,7 +402,8 @@ class TestChunkedModeSweep:
 
 
 def whole_array_evolve_fock(signal, params, truncation, dt_substeps):
-    """evolve_fock's loop over the full-length substep interpolant."""
+    """RK4 with the dense (N+1)^2 x (N+1)^2 operator kron(x, x) on the
+    flattened state, over the full-length substep interpolant."""
     h, q_nodes, q_mid = whole_array_substep_coupling(signal, dt_substeps)
     n_levels = truncation + 1
     n = np.arange(n_levels)
@@ -414,7 +429,16 @@ def whole_array_evolve_fock(signal, params, truncation, dt_substeps):
     return psi.reshape(n_levels, n_levels)
 
 
-def test_chunked_fock_sweep_is_the_whole_array_loop():
+def test_fock_chunking_changes_no_bit(monkeypatch):
     signal = gauss_signal(n=4801)  # 9600 substeps: two whole chunks and a part
-    state = evolve_fock(signal, PARAMS, truncation=2, dt_substeps=2)
-    assert np.array_equal(state.amplitudes, whole_array_evolve_fock(signal, PARAMS, 2, 2))
+    chunked = evolve_fock(signal, PARAMS, truncation=2, dt_substeps=2).amplitudes
+    monkeypatch.setattr("casfric.oracle._CHUNK_STEPS", 1 << 20)
+    assert np.array_equal(evolve_fock(signal, PARAMS, truncation=2, dt_substeps=2).amplitudes, chunked)
+
+
+@pytest.mark.parametrize("truncation", [2, 10])
+def test_fock_loop_agrees_with_the_dense_operator(truncation):
+    signal = gauss_signal(n=4801)
+    state = evolve_fock(signal, PARAMS, truncation, dt_substeps=2)
+    dense = whole_array_evolve_fock(signal, PARAMS, truncation, 2)
+    assert np.max(np.abs(state.amplitudes - dense)) <= 1e-13
