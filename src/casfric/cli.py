@@ -443,8 +443,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.out is None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
-    else:
+        return 0
+    try:
         Path(args.out).write_bytes(payload)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        print(f"error: --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -18,6 +18,7 @@ oscillator) with energy gap exactly 2 hbar w.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from contextlib import contextmanager
@@ -67,14 +68,42 @@ def time_domain_amplitude(signal: CouplingSignal, params: PhysicalParams) -> com
     Trapezoidal quadrature in the time domain, deliberately independent
     of the spectral module.  Blocks of BLOCK_SAMPLES intervals, each
     sharing its end sample with the next, keep the working set
-    O(BLOCK_SAMPLES); a grid of one block is a single trapezoid call.
+    O(BLOCK_SAMPLES) in three buffers allocated once per call.
+
+    The phase 2*w*t is the imaginary part of the argument np.exp(2j*w*t)
+    would take; q*cos goes into the real part and q*sin into the
+    imaginary part of the integrand block.  libm's cexp of a zero real
+    part returns that same cos and sin, so every term is the one
+    q*np.exp(...) gives, and, cos being even and sin odd in libm, the
+    integrand at -w would still be its exact conjugate.  The trapezoid
+    runs in place: pair sum, times dt, times 0.5 and one pairwise sum per
+    block, np.trapezoid's terms and order, so a grid of one block gives
+    the bits of a single trapezoid call.  A sum that overflows raises
+    OverflowError instead of returning inf or nan.
     """
     grid, q = signal.grid, signal.values
+    w, dt = 2.0 * params.omega, grid.dt  # 2j*omega*t has imaginary part w*t, bit for bit
+    size = min(BLOCK_SAMPLES + 1, grid.n_samples)
+    trig = np.empty(size)
+    integrand = np.empty(size, dtype=np.complex128)
+    pairs = np.empty(size - 1, dtype=np.complex128)
     value = 0j
-    for lo in range(0, grid.n_samples - 1, BLOCK_SAMPLES):
-        hi = min(lo + BLOCK_SAMPLES + 1, grid.n_samples)
-        phase = np.exp(2j * params.omega * grid.times(lo, hi))
-        value += np.trapezoid(q[lo:hi] * phase, dx=grid.dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+        for lo in range(0, grid.n_samples - 1, BLOCK_SAMPLES):
+            hi = min(lo + BLOCK_SAMPLES + 1, grid.n_samples)
+            block, cos_sin, y, pair = q[lo:hi], trig[: hi - lo], integrand[: hi - lo], pairs[: hi - lo - 1]
+            phase = grid.times(lo, hi)
+            phase *= w
+            np.multiply(block, np.cos(phase, out=cos_sin), out=y.real)
+            np.multiply(block, np.sin(phase, out=cos_sin), out=y.imag)
+            del phase  # so no two blocks' times are held at once
+            np.add(y[1:], y[:-1], out=pair)
+            pair_real = pair.view(np.float64)
+            pair_real *= dt
+            pair_real *= 0.5
+            value += pair.sum()
+    if not cmath.isfinite(value):
+        raise OverflowError("the time-domain quadrature overflowed")
     return complex(-0.5j / params.hbar * value)
 
 

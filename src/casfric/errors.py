@@ -10,7 +10,7 @@ class InvertedModeError(NumericalFailure):
 
 
 class NormDriftError(NumericalFailure):
-    """State-vector norm drifted beyond tolerance; refine the step or raise the truncation."""
+    """State-vector norm drifted beyond tolerance; refine the step, or raise the truncation if the step is stable."""
 
 
 class TailSpanError(NumericalFailure):

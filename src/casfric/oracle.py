@@ -62,6 +62,11 @@ class BogoliubovPair:
 # of two, so a chunk is a whole subtree of the mode oracle's pairwise fold.
 _CHUNK_STEPS = 1 << 12
 
+# RK4 is stable on the imaginary axis for |h*lambda| <= 2*sqrt(2); the free
+# Fock Hamiltonian's largest rate is w*(2N+1), so h*w*(2N+1) above this
+# diverges whatever the coupling, and a larger truncation makes it worse.
+_RK4_IMAGINARY_LIMIT = 2.0 * 2.0**0.5
+
 
 def _substeps(signal: CouplingSignal, substeps: int):
     """Substep h = dt/substeps and the number of substeps across the grid."""
@@ -212,7 +217,8 @@ def evolve_fock(
     Fixed-step 4th-order integration with step dt/dt_substeps.  No
     renormalization is applied; a final norm drift beyond ``norm_tol``
     raises NormDriftError as a signal to refine the step or raise the
-    truncation.
+    truncation, or, when h*w*(2N+1) is above RK4's stability limit
+    2*sqrt(2), to refine the step alone.
     """
     if int(truncation) != truncation or truncation < 2:
         raise ValueError(f"truncation must be an integer >= 2, got {truncation!r}")
@@ -290,10 +296,13 @@ def evolve_fock(
         state = FockStateVector(truncation, amplitudes)
         norm_drift = state.norm_drift
     if not norm_drift <= norm_tol:  # NaN fails it too
-        raise NormDriftError(
-            f"norm drifted by {norm_drift:.3e} (> {norm_tol:g}); "
-            "refine dt_substeps or raise the truncation"
-        )
+        stiffness = h * params.omega * (2 * truncation + 1)
+        if stiffness > _RK4_IMAGINARY_LIMIT:
+            advice = (f"h*omega*(2N+1) = {stiffness:.3g} is above RK4's stability limit "
+                      f"2*sqrt(2) = {_RK4_IMAGINARY_LIMIT:.3g}; raise dt_substeps")
+        else:
+            advice = "refine dt_substeps or raise the truncation"
+        raise NormDriftError(f"norm drifted by {norm_drift:.3e} (> {norm_tol:g}); {advice}")
     return state
 
 

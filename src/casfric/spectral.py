@@ -15,6 +15,8 @@ quoted product formula.)
 """
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .core import BLOCK_SAMPLES
@@ -32,25 +34,50 @@ __all__ = ["fourier_numeric", "fourier_analytic"]
 def fourier_numeric(signal: CouplingSignal, omega: float) -> complex:
     """Trapezoidal quadrature of q(t) exp(-i*omega*t) over the signal grid.
 
-    Hermitian symmetry holds bit-exactly: the integrand at -omega is the
-    elementwise conjugate of the integrand at +omega.
+    The phase -omega*t is the imaginary part of the complex argument that
+    np.exp(-1j*omega*t) would take; q*cos goes into the real part and
+    q*sin into the imaginary part of the integrand block, the cos and sin
+    that libm's cexp of a zero real part returns.  Hermitian symmetry
+    holds bit-exactly: the phase at -omega is the exact negation of the
+    phase at +omega, cos is even and sin is odd in libm, so the integrand
+    at -omega is the elementwise conjugate of the integrand at +omega.
 
     The grid is integrated in blocks of BLOCK_SAMPLES intervals, each
-    sharing its end sample with the next, so the working set is
-    O(BLOCK_SAMPLES) whatever the grid length; a grid of one block is a
+    sharing its end sample with the next, so the working set is three
+    O(BLOCK_SAMPLES) buffers allocated once per call, whatever the grid
+    length.  Each block's trapezoid runs in place with np.trapezoid's
+    terms and pairwise sum, so a grid of one block gives the bits of a
     single trapezoid call.  A power-of-two count of terms per block keeps
     numpy's pairwise summation close to its full-array order, so long
-    grids move only in the last digits.
+    grids move only in the last digits.  A sum that overflows raises
+    OverflowError instead of returning inf or nan.
     """
     q = signal.values
     if not (np.isfinite(q.min()) and np.isfinite(q.max())):
         raise ValueError("signal contains NaN or infinite values")
     grid = signal.grid
+    w, dt = -omega, grid.dt  # -1j*omega*t has imaginary part w*t, bit for bit
+    size = min(BLOCK_SAMPLES + 1, grid.n_samples)
+    trig = np.empty(size)
+    integrand = np.empty(size, dtype=np.complex128)
+    pairs = np.empty(size - 1, dtype=np.complex128)
     value = 0j
-    for lo in range(0, grid.n_samples - 1, BLOCK_SAMPLES):
-        hi = min(lo + BLOCK_SAMPLES + 1, grid.n_samples)
-        phase = np.exp(-1j * omega * grid.times(lo, hi))
-        value += np.trapezoid(q[lo:hi] * phase, dx=grid.dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+        for lo in range(0, grid.n_samples - 1, BLOCK_SAMPLES):
+            hi = min(lo + BLOCK_SAMPLES + 1, grid.n_samples)
+            block, cos_sin, y, pair = q[lo:hi], trig[: hi - lo], integrand[: hi - lo], pairs[: hi - lo - 1]
+            phase = grid.times(lo, hi)
+            phase *= w
+            np.multiply(block, np.cos(phase, out=cos_sin), out=y.real)
+            np.multiply(block, np.sin(phase, out=cos_sin), out=y.imag)
+            del phase  # so no two blocks' times are held at once
+            np.add(y[1:], y[:-1], out=pair)
+            pair_real = pair.view(np.float64)
+            pair_real *= dt
+            pair_real *= 0.5
+            value += pair.sum()
+    if not cmath.isfinite(value):
+        raise OverflowError("the spectral quadrature overflowed")
     return complex(value)
 
 

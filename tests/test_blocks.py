@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casfric import CouplingSignal, GaussianPulse, PhysicalParams, SymmetricRamp, TimeGrid, sample
+from casfric import (
+    CouplingSignal,
+    ExponentialRamp,
+    GaussianPulse,
+    PhysicalParams,
+    SymmetricRamp,
+    TimeGrid,
+    adiabatic_scan,
+    sample,
+)
 from casfric.core import BLOCK_SAMPLES
 from casfric.dissipation import time_domain_amplitude
 from casfric.spectral import fourier_numeric
@@ -110,6 +119,53 @@ class TestBlockedQuadratures:
         plus = fourier_numeric(signal, omega)
         minus = fourier_numeric(signal, -omega)
         assert minus == plus.conjugate()
+
+
+def exp_trapezoid_blocks(signal, argument):
+    """The block loop both quadratures ran with np.exp and np.trapezoid:
+    the bits their cos/sin loops must keep.  ``argument`` is the complex
+    factor of t in the exponent, 2j*omega (barton) or -1j*omega (hb)."""
+    grid, q = signal.grid, signal.values
+    value = 0j
+    for lo in range(0, grid.n_samples - 1, BLOCK_SAMPLES):
+        hi = min(lo + BLOCK_SAMPLES + 1, grid.n_samples)
+        value += np.trapezoid(q[lo:hi] * np.exp(argument * grid.times(lo, hi)), dx=grid.dt)
+    return value
+
+
+def assert_both_routes_keep_the_exp_trapezoid_bits(signal, omegas=(-2.0 * PARAMS.omega,)):
+    barton = complex(-0.5j / PARAMS.hbar * exp_trapezoid_blocks(signal, 2j * PARAMS.omega))
+    assert time_domain_amplitude(signal, PARAMS) == barton
+    for omega in omegas:
+        assert fourier_numeric(signal, omega) == exp_trapezoid_blocks(signal, -1j * omega), omega
+
+
+HB_OMEGAS = (0.0, 0.7, 2.0, 31.0, -2.0)
+
+
+class TestBitIdentity:
+    """Both routes write q*cos and q*sin into one block and sum its
+    trapezoid in place; every result is == to the np.exp/np.trapezoid loop."""
+
+    @pytest.mark.parametrize("family", [SymmetricRamp(gamma=1.0, eta=1.0), ExponentialRamp(gamma=1.0, eta=1.0)])
+    def test_default_eta_scan_grids(self, family):
+        # the abrupt ramp's grid starts at t = 0, the smooth one's is symmetric
+        scan = adiabatic_scan(family, [1e-2, 1e-3], PARAMS, routes=("hb",))
+        for report, eta in zip(scan.reports, scan.etas):
+            assert (report.grid.t_start == 0.0) == isinstance(family, ExponentialRamp)
+            profile = type(family)(gamma=1.0, eta=float(eta))
+            assert_both_routes_keep_the_exp_trapezoid_bits(sample(profile, report.grid))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_every_block_split(self, n):
+        assert_both_routes_keep_the_exp_trapezoid_bits(pulse(n), omegas=HB_OMEGAS)
+
+    def test_subnormal_signal(self):
+        n = 1001
+        values = 5e-320 * np.sin(np.arange(n, dtype=float))
+        assert np.all(np.abs(values) < np.finfo(float).tiny) and np.count_nonzero(values) > n - 5
+        signal = CouplingSignal(TimeGrid(0.0, 1.0, n), values)
+        assert_both_routes_keep_the_exp_trapezoid_bits(signal, omegas=HB_OMEGAS)
 
 
 def traced_peak(function, *args):

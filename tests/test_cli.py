@@ -192,6 +192,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numerical failure: barton: float overflow"), err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("route", ["barton", "hb"])
+    def test_non_finite_first_order_sum_is_exit_three(self, tmp_path, capsys, route):
+        # every sample is finite; the trapezoid's pair sums overflow
+        body = small_benchmark(profile={"type": "gaussian_pulse", "q0": 1e308, "tau": 1.0}, routes=[route],
+                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 481})
+        assert main([str(write_config(tmp_path, body))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {route}: float overflow\n"
+
+    @pytest.mark.parametrize("target", ["missing/report.csv", "."])
+    def test_unwritable_out_is_exit_two(self, tmp_path, capsys, target):
+        out = tmp_path / target
+        assert main([str(write_config(tmp_path, small_benchmark(routes=["hb"]))), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: --out {out}: "), captured.err
+
 
 class TestCsvOutput:
     def test_header_is_the_documented_schema(self):

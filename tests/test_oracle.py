@@ -217,6 +217,16 @@ class TestEvolveFock:
         state = evolve_fock(coarse, PARAMS, truncation=6, dt_substeps=1, norm_tol=1e-2)
         assert state.norm_drift > 1e-6
 
+    def test_unstable_step_advice_names_the_rk4_limit(self):
+        # h*w*(2N+1) = 0.12*81 = 9.72 > 2*sqrt(2): a larger truncation only makes it worse
+        coarse = gauss_signal(n=201, span=12.0)
+        with pytest.raises(NormDriftError) as failure:
+            evolve_fock(coarse, PARAMS, truncation=40, dt_substeps=1)
+        message = str(failure.value)
+        assert message.startswith("norm drifted by inf")
+        assert "h*omega*(2N+1) = 9.72" in message and "2*sqrt(2) = 2.83" in message
+        assert message.endswith("raise dt_substeps") and "truncation" not in message
+
     def test_rejects_tiny_truncation(self):
         with pytest.raises(ValueError, match="truncation"):
             evolve_fock(zero_signal(), PARAMS, truncation=1)
