@@ -7,6 +7,7 @@ values are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +37,17 @@ MAX_GRID_SAMPLES = 100_000_000
 # evolve_fock now holds O((N+1)^2) numbers; the cap stays until a load-time
 # bound on the work per run (steps times per-step cost) replaces it.
 MAX_FOCK_TRUNCATION = math.isqrt(math.isqrt(8 * MAX_GRID_SAMPLES // 16)) - 1
+
+
+def _require_integer(value, name: str, least: int) -> None:
+    """Refuse anything but an integer >= least: a Python or numpy integer
+    passes ``operator.index``, an integral float such as 4.0 does not."""
+    try:
+        valid = operator.index(value) >= least
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +85,7 @@ class TimeGrid:
     n_samples: int
 
     def __post_init__(self):
-        if int(self.n_samples) != self.n_samples or self.n_samples < 2:
-            raise ValueError(f"n_samples must be an integer >= 2, got {self.n_samples!r}")
+        _require_integer(self.n_samples, "n_samples", 2)
         if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
             raise ValueError("grid endpoints must be finite")
         if not self.t_end > self.t_start:

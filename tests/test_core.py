@@ -1,7 +1,7 @@
 """Parameter container and uniform-grid plumbing."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from casfric import PhysicalParams, TimeGrid, ladder_factor
@@ -63,18 +63,26 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, float("inf"), 5)
 
+    def test_refuses_an_integral_float_sample_count(self):
+        with pytest.raises(ValueError, match=r"n_samples must be an integer >= 2, got 121\.0"):
+            TimeGrid(-6.0, 6.0, 121.0)
+
+    def test_accepts_a_numpy_integer_sample_count(self):
+        np.testing.assert_array_equal(TimeGrid(-6.0, 6.0, np.int64(121)).times(), TimeGrid(-6.0, 6.0, 121).times())
+
     @given(
         t0=st.floats(min_value=-100.0, max_value=99.0),
         span=st.floats(min_value=1e-3, max_value=200.0),
         n=st.integers(min_value=2, max_value=2000),
     )
-    def test_spacing_constant_to_machine_rounding(self, t0, span, n):
-        """Consecutive differences equal dt to ~2 rounding units of the times."""
-        grid = TimeGrid(t0, t0 + span, n)
-        times = grid.times()
+    # step error 3.15e-14 against 2 rounding units of the times (2.84e-14)
+    @example(t0=-53.81795798595977, span=181.2038002697102, n=136)
+    def test_times_are_linspace_bit_for_bit(self, t0, span, n):
+        """The times are np.linspace's, so the spacing is as even as
+        linspace's own arithmetic makes it, and the endpoints are exact."""
+        times = TimeGrid(t0, t0 + span, n).times()
         assert times[0] == t0 and times[-1] == t0 + span
-        atol = 2.0 * np.spacing(max(abs(t0), abs(t0 + span)))
-        np.testing.assert_allclose(np.diff(times), grid.dt, rtol=0.0, atol=atol)
+        assert np.array_equal(times, np.linspace(t0, t0 + span, n))
 
     def test_dt(self):
         grid = TimeGrid(-1.0, 3.0, 9)

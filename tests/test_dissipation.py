@@ -167,6 +167,10 @@ class TestCompareRoutes:
         with pytest.raises(ValueError, match="at least one"):
             compare_routes(zero_signal(), PARAMS, routes=())
 
+    def test_refuses_an_integral_float_fock_truncation(self):
+        with pytest.raises(ValueError, match=r"truncation must be an integer >= 2, got 4\.0"):
+            compare_routes(gauss_signal(n=481), PARAMS, routes=("fock_oracle",), fock_truncation=4.0)
+
     def test_tail_warning_recorded(self):
         narrow = sample(GaussianPulse(q0=0.01, tau=1.0), TimeGrid(-2.0, 2.0, 41))
         report = compare_routes(narrow, PARAMS, routes=("hb",))

@@ -32,6 +32,7 @@ from casfric.core import MAX_FOCK_TRUNCATION, ladder_factor
 from casfric.coupling import CouplingSignal
 from casfric.oracle import (
     _CHUNK_STEPS,
+    _ladder_position,
     _ordered_product,
     _rk4_transfer_matrices,
     _substep_coupling,
@@ -139,6 +140,10 @@ class TestEvolveMode:
         with pytest.raises(ValueError, match="substeps"):
             evolve_mode(zero_signal(), PARAMS, +1, substeps=0)
 
+    def test_refuses_an_integral_float_substep_count(self):
+        with pytest.raises(ValueError, match=r"substeps must be an integer >= 1, got 2\.0"):
+            evolve_mode(gauss_signal(n=201), PARAMS, +1, substeps=2.0)
+
     def test_step_self_convergence_is_fourth_order(self):
         """Halving the substep shrinks the dE increment ~16x on a fixed grid."""
         signal = gauss_signal(q0=0.5, n=161, span=8.0)
@@ -230,6 +235,19 @@ class TestEvolveFock:
     def test_rejects_tiny_truncation(self):
         with pytest.raises(ValueError, match="truncation"):
             evolve_fock(zero_signal(), PARAMS, truncation=1)
+
+    def test_refuses_an_integral_float_truncation(self):
+        with pytest.raises(ValueError, match=r"truncation must be an integer >= 2, got 4\.0"):
+            evolve_fock(gauss_signal(n=201), PARAMS, truncation=4.0)
+
+    def test_refuses_an_integral_float_substep_count(self):
+        with pytest.raises(ValueError, match=r"substeps must be an integer >= 1, got 2\.0"):
+            evolve_fock(gauss_signal(n=201), PARAMS, truncation=4, dt_substeps=2.0)
+
+    def test_accepts_numpy_integer_counts(self):
+        signal = gauss_signal(n=201)
+        state = evolve_fock(signal, PARAMS, truncation=np.int64(4), dt_substeps=np.int32(2))
+        assert np.array_equal(state.amplitudes, evolve_fock(signal, PARAMS, 4, 2).amplitudes)
 
     def test_truncation_over_the_budget_is_refused_before_any_allocation(self, monkeypatch):
         def no_allocation(*args):
@@ -452,3 +470,73 @@ def test_fock_loop_agrees_with_the_dense_operator(truncation):
     state = evolve_fock(signal, PARAMS, truncation, dt_substeps=2)
     dense = whole_array_evolve_fock(signal, PARAMS, truncation, 2)
     assert np.max(np.abs(state.amplitudes - dense)) <= 1e-13
+
+
+def closure_loop_evolve_fock(signal, params, truncation, dt_substeps):
+    """evolve_fock's amplitudes from its earlier step loop: the same
+    operator, stacks and chunks, with each stage's two products in a
+    `derivative` closure and every `out` passed by keyword."""
+    n_levels = truncation + 1
+    h, n_steps = _substeps(signal, dt_substeps)
+    x = _ladder_position(truncation)
+    minus_i = np.array([[0.0, -1.0], [1.0, 0.0]])
+    n = np.arange(n_levels, dtype=float)
+    right = np.hstack([
+        np.kron((ladder_factor(params) / params.hbar) * x, minus_i),
+        np.kron(np.eye(n_levels), minus_i),
+        np.kron(np.diag(params.omega * (n + 1.0)), minus_i),
+    ])
+    left = np.stack([x, np.diag(params.omega * n), np.eye(n_levels)], axis=2).reshape(n_levels, -1)
+    coupling_columns = left[:, 0::3]
+    products = np.empty((n_levels, right.shape[1]))
+    products_by_row = products.reshape(3 * n_levels, 2 * n_levels)
+
+    def derivative(y, out):
+        np.dot(y, right, out=products)
+        np.dot(left, products_by_row, out=out)
+
+    stacks = np.zeros((2, 5, n_levels, n_levels), dtype=np.complex128)
+    stacks[0, 4, 0, 0] = 1.0
+    stacks_real = stacks.view(np.float64)
+    now, after = ((*stacks_real[i], stacks_real[i].reshape(5, -1)) for i in range(2))
+    stage_input = np.empty((n_levels, 2 * n_levels))
+    stage_input_flat = stage_input.reshape(-1)
+    to_k2 = np.array([0.5 * h, 0.0, 0.0, 0.0, 1.0])
+    to_k3 = np.array([0.0, 0.5 * h, 0.0, 0.0, 1.0])
+    to_k4 = np.array([0.0, 0.0, h, 0.0, 1.0])
+    update = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0, 1.0])
+    for lo in range(0, n_steps, _CHUNK_STEPS):
+        q_nodes, q_mid = _substep_coupling(signal, h, lo, min(lo + _CHUNK_STEPS, n_steps))
+        q_nodes = q_nodes.tolist()
+        np.multiply(q_nodes[0], x, out=coupling_columns)
+        for q_half, q_end in zip(q_mid.tolist(), q_nodes[1:]):
+            k1, k2, k3, k4, psi, stack = now
+            derivative(psi, k1)
+            np.multiply(q_half, x, out=coupling_columns)
+            np.dot(to_k2, stack, out=stage_input_flat)
+            derivative(stage_input, k2)
+            np.dot(to_k3, stack, out=stage_input_flat)
+            derivative(stage_input, k3)
+            np.multiply(q_end, x, out=coupling_columns)
+            np.dot(to_k4, stack, out=stage_input_flat)
+            derivative(stage_input, k4)
+            np.dot(update, stack, out=after[-1][4])
+            now, after = after, now
+    return now[4].view(np.complex128).copy()
+
+
+BIT_IDENTITY_SIGNALS = {
+    # 4800 or 19200 substeps: each run crosses a chunk boundary
+    "gaussian": lambda: gauss_signal(n=4801),
+    # q < 0 for t < 0, so the q x columns hold -0.0 where x is zero
+    "symmetric_ramp": lambda: sample(SymmetricRamp(gamma=0.01, eta=1.0), TimeGrid(-12.0, 12.0, 601)),
+}
+
+
+@pytest.mark.parametrize("dt_substeps", [1, 4])
+@pytest.mark.parametrize("truncation", [2, 10, 20])
+@pytest.mark.parametrize("profile", sorted(BIT_IDENTITY_SIGNALS))
+def test_fock_step_loop_is_the_closure_loop_bit_for_bit(profile, truncation, dt_substeps):
+    signal = BIT_IDENTITY_SIGNALS[profile]()
+    state = evolve_fock(signal, PARAMS, truncation, dt_substeps)
+    assert np.array_equal(state.amplitudes, closure_loop_evolve_fock(signal, PARAMS, truncation, dt_substeps))
