@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -51,19 +51,17 @@ _REPORT_COLUMNS = (
 
 CSV_HEADER = ",".join(["scenario_id", "profile", "eta_or_amp"] + [column for column, _ in _REPORT_COLUMNS])
 
-# the fields each config object accepts; any other key is refused
+# the keys each config object accepts; any other key is refused.  params,
+# grid and the closed-form profiles accept their dataclass's fields
 _TOP_LEVEL_KEYS = ("scenario_id", "params", "profile", "grid", "routes", "scan",
                    "fock_truncation", "fock_substeps", "mode_substeps", "tail_rel")
-_PARAMS_KEYS = ("mass", "omega", "charge", "hbar")
-_GRID_KEYS = ("t_start", "t_end", "n_samples")
 # dt and tail_rel size the per-eta grids; an amplitude scan runs on config.grid
 _SCAN_KEYS = {"eta": ("kind", "values", "dt", "tail_rel"), "amplitude": ("kind", "values")}
-_PROFILE_KEYS = {
-    "exponential_ramp": ("type", "gamma", "eta"),
-    "symmetric_ramp": ("type", "gamma", "eta"),
-    "gaussian_pulse": ("type", "q0", "tau"),
-    "flyby": ("type", "charge", "d", "v"),
-    "sampled": ("type", "csv", "grid", "values"),
+_PROFILES = {
+    "exponential_ramp": ExponentialRamp,
+    "symmetric_ramp": SymmetricRamp,
+    "gaussian_pulse": GaussianPulse,
+    "flyby": Flyby,
 }
 
 
@@ -75,8 +73,8 @@ class ConfigError(ValueError):
 class ScanSpec:
     kind: str  # "eta" or "amplitude"
     values: tuple
-    dt: Optional[float] = None
-    tail_rel: float = 1e-12
+    dt: Optional[float]
+    tail_rel: float
 
 
 @dataclass(frozen=True)
@@ -87,11 +85,11 @@ class Scenario:
     profile_config: dict
     grid: Optional[TimeGrid]
     routes: tuple
-    fock_truncation: int = 10
-    fock_substeps: int = 4
-    mode_substeps: int = 1
-    tail_rel: float = TAIL_REL_DEFAULT
-    scan: Optional[ScanSpec] = None
+    fock_truncation: int
+    fock_substeps: int
+    mode_substeps: int
+    tail_rel: float
+    scan: Optional[ScanSpec]
 
 
 @dataclass(frozen=True)
@@ -133,19 +131,29 @@ def _expect(mapping, key, path, kind, required=True, default=None):
     return value
 
 
-def _build_params(cfg, path="params") -> PhysicalParams:
-    _reject_unknown_keys(cfg, _PARAMS_KEYS, path)
+def _construct(make, path, *args, **kwargs):
+    """make(*args, **kwargs), with a refusal reported as a ConfigError at ``path``."""
     try:
-        return PhysicalParams(
-            mass=_expect(cfg, "mass", path, float),
-            omega=_expect(cfg, "omega", path, float),
-            charge=_expect(cfg, "charge", path, float, required=False, default=1.0),
-            hbar=_expect(cfg, "hbar", path, float, required=False, default=1.0),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        return make(*args, **kwargs)
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _build(cls, cfg, path, extra=()):
+    """The dataclass ``cls`` from the JSON object ``cfg``.
+
+    Its fields are the schema: any other key (beyond ``extra``) is
+    refused, a field without a default is required, and a field
+    annotated ``int`` takes a JSON integer, any other a finite number.
+    """
+    schema = fields(cls)
+    _reject_unknown_keys(cfg, (*extra, *(field.name for field in schema)), path)
+    kwargs = {
+        field.name: _expect(cfg, field.name, path, int if field.type in (int, "int") else float)
+        for field in schema
+        if field.name in cfg or field.default is MISSING
+    }
+    return _construct(cls, path, **kwargs)
 
 
 def _int_in_range(cfg, key, default, low, high=None, path="config") -> int:
@@ -165,53 +173,26 @@ def _tail_rel(cfg, path, default) -> float:
 
 
 def _build_grid(cfg, path="grid") -> TimeGrid:
-    _reject_unknown_keys(cfg, _GRID_KEYS, path)
-    n_samples = _expect(cfg, "n_samples", path, int)
-    if n_samples > MAX_GRID_SAMPLES:
-        raise ConfigError(f"{path}.n_samples: {n_samples} is above the budget of {MAX_GRID_SAMPLES} samples")
-    try:
-        return TimeGrid(
-            t_start=_expect(cfg, "t_start", path, float),
-            t_end=_expect(cfg, "t_end", path, float),
-            n_samples=n_samples,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+    grid = _build(TimeGrid, cfg, path)
+    if grid.n_samples > MAX_GRID_SAMPLES:
+        raise ConfigError(f"{path}.n_samples: {grid.n_samples} is above the budget of {MAX_GRID_SAMPLES} samples")
+    return grid
 
 
 def _build_profile(cfg, config_dir: Path, path="profile") -> CouplingProfile:
     kind = _expect(cfg, "type", path, str)
-    if kind not in _PROFILE_KEYS:
-        raise ConfigError(f"{path}.type: unknown profile type {kind!r}; valid types are {list(_PROFILE_KEYS)}")
-    _reject_unknown_keys(cfg, _PROFILE_KEYS[kind], path)
-    try:
-        if kind == "exponential_ramp":
-            return ExponentialRamp(_expect(cfg, "gamma", path, float), _expect(cfg, "eta", path, float))
-        if kind == "symmetric_ramp":
-            return SymmetricRamp(_expect(cfg, "gamma", path, float), _expect(cfg, "eta", path, float))
-        if kind == "gaussian_pulse":
-            return GaussianPulse(_expect(cfg, "q0", path, float), _expect(cfg, "tau", path, float))
-        if kind == "flyby":
-            return Flyby(
-                _expect(cfg, "charge", path, float),
-                _expect(cfg, "d", path, float),
-                _expect(cfg, "v", path, float),
-            )
-        if "csv" in cfg:  # sampled
-            if "grid" in cfg or "values" in cfg:
-                raise ConfigError(f"{path}: give either csv or grid and values, not both")
-            csv_path = Path(_expect(cfg, "csv", path, str))
-            if not csv_path.is_absolute():
-                csv_path = config_dir / csv_path
-            return load_sampled_csv(csv_path)
-        grid = _build_grid(_expect(cfg, "grid", path, dict), f"{path}.grid")
-        return CouplingSignal(grid, _expect(cfg, "values", path, list))
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+    if kind in _PROFILES:
+        return _build(_PROFILES[kind], cfg, path, extra=("type",))
+    if kind != "sampled":
+        raise ConfigError(f"{path}.type: unknown profile type {kind!r}; valid types are {[*_PROFILES, 'sampled']}")
+    _reject_unknown_keys(cfg, ("type", "csv", "grid", "values"), path)
+    if "csv" in cfg:
+        if "grid" in cfg or "values" in cfg:
+            raise ConfigError(f"{path}: give either csv or grid and values, not both")
+        # an absolute csv path replaces config_dir
+        return _construct(load_sampled_csv, path, config_dir / _expect(cfg, "csv", path, str))
+    grid = _build_grid(_expect(cfg, "grid", path, dict), f"{path}.grid")
+    return _construct(CouplingSignal, path, grid, _expect(cfg, "values", path, list))
 
 
 def _build_scan(cfg, path="scan") -> ScanSpec:
@@ -232,11 +213,8 @@ def _build_scan(cfg, path="scan") -> ScanSpec:
     if dt is not None and dt <= 0.0:
         raise ConfigError(f"{path}.dt: must be positive, got {dt!r}")
     tail_rel = _expect(cfg, "tail_rel", path, float, required=False, default=1e-12)
-    try:
-        # each eta's grid span is solved for a fraction of tail_rel
-        _check_tail_rel(tail_rel, _SCAN_TAIL_FACTOR)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.tail_rel: {exc}") from exc
+    # each eta's grid span is solved for a fraction of tail_rel
+    _construct(_check_tail_rel, f"{path}.tail_rel", tail_rel, _SCAN_TAIL_FACTOR)
     return ScanSpec(kind=kind, values=tuple(cleaned), dt=dt, tail_rel=tail_rel)
 
 
@@ -256,7 +234,7 @@ def load_config(path) -> Scenario:
     _reject_unknown_keys(raw, _TOP_LEVEL_KEYS, "config")
 
     scenario_id = _expect(raw, "scenario_id", "config", str, required=False, default="scenario")
-    params = _build_params(_expect(raw, "params", "config", dict))
+    params = _build(PhysicalParams, _expect(raw, "params", "config", dict), "params")
     profile_config = _expect(raw, "profile", "config", dict)
     profile = _build_profile(profile_config, path.parent)
     scan = _build_scan(raw["scan"]) if raw.get("scan") is not None else None
@@ -281,8 +259,10 @@ def load_config(path) -> Scenario:
             raise ConfigError(f"config.routes[{i}]: unknown route {route!r}; valid routes are {list(ROUTES)}")
 
     if scan is not None and scan.kind == "amplitude":
-        if not isinstance(profile, (ExponentialRamp, SymmetricRamp, GaussianPulse)):
-            raise ConfigError("config.scan: amplitude scans need a profile with an amplitude parameter")
+        try:
+            with_amplitude(profile, scan.values[0])
+        except TypeError as exc:
+            raise ConfigError("config.scan: amplitude scans need a profile with an amplitude parameter") from exc
 
     return Scenario(
         scenario_id=scenario_id,
@@ -368,12 +348,7 @@ def _render_json(result: ScenarioResult) -> str:
             "eta_or_amp": eta_or_amp,
             **{column: getattr(report, attribute) for column, attribute in _REPORT_COLUMNS},
             "tail_warning": report.tail_warning,
-            "grid": {
-                "t_start": report.grid.t_start,
-                "t_end": report.grid.t_end,
-                "n_samples": report.grid.n_samples,
-                "dt": report.grid.dt,
-            },
+            "grid": {**asdict(report.grid), "dt": report.grid.dt},
         })
     scan_obj = None
     if result.scan is not None:
@@ -389,12 +364,7 @@ def _render_json(result: ScenarioResult) -> str:
         "schema_version": "1",
         "scenario_id": scenario.scenario_id,
         "profile": scenario.profile_config,
-        "params": {
-            "mass": scenario.params.mass,
-            "omega": scenario.params.omega,
-            "charge": scenario.params.charge,
-            "hbar": scenario.params.hbar,
-        },
+        "params": asdict(scenario.params),
         "routes": list(scenario.routes),
         "rows": rows,
         "scan": scan_obj,

@@ -69,6 +69,13 @@ class PhysicalParams:
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        # every route scales by b; 2*mass*omega may underflow to 0 or b to 0 or inf
+        denominator = 2.0 * self.mass * self.omega
+        if not (denominator > 0.0 and 0.0 < self.hbar / denominator < math.inf):
+            raise ValueError(
+                f"b = hbar/(2*mass*omega) must be positive and finite, got hbar={self.hbar!r}, "
+                f"mass={self.mass!r}, omega={self.omega!r}"
+            )
 
 
 def ladder_factor(params: PhysicalParams) -> float:

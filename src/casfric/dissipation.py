@@ -108,10 +108,18 @@ def time_domain_amplitude(signal: CouplingSignal, params: PhysicalParams) -> com
 
 
 def delta_e_time_domain(signal: CouplingSignal, params: PhysicalParams) -> float:
-    """dE = 8 hbar w b^2 |I(inf)|^2 from the time-domain amplitude."""
+    """dE = 8 hbar w (b |I(inf)|)^2 from the time-domain amplitude.
+
+    b is squared with |I| and not alone: for a small hbar, b^2 underflows
+    while |I|^2, which goes as 1/hbar^2, overflows.  A dE that still
+    overflows raises OverflowError.
+    """
     b = ladder_factor(params)
     amp = time_domain_amplitude(signal, params)
-    return 8.0 * params.hbar * params.omega * b**2 * abs(amp) ** 2
+    delta_e = 8.0 * params.hbar * params.omega * (b * abs(amp)) ** 2
+    if not math.isfinite(delta_e):
+        raise OverflowError("the time-domain dE overflowed")
+    return delta_e
 
 
 def delta_e_spectral(source, params: PhysicalParams) -> float:

@@ -1,4 +1,5 @@
 """Scenario configs, report rendering, exit codes, and determinism."""
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from casfric.cli import (
+    _PROFILES,
     CSV_HEADER,
     ConfigError,
     ScenarioResult,
@@ -15,7 +17,7 @@ from casfric.cli import (
     main,
     run_scenario,
 )
-from casfric.core import MAX_FOCK_TRUNCATION, MAX_GRID_SAMPLES
+from casfric.core import MAX_FOCK_TRUNCATION, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 EXPECTED_DIR = Path(__file__).resolve().parent / "expected"
@@ -546,3 +548,57 @@ class TestUnknownKeys:
     def test_sampled_csv_with_inline_samples_is_refused(self, tmp_path, capsys):
         assert main([str(write_config(tmp_path, sampled_inline(csv="samples.csv")))]) == 2
         assert "either csv or grid and values" in capsys.readouterr().err
+
+
+def schema_cases():
+    """(section, profile type, field, fault) for every field of every dataclass the config names."""
+    tables = [("params", None, PhysicalParams), ("grid", None, TimeGrid)]
+    tables += [("profile", kind, cls) for kind, cls in _PROFILES.items()]
+    for section, kind, cls in tables:
+        for field in dataclasses.fields(cls):
+            faults = ["nan", "string"]
+            if field.default is dataclasses.MISSING:
+                faults.append("missing")
+            for fault in faults:
+                yield pytest.param(section, kind, cls, field.name, fault, id=f"{kind or section}.{field.name}-{fault}")
+
+
+@pytest.mark.parametrize("section, kind, cls, name, fault", list(schema_cases()))
+def test_every_schema_field_is_checked_with_its_path(tmp_path, capsys, section, kind, cls, name, fault):
+    body = small_benchmark(routes=["hb"])
+    if kind is not None:
+        body["profile"] = {"type": kind, **{field.name: 1.0 for field in dataclasses.fields(cls)}}
+    load_config(write_config(tmp_path, body, name="valid.json"))  # the body before the fault loads
+    if fault == "missing":
+        del body[section][name]
+    else:
+        body[section][name] = float("nan") if fault == "nan" else "1.0"
+    assert main([str(write_config(tmp_path, body))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {section}.{name}: "), captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_small_hbar_gives_a_finite_barton_equal_to_hb(tmp_path, capsys):
+    # b^2 underflows and |I|^2 overflows; barton squares their product instead
+    body = small_benchmark(params={"mass": 1.0, "omega": 1.0, "hbar": 1e-300},
+                           profile={"type": "gaussian_pulse", "q0": 1.0, "tau": 1.0},
+                           grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 481}, routes=["barton", "hb"])
+    assert main([str(write_config(tmp_path, body))]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    row = captured.out.strip().split("\n")[1].split(",")
+    barton, hb = float(row[3]), float(row[4])
+    assert np.isfinite(barton) and barton > 0.0
+    assert barton == pytest.approx(hb, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_infinite_ladder_factor_is_exit_two_naming_params(tmp_path, capsys):
+    # 2*mass*omega = 1e-323, so b = hbar/(2*mass*omega) overflows to inf
+    body = small_benchmark(params={"mass": 5e-324, "omega": 1.0}, routes=["barton", "hb"])
+    assert main([str(write_config(tmp_path, body))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: params: b = "), captured.err

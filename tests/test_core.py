@@ -38,6 +38,20 @@ def test_params_reject_nonpositive(field, bad):
         PhysicalParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(mass=5e-324, omega=1.0),  # 2*mass*omega = 1e-323: b overflows to inf
+        dict(mass=1e-200, omega=1e-200),  # 2*mass*omega underflows to 0
+        dict(mass=1e300, omega=1e300),  # 2*mass*omega overflows to inf: b = 0
+        dict(mass=1.0, omega=1.0, hbar=5e-324),  # b = 2.5e-324 rounds to 0
+    ],
+)
+def test_params_reject_a_zero_or_infinite_ladder_factor(kwargs):
+    with pytest.raises(ValueError, match=r"b = hbar/\(2\*mass\*omega\) must be positive and finite"):
+        PhysicalParams(**kwargs)
+
+
 class TestTimeGrid:
     def test_two_point_grid_is_endpoints(self):
         np.testing.assert_array_equal(TimeGrid(0.0, 1.0, 2).times(), [0.0, 1.0])

@@ -97,6 +97,12 @@ class TestDeltaETimeDomain:
         signal = sample(SymmetricRamp(gamma=-3.0, eta=0.7), TimeGrid(-60.0, 60.0, 24001))
         assert delta_e_time_domain(signal, PARAMS) >= 0.0
 
+    def test_overflowing_product_raises_instead_of_returning_inf(self):
+        # b = 1e300 and |I| ~ 3e9: b*|I| is inf before it is squared
+        params = PhysicalParams(mass=5e-301, omega=1.0)
+        with pytest.raises(OverflowError):
+            delta_e_time_domain(gauss_signal(q0=1e10, n=481), params)
+
 
 class TestDeltaESpectral:
     def test_zero_signal(self):
