@@ -22,13 +22,14 @@ __all__ = [
     "MAX_FOCK_TRUNCATION",
 ]
 
-# Samples per block of the streamed passes over a grid (sampling and the
-# two first-order quadratures): their working set is O(BLOCK_SAMPLES)
-# beside the signal itself, whatever the grid length.
+# Samples per block of the streamed passes over a grid (sampling, the two
+# first-order quadratures and an eta scan's points): their working set is
+# O(BLOCK_SAMPLES) beside the signal, if any, whatever the grid length.
 BLOCK_SAMPLES = 1 << 16
 
-# Largest grid a scan builds or a config may declare: the signal alone
-# takes 8 bytes per sample, so this caps it at 0.8 GB.
+# Largest grid a scan builds or a config may declare: a sampled signal
+# takes 8 bytes per sample, so this caps it at 0.8 GB.  A first-order scan
+# point holds no signal, so there the cap bounds work, not memory.
 MAX_GRID_SAMPLES = 100_000_000
 
 # Largest Fock truncation N a config may declare or evolve_fock accepts.
@@ -37,6 +38,17 @@ MAX_GRID_SAMPLES = 100_000_000
 # evolve_fock now holds O((N+1)^2) numbers; the cap stays until a load-time
 # bound on the work per run (steps times per-step cost) replaces it.
 MAX_FOCK_TRUNCATION = math.isqrt(math.isqrt(8 * MAX_GRID_SAMPLES // 16)) - 1
+
+
+def _blocks(n_samples: int):
+    """(lo, hi) of the trapezoid blocks over a grid of n_samples: BLOCK_SAMPLES
+    intervals each, every block sharing its end sample with the next.
+
+    The first-order routes' bits depend on this partition, so every pass
+    that integrates a grid takes its blocks from here.
+    """
+    for lo in range(0, n_samples - 1, BLOCK_SAMPLES):
+        yield lo, min(lo + BLOCK_SAMPLES + 1, n_samples)
 
 
 def _require_integer(value, name: str, least: int) -> None:
@@ -75,6 +87,11 @@ class PhysicalParams:
             raise ValueError(
                 f"b = hbar/(2*mass*omega) must be positive and finite, got hbar={self.hbar!r}, "
                 f"mass={self.mass!r}, omega={self.omega!r}"
+            )
+        # the |00> -> |11> gap; the validity flag divides hb's dE by it
+        if not 2.0 * self.hbar * self.omega > 0.0:
+            raise ValueError(
+                f"the gap 2*hbar*omega underflows to 0, got hbar={self.hbar!r}, omega={self.omega!r}"
             )
 
 

@@ -34,6 +34,18 @@ def _require_positive(obj, *names):
             raise ValueError(f"{type(obj).__name__}.{name} must be finite and positive, got {value!r}")
 
 
+def _finite_range(values: np.ndarray):
+    """(min, max) of the samples ``values``; ValueError if any is NaN or infinite.
+
+    min and max are NaN or infinite exactly when some value is, and unlike
+    np.isfinite they make no full-length temporary.
+    """
+    q_min, q_max = values.min(), values.max()
+    if not (np.isfinite(q_min) and np.isfinite(q_max)):
+        raise ValueError("signal values must be finite")
+    return q_min, q_max
+
+
 class CouplingProfile:
     """Base class; subclasses define q(t) through ``_eval_array``."""
 
@@ -117,6 +129,13 @@ class Flyby(CouplingProfile):
             value = float(getattr(self, name))
             if np.isinf(value * value):
                 raise ValueError(f"Flyby.{name} must have a finite square, got {value!r}")
+        with np.errstate(divide="ignore", over="ignore"):  # refused below
+            peak = self._eval_array(np.zeros(1))[0]
+        if not np.isfinite(peak):
+            raise ValueError(
+                f"Flyby.d must give a finite peak coupling charge^2/d^3, got d={self.d!r} "
+                f"with charge={self.charge!r}"
+            )
 
     def _eval_array(self, t):
         with np.errstate(over="ignore"):  # a square overflowing to inf: e^2/inf = 0 exactly
@@ -140,10 +159,7 @@ class CouplingSignal(CouplingProfile):
             raise ValueError(
                 f"need exactly {self.grid.n_samples} values, got shape {values.shape}"
             )
-        # min and max are NaN or infinite exactly when some value is, and
-        # unlike np.isfinite they make no full-length temporary
-        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
-            raise ValueError("signal values must be finite")
+        _finite_range(values)
         object.__setattr__(self, "values", values)
 
     def _eval_array(self, t):

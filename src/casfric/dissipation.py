@@ -28,10 +28,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import oracle as _oracle
-from .core import BLOCK_SAMPLES, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid, ladder_factor
-from .coupling import CouplingProfile, CouplingSignal, ExponentialRamp, SymmetricRamp, sample
+from .core import BLOCK_SAMPLES, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid, _blocks, ladder_factor
+from .coupling import CouplingProfile, CouplingSignal, ExponentialRamp, SymmetricRamp, _finite_range, sample
 from .errors import NumericalFailure, TailSpanError
-from .spectral import _transform
+from .spectral import _SpectralSum, _transform
 
 __all__ = [
     "DissipationReport",
@@ -62,6 +62,51 @@ TAIL_REL_DEFAULT = 1e-10
 _SCAN_TAIL_FACTOR = 0.1
 
 
+class _TimeDomainSum:
+    """I(inf) = -(i/2 hbar) * trapezoid of q(t) e^{2 i w t}, fed one block at a time.
+
+    ``add`` takes the samples of one block of the grid's partition, in
+    order; its three one-block buffers share one allocation, made once.
+    """
+
+    def __init__(self, grid: TimeGrid, params: PhysicalParams):
+        self.grid, self.hbar = grid, params.hbar
+        self.w, self.dt = 2.0 * params.omega, grid.dt  # 2j*omega*t has imaginary part w*t, bit for bit
+        size = min(BLOCK_SAMPLES + 1, grid.n_samples)
+        # one allocation for the three buffers: freed at the end of a scan
+        # point, it lifts glibc's dynamic mmap and trim thresholds above a
+        # block's temporaries, so later blocks reuse heap pages instead of
+        # faulting in fresh ones (about 2 MB of page faults per block otherwise)
+        work = np.empty(5 * size - 2)
+        self.integrand = work[: 2 * size].view(np.complex128)
+        self.pairs = work[2 * size : 4 * size - 2].view(np.complex128)
+        self.trig = work[4 * size - 2 :]
+        self.value = 0j
+
+    def add(self, lo: int, hi: int, block: np.ndarray) -> None:
+        """Add the trapezoid over samples [lo, hi), whose values are ``block``."""
+        cos_sin, y, pair = self.trig[: hi - lo], self.integrand[: hi - lo], self.pairs[: hi - lo - 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused by total
+            phase = self.grid.times(lo, hi)
+            phase *= self.w
+            np.multiply(block, np.cos(phase, out=cos_sin), out=y.real)
+            np.multiply(block, np.sin(phase, out=cos_sin), out=y.imag)
+            del phase  # so no two blocks' times are held at once
+            np.add(y[1:], y[:-1], out=pair)
+            pair_real = pair.view(np.float64)
+            pair_real *= self.dt
+            pair_real *= 0.5
+            self.value += pair.sum()
+
+    def total(self) -> complex:
+        """I(inf); OverflowError if the sum or its scaling by -i/(2 hbar) is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum stays non-finite
+            amplitude = -0.5j / self.hbar * self.value
+        if not cmath.isfinite(amplitude):
+            raise OverflowError("the time-domain quadrature overflowed")
+        return complex(amplitude)
+
+
 def time_domain_amplitude(signal: CouplingSignal, params: PhysicalParams) -> complex:
     """I(inf) = -(i/2 hbar) * integral q(t) e^{2 i w t} dt over the grid.
 
@@ -78,33 +123,23 @@ def time_domain_amplitude(signal: CouplingSignal, params: PhysicalParams) -> com
     integrand at -w would still be its exact conjugate.  The trapezoid
     runs in place: pair sum, times dt, times 0.5 and one pairwise sum per
     block, np.trapezoid's terms and order, so a grid of one block gives
-    the bits of a single trapezoid call.  A sum that overflows raises
-    OverflowError instead of returning inf or nan.
+    the bits of a single trapezoid call.  A sum, or its scaling by
+    -i/(2 hbar), that overflows raises OverflowError instead of returning
+    inf or nan.
     """
-    grid, q = signal.grid, signal.values
-    w, dt = 2.0 * params.omega, grid.dt  # 2j*omega*t has imaginary part w*t, bit for bit
-    size = min(BLOCK_SAMPLES + 1, grid.n_samples)
-    trig = np.empty(size)
-    integrand = np.empty(size, dtype=np.complex128)
-    pairs = np.empty(size - 1, dtype=np.complex128)
-    value = 0j
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
-        for lo in range(0, grid.n_samples - 1, BLOCK_SAMPLES):
-            hi = min(lo + BLOCK_SAMPLES + 1, grid.n_samples)
-            block, cos_sin, y, pair = q[lo:hi], trig[: hi - lo], integrand[: hi - lo], pairs[: hi - lo - 1]
-            phase = grid.times(lo, hi)
-            phase *= w
-            np.multiply(block, np.cos(phase, out=cos_sin), out=y.real)
-            np.multiply(block, np.sin(phase, out=cos_sin), out=y.imag)
-            del phase  # so no two blocks' times are held at once
-            np.add(y[1:], y[:-1], out=pair)
-            pair_real = pair.view(np.float64)
-            pair_real *= dt
-            pair_real *= 0.5
-            value += pair.sum()
-    if not cmath.isfinite(value):
-        raise OverflowError("the time-domain quadrature overflowed")
-    return complex(-0.5j / params.hbar * value)
+    q = signal.values
+    amplitude = _TimeDomainSum(signal.grid, params)
+    for lo, hi in _blocks(signal.grid.n_samples):
+        amplitude.add(lo, hi, q[lo:hi])
+    return amplitude.total()
+
+
+def _delta_e_barton(amplitude: complex, params: PhysicalParams) -> float:
+    """dE = 8 hbar w (b |I(inf)|)^2 from the time-domain amplitude I(inf)."""
+    delta_e = 8.0 * params.hbar * params.omega * (ladder_factor(params) * abs(amplitude)) ** 2
+    if not math.isfinite(delta_e):
+        raise OverflowError("the time-domain dE overflowed")
+    return delta_e
 
 
 def delta_e_time_domain(signal: CouplingSignal, params: PhysicalParams) -> float:
@@ -114,12 +149,7 @@ def delta_e_time_domain(signal: CouplingSignal, params: PhysicalParams) -> float
     while |I|^2, which goes as 1/hbar^2, overflows.  A dE that still
     overflows raises OverflowError.
     """
-    b = ladder_factor(params)
-    amp = time_domain_amplitude(signal, params)
-    delta_e = 8.0 * params.hbar * params.omega * (b * abs(amp)) ** 2
-    if not math.isfinite(delta_e):
-        raise OverflowError("the time-domain dE overflowed")
-    return delta_e
+    return _delta_e_barton(time_domain_amplitude(signal, params), params)
 
 
 def delta_e_spectral(source, params: PhysicalParams) -> float:
@@ -132,7 +162,11 @@ def delta_e_spectral(source, params: PhysicalParams) -> float:
     profile (analytic transform).  Computed through the spectral module,
     never through the time-domain amplitude.
     """
-    qhat = _transform(source, -2.0 * params.omega)
+    return _delta_e_hb(_transform(source, -2.0 * params.omega), params)
+
+
+def _delta_e_hb(qhat: complex, params: PhysicalParams) -> float:
+    """dE = (2 hbar w) |b_1100|^2 from qhat(-2w)."""
     b_1100 = (-1.0 / (1j * params.hbar)) * -ladder_factor(params) * qhat
     return 2.0 * params.hbar * params.omega * abs(b_1100) ** 2
 
@@ -172,11 +206,19 @@ def _relative_spread(values: Sequence[float]) -> float:
     return spread
 
 
-def tails_resolved(signal: CouplingSignal, tail_rel: float) -> bool:
-    """True when |q| at both grid endpoints is below tail_rel * max|q|."""
-    q = signal.values
-    threshold = tail_rel * max(q.max(), -q.min())
-    return bool(abs(q[0]) <= threshold and abs(q[-1]) <= threshold)
+def _tails_resolved(first, last, q_min, q_max, tail_rel: float) -> bool:
+    """True when |q| at both grid endpoints, first and last, is below
+    tail_rel * max|q|, from the signal's min and max."""
+    threshold = tail_rel * max(q_max, -q_min)
+    return bool(abs(first) <= threshold and abs(last) <= threshold)
+
+
+def _check_routes(routes: Sequence[str]) -> None:
+    unknown = [r for r in routes if r not in ROUTES]
+    if unknown:
+        raise ValueError(f"unknown routes {unknown}; valid tokens are {list(ROUTES)}")
+    if not routes:
+        raise ValueError("at least one route must be selected")
 
 
 @contextmanager
@@ -207,18 +249,19 @@ def compare_routes(
     (the incoming or outgoing state is not free).  A float overflow inside
     a route is raised as a NumericalFailure naming it.
     """
-    unknown = [r for r in routes if r not in ROUTES]
-    if unknown:
-        raise ValueError(f"unknown routes {unknown}; valid tokens are {list(ROUTES)}")
-    if not routes:
-        raise ValueError("at least one route must be selected")
-
+    _check_routes(routes)
     with _overflow_fails("barton"):
         de_time = delta_e_time_domain(signal, params) if "barton" in routes else None
     with _overflow_fails("hb"):
         de_hb = delta_e_spectral(signal, params)
-    de_spec = de_hb if "hb" in routes else None
+    de_mode, de_fock = _oracles(signal, params, routes, fock_truncation, fock_substeps, mode_substeps)
+    q = signal.values
+    return _report(params, signal.grid, routes, de_time, de_hb, de_mode, de_fock,
+                   tail_warning=not _tails_resolved(q[0], q[-1], q.min(), q.max(), tail_rel))
 
+
+def _oracles(signal, params, routes, fock_truncation, fock_substeps, mode_substeps):
+    """dE of the mode and Fock oracles, None for one not in ``routes``."""
     de_mode = None
     if "mode_oracle" in routes:
         with _overflow_fails("mode_oracle"):
@@ -231,9 +274,13 @@ def compare_routes(
         with _overflow_fails("fock_oracle"):
             state = _oracle.evolve_fock(signal, params, fock_truncation, fock_substeps)
             de_fock = _oracle.delta_e_fock(state, params)
+    return de_mode, de_fock
 
+
+def _report(params, grid, routes, de_time, de_hb, de_mode, de_fock, tail_warning) -> DissipationReport:
+    """The report of one signal's routes; hb's dE, always computed, sets the validity flag."""
+    de_spec = de_hb if "hb" in routes else None
     b_1100_probability = de_hb / (2.0 * params.hbar * params.omega)
-
     populated = [v for v in (de_time, de_spec, de_mode, de_fock) if v is not None]
     return DissipationReport(
         delta_e_time_domain=de_time,
@@ -242,8 +289,8 @@ def compare_routes(
         delta_e_fock_oracle=de_fock,
         relative_spread=_relative_spread(populated),
         validity_flag=b_1100_probability > STRAINED_PROBABILITY,
-        grid=signal.grid,
-        tail_warning=not tails_resolved(signal, tail_rel),
+        grid=grid,
+        tail_warning=tail_warning,
     )
 
 
@@ -297,6 +344,56 @@ def _ramp_grid(profile, eta: float, dt: float, tail_rel: float) -> TimeGrid:
     return TimeGrid(t_start, span, n)
 
 
+def _scan_point(
+    profile: CouplingProfile,
+    grid: TimeGrid,
+    params: PhysicalParams,
+    routes: Sequence[str],
+    tail_rel: float,
+    fock_truncation: int = 10,
+    fock_substeps: int = 4,
+    mode_substeps: int = 1,
+) -> DissipationReport:
+    """compare_routes(sample(profile, grid), ...), bit for bit, for one scan point.
+
+    One pass evaluates the profile block by block and feeds each block to
+    hb's transform and, if selected, barton's amplitude, so the first-order
+    routes never hold more than a block of samples.  The pass refuses a
+    non-finite block as sample does, and an unresolved tail before any
+    route's total is read.  Oracle routes run on the sampled signal after.
+    """
+    transform = _SpectralSum(grid, -2.0 * params.omega)  # always: it sets the validity flag
+    amplitude = _TimeDomainSum(grid, params) if "barton" in routes else None
+    q_min, q_max = math.inf, -math.inf
+    for lo, hi in _blocks(grid.n_samples):
+        block = profile.evaluate(grid.times(lo, hi))
+        block_min, block_max = _finite_range(block)
+        q_min, q_max = min(q_min, block_min), max(q_max, block_max)
+        if lo == 0:
+            first = block[0]
+        last = block[-1]
+        transform.add(lo, hi, block)
+        if amplitude is not None:
+            amplitude.add(lo, hi, block)
+        del block  # so no two blocks' samples are held at once
+    if not _tails_resolved(first, last, q_min, q_max, tail_rel):
+        raise TailSpanError(
+            f"grid span insufficient for eta={profile.eta:g}: coupling tails above {tail_rel:g} of peak"
+        )
+
+    with _overflow_fails("barton"):
+        de_time = None if amplitude is None else _delta_e_barton(amplitude.total(), params)
+    with _overflow_fails("hb"):
+        de_hb = _delta_e_hb(transform.total(), params)
+    de_mode = de_fock = None
+    if "mode_oracle" in routes or "fock_oracle" in routes:
+        de_mode, de_fock = _oracles(
+            sample(profile, grid), params, routes, fock_truncation, fock_substeps, mode_substeps
+        )
+    # the tails were resolved at tail_rel above, so no report of a scan is flagged
+    return _report(params, grid, routes, de_time, de_hb, de_mode, de_fock, tail_warning=False)
+
+
 @dataclass(frozen=True, eq=False)
 class AdiabaticScanResult:
     """dE(eta) over a switching-rate scan, with log-log slope fits.
@@ -331,8 +428,12 @@ def adiabatic_scan(
     per scan point; each point gets its own grid, widened as 1/eta so the
     ramp tails decay below ``tail_rel`` of the peak coupling.  ``dt``
     defaults to 32 samples per cycle of the 2*omega transition line.
-    Every grid is sized before any is sampled, so a scan point above
-    MAX_GRID_SAMPLES is refused before the scan runs.
+    Every grid is sized before any point runs, so a scan point above
+    MAX_GRID_SAMPLES is refused before the scan runs.  Each point's
+    reports are those of compare_routes on the sampled grid, bit for bit,
+    but its first-order routes take the samples one block at a time as
+    they are evaluated, so they hold O(BLOCK_SAMPLES) whatever eta; only
+    an oracle route samples the whole grid.
     """
     if not isinstance(family, (SymmetricRamp, ExponentialRamp)):
         raise TypeError(f"adiabatic scans take a ramp family, got {type(family).__name__}")
@@ -345,17 +446,14 @@ def adiabatic_scan(
     elif not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
 
+    _check_routes(routes)
+
     profiles = [replace(family, eta=float(eta)) for eta in etas]
     grids = [_ramp_grid(profile, profile.eta, dt, tail_rel) for profile in profiles]
-    reports = []
-    for profile, grid in zip(profiles, grids):
-        signal = sample(profile, grid)
-        if not tails_resolved(signal, tail_rel):
-            raise TailSpanError(
-                f"grid span insufficient for eta={profile.eta:g}: coupling tails above {tail_rel:g} of peak"
-            )
-        reports.append(compare_routes(signal, params, routes=routes, tail_rel=tail_rel, **route_options))
-        del signal  # so no two points' samples are held at once
+    reports = [
+        _scan_point(profile, grid, params, routes, tail_rel, **route_options)
+        for profile, grid in zip(profiles, grids)
+    ]
 
     def pick(report: DissipationReport) -> float:
         populated = report.populated()

@@ -152,19 +152,22 @@ def evolve_mode(
     # tree as one fold over every step, so the same bits
     starts = range(0, n_steps, _CHUNK_STEPS)
     chunk_products = np.empty((len(starts), 2, 2))
-    for k, lo in enumerate(starts):
-        q_nodes, q_mid = _substep_coupling(signal, h, lo, min(lo + _CHUNK_STEPS, n_steps))
-        w2_nodes = w**2 + mode_sign * q_nodes / params.mass
-        w2_mid = w**2 + mode_sign * q_mid / params.mass
-        if np.min(w2_nodes) <= 0.0 or np.min(w2_mid) <= 0.0:
-            q = signal.values
-            raise InvertedModeError(
-                f"Omega^2 <= 0 for mode {mode_sign:+d}: max|q| = {max(q.max(), -q.min()):g} "
-                f"reaches m*w^2 = {params.mass * w**2:g}"
-            )
-        steps = _rk4_transfer_matrices(w2_nodes[:-1], w2_mid, w2_nodes[1:], h)
-        chunk_products[k] = _ordered_product(steps)
-    propagator = _ordered_product(chunk_products)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite propagator is refused below
+        for k, lo in enumerate(starts):
+            q_nodes, q_mid = _substep_coupling(signal, h, lo, min(lo + _CHUNK_STEPS, n_steps))
+            w2_nodes = w**2 + mode_sign * q_nodes / params.mass
+            w2_mid = w**2 + mode_sign * q_mid / params.mass
+            if np.min(w2_nodes) <= 0.0 or np.min(w2_mid) <= 0.0:
+                q = signal.values
+                raise InvertedModeError(
+                    f"Omega^2 <= 0 for mode {mode_sign:+d}: max|q| = {max(q.max(), -q.min()):g} "
+                    f"reaches m*w^2 = {params.mass * w**2:g}"
+                )
+            steps = _rk4_transfer_matrices(w2_nodes[:-1], w2_mid, w2_nodes[1:], h)
+            chunk_products[k] = _ordered_product(steps)
+        propagator = _ordered_product(chunk_products)
+    if not np.isfinite(propagator).all():
+        raise OverflowError("the mode propagator overflowed")
 
     t0, t1 = signal.grid.t_start, signal.grid.t_end
     f0 = np.exp(-1j * w * t0)

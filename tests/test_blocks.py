@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 
 from casfric import (
     CouplingSignal,
+    NumericalFailure,
     ExponentialRamp,
     GaussianPulse,
     PhysicalParams,
     SymmetricRamp,
     TimeGrid,
+    TailSpanError,
     adiabatic_scan,
+    compare_routes,
     sample,
 )
 from casfric.core import BLOCK_SAMPLES
-from casfric.dissipation import time_domain_amplitude
+from casfric.dissipation import _SCAN_TAIL_FACTOR, _ramp_grid, ramp_tail_span, time_domain_amplitude
 from casfric.spectral import fourier_numeric
 
 PARAMS = PhysicalParams(mass=1.0, omega=1.0)
@@ -216,3 +219,96 @@ class TestWorkingSet:
         for n in (2 * (1 << 20) + 1, 4 * (1 << 20) + 1):
             grid = TimeGrid(-4000.0, 4000.0, n)
             assert traced_peak(sample, profile, grid) - 8 * n < 128 * BLOCK_SAMPLES
+
+
+FAMILIES = [SymmetricRamp(gamma=1.0, eta=1.0), ExponentialRamp(gamma=1.0, eta=1.0)]
+FIRST_ORDER_ROUTES = [("hb",), ("barton",), ("barton", "hb")]
+
+
+def sampled_scan_reports(family, etas, params, routes, dt=None, tail_rel=1e-12, **route_options):
+    """What an eta scan's reports were: sample each point's grid, then compare_routes."""
+    dt = np.pi / (32.0 * params.omega) if dt is None else dt
+    reports = []
+    for eta in etas:
+        profile = type(family)(gamma=family.gamma, eta=eta)
+        signal = sample(profile, _ramp_grid(profile, eta, dt, tail_rel))
+        reports.append(compare_routes(signal, params, routes=routes, tail_rel=tail_rel, **route_options))
+    return reports
+
+
+def two_block_dt(family, eta, tail_rel=1e-12):
+    """A dt that gives the scan point a grid of BLOCK_SAMPLES + 2 samples:
+    two blocks, the second of one interval."""
+    span = ramp_tail_span(eta, _SCAN_TAIL_FACTOR * tail_rel)
+    length = 2.0 * span if isinstance(family, SymmetricRamp) else span
+    return length / (BLOCK_SAMPLES + 0.5)
+
+
+class TestStreamedScan:
+    """A first-order scan point evaluates its profile one block at a time
+    and feeds each block to the routes: every report is == to the one of
+    sampling the whole grid and running compare_routes on it."""
+
+    @pytest.mark.parametrize("routes", FIRST_ORDER_ROUTES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_reports_equal_sampling_then_comparing(self, family, routes):
+        etas = [0.05, 5e-3]  # 5e-3 needs more than one block on either ramp
+        scan = adiabatic_scan(family, etas, PARAMS, routes=routes)
+        assert scan.reports[-1].grid.n_samples > BLOCK_SAMPLES + 1
+        assert list(scan.reports) == sampled_scan_reports(family, etas, PARAMS, routes)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_last_block_of_one_interval(self, family):
+        dt = two_block_dt(family, 0.01)
+        scan = adiabatic_scan(family, [0.01], PARAMS, routes=("barton", "hb"), dt=dt)
+        assert scan.reports[0].grid.n_samples == BLOCK_SAMPLES + 2
+        assert list(scan.reports) == sampled_scan_reports(family, [0.01], PARAMS, ("barton", "hb"), dt=dt)
+
+    def test_mode_oracle_scan_equals_sampling_then_comparing(self):
+        family = SymmetricRamp(gamma=0.05, eta=1.0)
+        routes = ("hb", "mode_oracle")
+        scan = adiabatic_scan(family, [0.5, 0.2], PARAMS, routes=routes, mode_substeps=2)
+        want = sampled_scan_reports(family, [0.5, 0.2], PARAMS, routes, mode_substeps=2)
+        assert list(scan.reports) == want
+        assert all(report.delta_e_mode_oracle is not None for report in scan.reports)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_peak_memory_does_not_grow_with_the_grid(self, family):
+        def scan(eta):
+            return adiabatic_scan(family, [eta], PARAMS, routes=("barton", "hb"))
+
+        # 4x the samples: a whole sampled signal would raise the peak by 4-9 MB
+        peak_short, peak_long = traced_peak(scan, 2e-3), traced_peak(scan, 5e-4)
+        assert peak_long <= peak_short + 4096
+
+    def test_unresolved_tails_are_refused_before_a_route_overflows(self):
+        # two samples at +-span: the tails are the peak, and barton's
+        # -i/(2 hbar) scaling of the finite sum would overflow
+        family = SymmetricRamp(gamma=1e300, eta=1.0)
+        params = PhysicalParams(mass=1.0, omega=1.0, hbar=1e-30)
+        grid = _ramp_grid(SymmetricRamp(gamma=1e300, eta=0.1), 0.1, 1e4, 1e-12)
+        with pytest.raises(NumericalFailure, match="barton: float overflow"):
+            compare_routes(sample(SymmetricRamp(gamma=1e300, eta=0.1), grid), params, routes=("barton",))
+        with pytest.raises(TailSpanError) as caught:
+            adiabatic_scan(family, [0.1], params, routes=("barton",), dt=1e4)
+        assert str(caught.value) == "grid span insufficient for eta=0.1: coupling tails above 1e-12 of peak"
+
+    def test_a_grid_over_the_budget_is_refused_before_any_point_is_evaluated(self, monkeypatch):
+        def no_evaluation(self, t):
+            raise AssertionError("a scan point was evaluated")
+
+        monkeypatch.setattr(ExponentialRamp, "_eval_array", no_evaluation)
+        with pytest.raises(ValueError, match=r"eta=1e-06 needs a grid of \d+ samples"):
+            adiabatic_scan(ExponentialRamp(gamma=1.0, eta=1.0), [0.01, 1e-6], PARAMS, routes=("hb",))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("dt", [None, 1e4])
+    def test_a_non_finite_sample_is_refused_as_sampling_refuses_it(self, dt):
+        # gamma*t overflows to inf; refused before the tail test
+        family = SymmetricRamp(gamma=1e308, eta=1.0)
+        with pytest.raises(ValueError) as sampled:
+            sample(SymmetricRamp(gamma=1e308, eta=0.1), _ramp_grid(family, 0.1, dt or np.pi / 32.0, 1e-12))
+        with pytest.raises(ValueError) as scanned:
+            adiabatic_scan(family, [0.1], PARAMS, routes=("hb",), dt=dt)
+        assert type(scanned.value) is type(sampled.value) is ValueError
+        assert str(scanned.value) == str(sampled.value) == "signal values must be finite"

@@ -602,3 +602,58 @@ def test_infinite_ladder_factor_is_exit_two_naming_params(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: params: b = "), captured.err
+
+
+class TestExtremeParamsEndCleanly:
+    """Configs whose floats overflow or underflow end in exit 2 or 3 with
+    one line on stderr: no traceback and no numpy warning."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_barton_scaling_overflow_is_exit_three(self, tmp_path, capsys):
+        # the trapezoid is finite; -i/(2 hbar) times it overflows
+        body = small_benchmark(params={"mass": 1.0, "omega": 1.0e-20, "hbar": 8.7e-299},
+                               profile={"type": "exponential_ramp", "gamma": 1.16e115, "eta": 1.0},
+                               grid={"t_start": 0.0, "t_end": 40.0, "n_samples": 241}, routes=["barton"])
+        assert main([str(write_config(tmp_path, body))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: barton: float overflow\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "params, profile, routes",
+        [
+            ({"mass": 1.0, "omega": 1.85e-219, "hbar": 4.49e-252},
+             {"type": "flyby", "charge": 1e-150, "d": 1.0, "v": 1.0}, ["fock_oracle"]),
+            ({"mass": 1.0, "omega": 3.0e-81, "hbar": 8.7e-299},
+             {"type": "exponential_ramp", "gamma": 1.16e115, "eta": 1.0}, ["barton"]),
+        ],
+    )
+    def test_underflowing_gap_is_exit_two_naming_params(self, tmp_path, capsys, params, profile, routes):
+        body = small_benchmark(params=params, profile=profile, routes=routes,
+                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 241})
+        assert main([str(write_config(tmp_path, body))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith("error: params: the gap 2*hbar*omega underflows to 0"), captured.err
+
+    @pytest.mark.filterwarnings("error")
+    def test_flyby_with_an_infinite_peak_is_exit_two_naming_d(self, tmp_path, capsys):
+        # d**2 underflows to 0, so q(0) = charge^2/0
+        body = small_benchmark(profile={"type": "flyby", "charge": 1.0, "d": 2.1e-262, "v": 1.0},
+                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 241}, routes=["hb"])
+        assert main([str(write_config(tmp_path, body))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: profile: Flyby.d "), captured.err
+
+    @pytest.mark.filterwarnings("error")
+    def test_mode_oracle_overflow_is_exit_three(self, tmp_path, capsys):
+        body = small_benchmark(params={"mass": 1.0, "omega": 3.23e48},
+                               profile={"type": "gaussian_pulse", "q0": 1.92, "tau": 0.376},
+                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 241}, routes=["mode_oracle"])
+        assert main([str(write_config(tmp_path, body))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: mode_oracle: float overflow\n"
