@@ -49,13 +49,21 @@ def _finite_range(values: np.ndarray):
 class CouplingProfile:
     """Base class; subclasses define q(t) through ``_eval_array``."""
 
-    def _eval_array(self, t: np.ndarray) -> np.ndarray:
+    def _eval_array(self, t: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write q(t) into ``out``; ``scratch`` is a work buffer of t's shape.
+
+        Both buffers are the caller's and neither shares memory with t, which
+        is only read.  This is the profile's one formula: evaluate, sample
+        and an eta scan's points all go through it.
+        """
         raise NotImplementedError
 
     def evaluate(self, t):
         """q(t) for a scalar or array argument, matching the input shape."""
         arr = np.asarray(t, dtype=float)
-        out = self._eval_array(np.atleast_1d(arr))
+        times = np.atleast_1d(arr)
+        out = np.empty_like(times)
+        self._eval_array(times, out, np.empty_like(times))
         return float(out[0]) if arr.ndim == 0 else out
 
 
@@ -73,12 +81,14 @@ class ExponentialRamp(CouplingProfile):
     def __post_init__(self):
         _require_positive(self, "eta")
 
-    def _eval_array(self, t):
-        out = np.zeros_like(t)
+    def _eval_array(self, t, out, scratch):
+        # (gamma*t) * exp((-eta)*t) where t > 0, +0.0 elsewhere (a NaN time too)
         pos = t > 0.0
-        tp = t[pos]
-        out[pos] = self.gamma * tp * np.exp(-self.eta * tp)
-        return out
+        out.fill(0.0)
+        np.multiply(t, -self.eta, out=scratch, where=pos)
+        np.exp(scratch, out=scratch, where=pos)
+        np.multiply(t, self.gamma, out=out, where=pos)
+        np.multiply(out, scratch, out=out, where=pos)
 
 
 @dataclass(frozen=True)
@@ -91,8 +101,13 @@ class SymmetricRamp(CouplingProfile):
     def __post_init__(self):
         _require_positive(self, "eta")
 
-    def _eval_array(self, t):
-        return self.gamma * t * np.exp(-self.eta * np.abs(t))
+    def _eval_array(self, t, out, scratch):
+        # (gamma*t) * exp((-eta)*|t|)
+        np.abs(t, out=scratch)
+        scratch *= -self.eta
+        np.exp(scratch, out=scratch)
+        np.multiply(t, self.gamma, out=out)
+        out *= scratch
 
 
 @dataclass(frozen=True)
@@ -105,9 +120,14 @@ class GaussianPulse(CouplingProfile):
     def __post_init__(self):
         _require_positive(self, "tau")
 
-    def _eval_array(self, t):
+    def _eval_array(self, t, out, scratch):
+        # q0 * exp(-((t/tau)**2))
         with np.errstate(over="ignore"):  # a square overflowing to inf: exp(-inf) = 0 exactly
-            return self.q0 * np.exp(-((t / self.tau) ** 2))
+            np.divide(t, self.tau, out=out)
+            np.square(out, out=out)
+            np.negative(out, out=out)
+            np.exp(out, out=out)
+            out *= self.q0
 
 
 @dataclass(frozen=True)
@@ -130,16 +150,21 @@ class Flyby(CouplingProfile):
             if np.isinf(value * value):
                 raise ValueError(f"Flyby.{name} must have a finite square, got {value!r}")
         with np.errstate(divide="ignore", over="ignore"):  # refused below
-            peak = self._eval_array(np.zeros(1))[0]
+            peak = self.evaluate(0.0)
         if not np.isfinite(peak):
             raise ValueError(
                 f"Flyby.d must give a finite peak coupling charge^2/d^3, got d={self.d!r} "
                 f"with charge={self.charge!r}"
             )
 
-    def _eval_array(self, t):
+    def _eval_array(self, t, out, scratch):
+        # charge**2 / (d**2 + (v*t)**2) ** 1.5, with charge**2 and d**2 Python floats
         with np.errstate(over="ignore"):  # a square overflowing to inf: e^2/inf = 0 exactly
-            return self.charge**2 / (self.d**2 + (self.v * t) ** 2) ** 1.5
+            np.multiply(t, self.v, out=out)
+            np.square(out, out=out)
+            out += self.d**2
+            np.power(out, 1.5, out=out)
+            np.divide(self.charge**2, out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,15 +187,15 @@ class CouplingSignal(CouplingProfile):
         _finite_range(values)
         object.__setattr__(self, "values", values)
 
-    def _eval_array(self, t):
+    def _eval_array(self, t, out, scratch):
         grid = self.grid
         if not t.size:
-            return np.empty(0)
+            return
         t_min, t_max = t.min(), t.max()
         # a NaN time compares false and is refused with the rest
         if not (grid.t_start <= t_min and t_max <= grid.t_end):
             raise ValueError(f"query outside the sampled span [{grid.t_start}, {grid.t_end}]")
-        return self._interpolate(t, t_min, t_max)
+        out[...] = self._interpolate(t, t_min, t_max)
 
     def _interpolate(self, t: np.ndarray, t_min: float, t_max: float) -> np.ndarray:
         """np.interp of the signal at times t in [t_min, t_max], bit for bit,
@@ -197,15 +222,16 @@ def coupling_from_separation(e: float, s: float) -> float:
 def sample(profile: CouplingProfile, grid: TimeGrid) -> CouplingSignal:
     """Evaluate ``profile`` on every grid time.
 
-    The profile is evaluated one block of times at a time into the signal
-    array, so no other full-length array is made; every profile is
-    elementwise, so the values equal a single full-grid evaluation bit
-    for bit.
+    The profile's formula writes one block of times at a time straight
+    into the signal array, with one block of scratch, so no other
+    full-length array is made; every profile is elementwise, so the values
+    equal a single full-grid evaluation bit for bit.
     """
     values = np.empty(grid.n_samples)
+    scratch = np.empty(min(BLOCK_SAMPLES, grid.n_samples))
     for lo in range(0, grid.n_samples, BLOCK_SAMPLES):
         hi = min(lo + BLOCK_SAMPLES, grid.n_samples)
-        values[lo:hi] = profile.evaluate(grid.times(lo, hi))
+        profile._eval_array(grid.times(lo, hi), values[lo:hi], scratch[: hi - lo])
     return CouplingSignal(grid, values)
 
 

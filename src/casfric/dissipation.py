@@ -65,33 +65,36 @@ _SCAN_TAIL_FACTOR = 0.1
 class _TimeDomainSum:
     """I(inf) = -(i/2 hbar) * trapezoid of q(t) e^{2 i w t}, fed one block at a time.
 
-    ``add`` takes the samples of one block of the grid's partition, in
-    order; its three one-block buffers share one allocation, made once.
+    Its three buffers hold blocks of up to ``size`` samples and share one
+    allocation, made once.  ``reset`` starts the amplitude over a grid, so
+    one instance serves every grid of an eta scan; ``add`` then takes the
+    times and samples of each block of the grid's partition, in order.
     """
 
-    def __init__(self, grid: TimeGrid, params: PhysicalParams):
-        self.grid, self.hbar = grid, params.hbar
-        self.w, self.dt = 2.0 * params.omega, grid.dt  # 2j*omega*t has imaginary part w*t, bit for bit
-        size = min(BLOCK_SAMPLES + 1, grid.n_samples)
-        # one allocation for the three buffers: freed at the end of a scan
-        # point, it lifts glibc's dynamic mmap and trim thresholds above a
-        # block's temporaries, so later blocks reuse heap pages instead of
-        # faulting in fresh ones (about 2 MB of page faults per block otherwise)
+    def __init__(self, params: PhysicalParams, size: int):
+        self.hbar = params.hbar
+        self.w = 2.0 * params.omega  # 2j*omega*t has imaginary part w*t, bit for bit
         work = np.empty(5 * size - 2)
         self.integrand = work[: 2 * size].view(np.complex128)
         self.pairs = work[2 * size : 4 * size - 2].view(np.complex128)
         self.trig = work[4 * size - 2 :]
-        self.value = 0j
 
-    def add(self, lo: int, hi: int, block: np.ndarray) -> None:
-        """Add the trapezoid over samples [lo, hi), whose values are ``block``."""
-        cos_sin, y, pair = self.trig[: hi - lo], self.integrand[: hi - lo], self.pairs[: hi - lo - 1]
+    def reset(self, grid: TimeGrid) -> None:
+        """Start a new amplitude over ``grid``."""
+        self.dt, self.value = grid.dt, 0j
+
+    def add(self, times: np.ndarray, block: np.ndarray) -> None:
+        """Add the trapezoid over one block: sample times ``times``, values ``block``.
+
+        Both arrays are only read.
+        """
+        n = len(block)
+        cos_sin, y, pair = self.trig[:n], self.integrand[:n], self.pairs[: n - 1]
+        phase = self.pairs.view(np.float64)[:n]  # the pair buffer is free until the pairs are summed
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused by total
-            phase = self.grid.times(lo, hi)
-            phase *= self.w
+            np.multiply(times, self.w, out=phase)
             np.multiply(block, np.cos(phase, out=cos_sin), out=y.real)
             np.multiply(block, np.sin(phase, out=cos_sin), out=y.imag)
-            del phase  # so no two blocks' times are held at once
             np.add(y[1:], y[:-1], out=pair)
             pair_real = pair.view(np.float64)
             pair_real *= self.dt
@@ -127,10 +130,11 @@ def time_domain_amplitude(signal: CouplingSignal, params: PhysicalParams) -> com
     -i/(2 hbar), that overflows raises OverflowError instead of returning
     inf or nan.
     """
-    q = signal.values
-    amplitude = _TimeDomainSum(signal.grid, params)
-    for lo, hi in _blocks(signal.grid.n_samples):
-        amplitude.add(lo, hi, q[lo:hi])
+    grid, q = signal.grid, signal.values
+    amplitude = _TimeDomainSum(params, min(BLOCK_SAMPLES + 1, grid.n_samples))
+    amplitude.reset(grid)
+    for lo, hi in _blocks(grid.n_samples):
+        amplitude.add(grid.times(lo, hi), q[lo:hi])
     return amplitude.total()
 
 
@@ -344,38 +348,55 @@ def _ramp_grid(profile, eta: float, dt: float, tail_rel: float) -> TimeGrid:
     return TimeGrid(t_start, span, n)
 
 
+class _ScanBuffers:
+    """Every block buffer of an eta scan's first-order pass, for blocks of up
+    to ``size`` samples: hb's transform, barton's amplitude if selected, and
+    the profile's values and scratch.  Allocated once per scan; each point
+    resets them."""
+
+    def __init__(self, params: PhysicalParams, routes: Sequence[str], size: int):
+        self.transform = _SpectralSum(-2.0 * params.omega, size)  # always: it sets the validity flag
+        self.amplitude = _TimeDomainSum(params, size) if "barton" in routes else None
+        self.values, self.scratch = np.empty(size), np.empty(size)
+
+
 def _scan_point(
     profile: CouplingProfile,
     grid: TimeGrid,
     params: PhysicalParams,
     routes: Sequence[str],
     tail_rel: float,
+    buffers: _ScanBuffers,
     fock_truncation: int = 10,
     fock_substeps: int = 4,
     mode_substeps: int = 1,
 ) -> DissipationReport:
     """compare_routes(sample(profile, grid), ...), bit for bit, for one scan point.
 
-    One pass evaluates the profile block by block and feeds each block to
-    hb's transform and, if selected, barton's amplitude, so the first-order
-    routes never hold more than a block of samples.  The pass refuses a
+    One pass takes each block's times from one grid.times call, evaluates
+    the profile into ``buffers.values`` and feeds the block to hb's
+    transform and, if selected, barton's amplitude, so the first-order
+    routes allocate no block buffer of their own.  The pass refuses a
     non-finite block as sample does, and an unresolved tail before any
     route's total is read.  Oracle routes run on the sampled signal after.
     """
-    transform = _SpectralSum(grid, -2.0 * params.omega)  # always: it sets the validity flag
-    amplitude = _TimeDomainSum(grid, params) if "barton" in routes else None
+    transform, amplitude = buffers.transform, buffers.amplitude
+    transform.reset(grid)
+    if amplitude is not None:
+        amplitude.reset(grid)
     q_min, q_max = math.inf, -math.inf
     for lo, hi in _blocks(grid.n_samples):
-        block = profile.evaluate(grid.times(lo, hi))
+        times, block = grid.times(lo, hi), buffers.values[: hi - lo]
+        profile._eval_array(times, block, buffers.scratch[: hi - lo])
         block_min, block_max = _finite_range(block)
         q_min, q_max = min(q_min, block_min), max(q_max, block_max)
         if lo == 0:
             first = block[0]
         last = block[-1]
-        transform.add(lo, hi, block)
+        transform.add(times, block)
         if amplitude is not None:
-            amplitude.add(lo, hi, block)
-        del block  # so no two blocks' samples are held at once
+            amplitude.add(times, block)
+        del times  # so no two blocks' times are held at once
     if not _tails_resolved(first, last, q_min, q_max, tail_rel):
         raise TailSpanError(
             f"grid span insufficient for eta={profile.eta:g}: coupling tails above {tail_rel:g} of peak"
@@ -432,8 +453,9 @@ def adiabatic_scan(
     MAX_GRID_SAMPLES is refused before the scan runs.  Each point's
     reports are those of compare_routes on the sampled grid, bit for bit,
     but its first-order routes take the samples one block at a time as
-    they are evaluated, so they hold O(BLOCK_SAMPLES) whatever eta; only
-    an oracle route samples the whole grid.
+    they are evaluated, into block buffers allocated once for the whole
+    scan, so they hold O(BLOCK_SAMPLES) whatever eta; only an oracle route
+    samples the whole grid.
     """
     if not isinstance(family, (SymmetricRamp, ExponentialRamp)):
         raise TypeError(f"adiabatic scans take a ramp family, got {type(family).__name__}")
@@ -450,8 +472,9 @@ def adiabatic_scan(
 
     profiles = [replace(family, eta=float(eta)) for eta in etas]
     grids = [_ramp_grid(profile, profile.eta, dt, tail_rel) for profile in profiles]
+    buffers = _ScanBuffers(params, routes, min(BLOCK_SAMPLES + 1, max(grid.n_samples for grid in grids)))
     reports = [
-        _scan_point(profile, grid, params, routes, tail_rel, **route_options)
+        _scan_point(profile, grid, params, routes, tail_rel, buffers, **route_options)
         for profile, grid in zip(profiles, grids)
     ]
 

@@ -34,33 +34,35 @@ __all__ = ["fourier_numeric", "fourier_analytic"]
 class _SpectralSum:
     """Trapezoid of q(t) exp(-i*omega*t) over a grid, fed one block at a time.
 
-    ``add`` takes the samples of one block of the grid's partition, in
-    order; its three one-block buffers share one allocation, made once.
+    Its three buffers hold blocks of up to ``size`` samples and share one
+    allocation, made once.  ``reset`` starts the transform over a grid, so
+    one instance serves every grid of an eta scan; ``add`` then takes the
+    times and samples of each block of the grid's partition, in order.
     """
 
-    def __init__(self, grid: TimeGrid, omega: float):
-        self.grid = grid
-        self.w, self.dt = -omega, grid.dt  # -1j*omega*t has imaginary part w*t, bit for bit
-        size = min(BLOCK_SAMPLES + 1, grid.n_samples)
-        # one allocation for the three buffers: freed at the end of a scan
-        # point, it lifts glibc's dynamic mmap and trim thresholds above a
-        # block's temporaries, so later blocks reuse heap pages instead of
-        # faulting in fresh ones (about 2 MB of page faults per block otherwise)
+    def __init__(self, omega: float, size: int):
+        self.w = -omega  # -1j*omega*t has imaginary part w*t, bit for bit
         work = np.empty(5 * size - 2)
         self.integrand = work[: 2 * size].view(np.complex128)
         self.pairs = work[2 * size : 4 * size - 2].view(np.complex128)
         self.trig = work[4 * size - 2 :]
-        self.value = 0j
 
-    def add(self, lo: int, hi: int, block: np.ndarray) -> None:
-        """Add the trapezoid over samples [lo, hi), whose values are ``block``."""
-        cos_sin, y, pair = self.trig[: hi - lo], self.integrand[: hi - lo], self.pairs[: hi - lo - 1]
+    def reset(self, grid: TimeGrid) -> None:
+        """Start a new transform over ``grid``."""
+        self.dt, self.value = grid.dt, 0j
+
+    def add(self, times: np.ndarray, block: np.ndarray) -> None:
+        """Add the trapezoid over one block: sample times ``times``, values ``block``.
+
+        Both arrays are only read.
+        """
+        n = len(block)
+        cos_sin, y, pair = self.trig[:n], self.integrand[:n], self.pairs[: n - 1]
+        phase = self.pairs.view(np.float64)[:n]  # the pair buffer is free until the pairs are summed
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused by total
-            phase = self.grid.times(lo, hi)
-            phase *= self.w
+            np.multiply(times, self.w, out=phase)
             np.multiply(block, np.cos(phase, out=cos_sin), out=y.real)
             np.multiply(block, np.sin(phase, out=cos_sin), out=y.imag)
-            del phase  # so no two blocks' times are held at once
             np.add(y[1:], y[:-1], out=pair)
             pair_real = pair.view(np.float64)
             pair_real *= self.dt
@@ -95,12 +97,13 @@ def fourier_numeric(signal: CouplingSignal, omega: float) -> complex:
     grids move only in the last digits.  A sum that overflows raises
     OverflowError instead of returning inf or nan.
     """
-    q = signal.values
+    grid, q = signal.grid, signal.values
     if not (np.isfinite(q.min()) and np.isfinite(q.max())):
         raise ValueError("signal contains NaN or infinite values")
-    transform = _SpectralSum(signal.grid, omega)
-    for lo, hi in _blocks(signal.grid.n_samples):
-        transform.add(lo, hi, q[lo:hi])
+    transform = _SpectralSum(omega, min(BLOCK_SAMPLES + 1, grid.n_samples))
+    transform.reset(grid)
+    for lo, hi in _blocks(grid.n_samples):
+        transform.add(grid.times(lo, hi), q[lo:hi])
     return transform.total()
 
 

@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casfric import (
     CouplingSignal,
     NumericalFailure,
     ExponentialRamp,
+    Flyby,
     GaussianPulse,
     PhysicalParams,
     SymmetricRamp,
@@ -21,7 +22,13 @@ from casfric import (
     sample,
 )
 from casfric.core import BLOCK_SAMPLES
-from casfric.dissipation import _SCAN_TAIL_FACTOR, _ramp_grid, ramp_tail_span, time_domain_amplitude
+from casfric.dissipation import (
+    _SCAN_TAIL_FACTOR,
+    _ScanBuffers,
+    _ramp_grid,
+    ramp_tail_span,
+    time_domain_amplitude,
+)
 from casfric.spectral import fourier_numeric
 
 PARAMS = PhysicalParams(mass=1.0, omega=1.0)
@@ -294,7 +301,7 @@ class TestStreamedScan:
         assert str(caught.value) == "grid span insufficient for eta=0.1: coupling tails above 1e-12 of peak"
 
     def test_a_grid_over_the_budget_is_refused_before_any_point_is_evaluated(self, monkeypatch):
-        def no_evaluation(self, t):
+        def no_evaluation(self, t, out, scratch):
             raise AssertionError("a scan point was evaluated")
 
         monkeypatch.setattr(ExponentialRamp, "_eval_array", no_evaluation)
@@ -312,3 +319,94 @@ class TestStreamedScan:
             adiabatic_scan(family, [0.1], PARAMS, routes=("hb",), dt=dt)
         assert type(scanned.value) is type(sampled.value) is ValueError
         assert str(scanned.value) == str(sampled.value) == "signal values must be finite"
+
+
+def formula_reference(profile, t):
+    """Each closed-form profile's q(t) as the allocating numpy expression it
+    was before its formula wrote into caller-owned buffers: the bits the
+    formula must keep."""
+    if isinstance(profile, ExponentialRamp):
+        out = np.zeros_like(t)
+        pos = t > 0.0
+        tp = t[pos]
+        out[pos] = profile.gamma * tp * np.exp(-profile.eta * tp)
+        return out
+    if isinstance(profile, SymmetricRamp):
+        return profile.gamma * t * np.exp(-profile.eta * np.abs(t))
+    with np.errstate(over="ignore"):
+        if isinstance(profile, GaussianPulse):
+            return profile.q0 * np.exp(-((t / profile.tau) ** 2))
+        return profile.charge**2 / (profile.d**2 + (profile.v * t) ** 2) ** 1.5
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+AMPLITUDES = st.floats(-1e3, 1e3)
+RATES = st.floats(1e-3, 1e3)
+CLOSED_FORM_PROFILES = st.one_of(
+    st.builds(ExponentialRamp, gamma=AMPLITUDES, eta=RATES),
+    st.builds(SymmetricRamp, gamma=AMPLITUDES, eta=RATES),
+    st.builds(GaussianPulse, q0=AMPLITUDES, tau=RATES),
+    st.builds(Flyby, charge=RATES, d=st.floats(1e-2, 1e3), v=RATES),
+)
+# zeros of both signs, subnormals, and |t| whose Gaussian and Flyby squares overflow to inf
+EDGE_TIMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 1e200, -1e200, 1e300, -1e300]
+TIMES = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300), st.sampled_from(EDGE_TIMES))
+
+
+class TestOneFormulaPerProfile:
+    """evaluate, sample and an eta scan's buffers all run a profile's one
+    formula, and it keeps the bits of the expression it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(profile=CLOSED_FORM_PROFILES, times=st.lists(TIMES, min_size=1, max_size=40))
+    @example(profile=ExponentialRamp(gamma=-2.5, eta=1.0), times=EDGE_TIMES + [-1.0, 1.0])
+    @example(profile=GaussianPulse(q0=-1.0, tau=1e-3), times=EDGE_TIMES)
+    @example(profile=Flyby(charge=1e3, d=1e-2, v=1e3), times=EDGE_TIMES)
+    def test_evaluate_and_the_scan_buffers(self, profile, times):
+        t = np.array(times)
+        want = formula_reference(profile, t)
+        assert_same_bits(profile.evaluate(t), want)
+        for time, value in zip(times, want):
+            assert_same_bits(np.array([profile.evaluate(time)]), np.array([value]))
+        # the scan's buffers hold the previous point's values: all of them must be overwritten
+        buffers = _ScanBuffers(PARAMS, ("barton", "hb"), len(t) + 3)
+        buffers.values.fill(np.nan)
+        buffers.scratch.fill(np.nan)
+        profile._eval_array(t, buffers.values[: len(t)], buffers.scratch[: len(t)])
+        assert_same_bits(buffers.values[: len(t)], want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        profile=CLOSED_FORM_PROFILES,
+        ends=st.lists(TIMES, min_size=2, max_size=2, unique=True),
+        n=st.sampled_from([2, 3, 41, BLOCK_SAMPLES + 3]),
+    )
+    def test_sample(self, profile, ends, n):
+        grid = TimeGrid(min(ends), max(ends), n)
+        assert_same_bits(sample(profile, grid).values, formula_reference(profile, grid.times()))
+
+
+def one_time_bytes(routes, size):
+    """The block buffers an eta scan allocates once: a workspace of 5*size - 2
+    floats per first-order accumulator, and the profile's values and scratch."""
+    accumulators = 2 if "barton" in routes else 1
+    return 8 * (accumulators * (5 * size - 2) + 2 * size)
+
+
+class TestScanBuffers:
+    @pytest.mark.parametrize("routes", [("hb",), ("barton", "hb")])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_the_block_loop_allocates_no_block_buffer(self, family, routes):
+        """Beyond the buffers allocated once and each block's times from
+        grid.times, a scan point of several blocks allocates less than a block."""
+        eta = 1e-3
+        n = _ramp_grid(family, eta, np.pi / 32.0, 1e-12).n_samples
+        assert n > 3 * BLOCK_SAMPLES + 1
+        peak = traced_peak(adiabatic_scan, family, [eta], PARAMS, routes)
+        size = BLOCK_SAMPLES + 1
+        times = 8 * size
+        assert peak - one_time_bytes(routes, size) - times < 8 * BLOCK_SAMPLES

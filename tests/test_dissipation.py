@@ -279,9 +279,12 @@ class TestScanPreflight:
         def no_sampling(*args):
             raise AssertionError("a grid was sampled")
 
+        # an oracle route samples each point's grid, so the first point would reach sample
         monkeypatch.setattr("casfric.dissipation.sample", no_sampling)
         with pytest.raises(ValueError, match=r"eta=1e-06 needs a grid of \d+ samples"):
-            adiabatic_scan(ExponentialRamp(gamma=1.0, eta=1.0), [0.01, 1e-6], PARAMS)
+            adiabatic_scan(
+                ExponentialRamp(gamma=1.0, eta=1.0), [0.01, 1e-6], PARAMS, routes=("hb", "mode_oracle")
+            )
 
 
 def test_importing_the_cli_loads_no_scipy():
