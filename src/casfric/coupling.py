@@ -82,13 +82,16 @@ class ExponentialRamp(CouplingProfile):
         _require_positive(self, "eta")
 
     def _eval_array(self, t, out, scratch):
-        # (gamma*t) * exp((-eta)*t) where t > 0, +0.0 elsewhere (a NaN time too)
-        pos = t > 0.0
-        out.fill(0.0)
-        np.multiply(t, -self.eta, out=scratch, where=pos)
-        np.exp(scratch, out=scratch, where=pos)
-        np.multiply(t, self.gamma, out=out, where=pos)
-        np.multiply(out, scratch, out=out, where=pos)
+        # (gamma*t) * exp((-eta)*t) where t > 0, +0.0 elsewhere (a NaN time too).
+        # Unmasked on max(t, 0), which is t where t > 0 and keeps the t <= 0
+        # lanes from overflowing (exp, gamma*t) or making 0*inf; they are
+        # then written +0.0 in one masked pass.
+        np.maximum(t, 0.0, out=out)
+        np.multiply(out, -self.eta, out=scratch)
+        np.exp(scratch, out=scratch)
+        out *= self.gamma
+        out *= scratch
+        np.copyto(out, 0.0, where=~(t > 0.0))
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,12 @@ class BogoliubovPair:
 # of two, so a chunk is a whole subtree of the mode oracle's pairwise fold.
 _CHUNK_STEPS = 1 << 12
 
+# Bytes for evolve_fock's stage operators: a run of r steps needs 2r + 1
+# (N+1) x 3(N+1) float operators, and r is this over two of them, at least
+# 1.  So the buffer stays near this size whatever N: 45 steps a run at
+# N = 10, 5 at N = 30, one from N = 52.
+_RUN_BYTES = 1 << 18
+
 # RK4 is stable on the imaginary axis for |h*lambda| <= 2*sqrt(2); the free
 # Fock Hamiltonian's largest rate is w*(2N+1), so h*w*(2N+1) above this
 # diverges whatever the coupling, and a larger truncation makes it worse.
@@ -249,9 +255,19 @@ def evolve_fock(
         np.kron(np.diag(params.omega * (n + 1.0)), minus_i),
     ])
     left = np.stack([x, np.diag(params.omega * n), np.eye(n_levels)], axis=2).reshape(n_levels, -1)
-    coupling_columns = left[:, 0::3]  # q x, rewritten at each new q
     products = np.empty((n_levels, right.shape[1]))
     products_by_row = products.reshape(3 * n_levels, 2 * n_levels)
+
+    # Every stage's left operand for a run of steps, ahead of the steps:
+    # lefts[2j] has q at node j in its q x columns, lefts[2j + 1] q at the
+    # midpoint of step j.  The w N1 and identity columns are copied in once;
+    # the q x columns of a whole run are one multiply.
+    run_steps = max(1, min(_RUN_BYTES // (2 * left.nbytes), _CHUNK_STEPS, n_steps))
+    lefts = np.repeat(left[None], 2 * run_steps + 1, axis=0)
+    coupling_columns = lefts[:, :, 0::3]
+    # step j of a run: (k1's, k2's and k3's, k4's) operator
+    stage_lefts = list(zip(lefts[0::2], lefts[1::2], lefts[2::2]))
+    q_run = np.empty((2 * run_steps + 1, 1, 1))  # a run's node and midpoint q, interleaved
 
     # k1..k4 and psi (last) in one stack, so every stage input and the
     # update is one weighted sum over it; the update goes into the psi slot
@@ -271,35 +287,35 @@ def evolve_fock(
     to_k3 = np.array([0.0, 0.5 * h, 0.0, 0.0, 1.0])
     to_k4 = np.array([0.0, 0.0, h, 0.0, 1.0])
     update = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0, 1.0])
-    # at N ~ 10 a call costs about a microsecond, so the step below is its
-    # 14 calls and nothing else: local names, positional outs, no closure
-    dot, multiply = np.dot, np.multiply
+    # at N ~ 10 a call costs about a microsecond, so a step is its 12 calls
+    # (8 products, 4 weighted sums) and nothing else: local names,
+    # positional outs, no closure, and no write of q x
+    dot = np.dot
 
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging state fails the norm test
         for lo in range(0, n_steps, _CHUNK_STEPS):
             q_nodes, q_mid = _substep_coupling(signal, h, lo, min(lo + _CHUNK_STEPS, n_steps))
-            q_nodes = q_nodes.tolist()
-            multiply(q_nodes[0], x, coupling_columns)
-            # the columns hold the step's start q here: set at the chunk
-            # start, then by the previous step's k4.  Each stage's
-            # derivative is left @ (stage @ right), through `products`.
-            for q_half, q_end in zip(q_mid.tolist(), q_nodes[1:]):
-                k1, k2, k3, k4, psi, stack, psi_next = now
-                dot(psi, right, products)
-                dot(left, products_by_row, k1)
-                multiply(q_half, x, coupling_columns)
-                dot(to_k2, stack, stage_input_flat)
-                dot(stage_input, right, products)
-                dot(left, products_by_row, k2)
-                dot(to_k3, stack, stage_input_flat)
-                dot(stage_input, right, products)
-                dot(left, products_by_row, k3)
-                multiply(q_end, x, coupling_columns)
-                dot(to_k4, stack, stage_input_flat)
-                dot(stage_input, right, products)
-                dot(left, products_by_row, k4)
-                dot(update, stack, psi_next)
-                now, after = after, now
+            for start in range(0, len(q_mid), run_steps):
+                steps = min(run_steps, len(q_mid) - start)
+                q_run[0 : 2 * steps + 1 : 2, 0, 0] = q_nodes[start : start + steps + 1]
+                q_run[1 : 2 * steps : 2, 0, 0] = q_mid[start : start + steps]
+                np.multiply(q_run[: 2 * steps + 1], x, coupling_columns[: 2 * steps + 1])
+                # each stage's derivative is its left @ (stage @ right), through `products`
+                for left_start, left_half, left_end in stage_lefts[:steps]:
+                    k1, k2, k3, k4, psi, stack, psi_next = now
+                    dot(psi, right, products)
+                    dot(left_start, products_by_row, k1)
+                    dot(to_k2, stack, stage_input_flat)
+                    dot(stage_input, right, products)
+                    dot(left_half, products_by_row, k2)
+                    dot(to_k3, stack, stage_input_flat)
+                    dot(stage_input, right, products)
+                    dot(left_half, products_by_row, k3)
+                    dot(to_k4, stack, stage_input_flat)
+                    dot(stage_input, right, products)
+                    dot(left_end, products_by_row, k4)
+                    dot(update, stack, psi_next)
+                    now, after = after, now
         amplitudes = now[4].view(np.complex128).copy()
         state = FockStateVector(truncation, amplitudes)
         norm_drift = state.norm_drift

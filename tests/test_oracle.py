@@ -32,6 +32,7 @@ from casfric.core import MAX_FOCK_TRUNCATION, ladder_factor
 from casfric.coupling import CouplingSignal
 from casfric.oracle import (
     _CHUNK_STEPS,
+    _RUN_BYTES,
     _ladder_position,
     _ordered_product,
     _rk4_transfer_matrices,
@@ -540,3 +541,61 @@ def test_fock_step_loop_is_the_closure_loop_bit_for_bit(profile, truncation, dt_
     signal = BIT_IDENTITY_SIGNALS[profile]()
     state = evolve_fock(signal, PARAMS, truncation, dt_substeps)
     assert np.array_equal(state.amplitudes, closure_loop_evolve_fock(signal, PARAMS, truncation, dt_substeps))
+
+
+def run_bytes(truncation, run_steps):
+    """The _RUN_BYTES that gives evolve_fock runs of run_steps steps: a
+    run's stage operators are 2 run_steps + 1 (N+1) x 3(N+1) float matrices."""
+    return 2 * 8 * 3 * (truncation + 1) ** 2 * run_steps
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+
+@pytest.mark.parametrize("run_steps", [1, 7, _CHUNK_STEPS])
+@pytest.mark.parametrize(
+    "profile, truncation, dt_substeps",
+    [
+        # 9600 substeps: chunks of 4096, 4096 and 1408 steps, none a multiple
+        # of 7 or of the default 606 (N = 2) and 45 (N = 10) steps a run
+        ("gaussian", 2, 2),
+        ("gaussian", 10, 2),
+        # 4800 substeps across a chunk boundary; q < 0 for t < 0, so the q x
+        # columns hold -0.0 where x is zero
+        ("symmetric_ramp", 10, 8),
+        # 600 substeps, 5 a run by default; one run per chunk is 600 steps
+        ("symmetric_ramp", 30, 1),
+    ],
+)
+def test_fock_run_boundaries_change_no_bit(monkeypatch, profile, truncation, dt_substeps, run_steps):
+    signal = BIT_IDENTITY_SIGNALS[profile]()
+    default = evolve_fock(signal, PARAMS, truncation, dt_substeps).amplitudes
+    monkeypatch.setattr("casfric.oracle._RUN_BYTES", run_bytes(truncation, run_steps))
+    assert_same_bits(evolve_fock(signal, PARAMS, truncation, dt_substeps).amplitudes, default)
+
+
+@pytest.mark.parametrize("run_steps", [None, 1000])
+def test_fock_step_loop_makes_no_per_step_write(monkeypatch, run_steps):
+    """Every np.multiply an evolve_fock run makes is counted: there is one per
+    run of steps (its q x columns), none per step."""
+    signal = gauss_signal(n=4801)  # 9600 substeps at dt_substeps = 2
+    chunks = [4096, 4096, 1408]
+    assert sum(chunks) == _substeps(signal, 2)[1] and max(chunks) == _CHUNK_STEPS
+    if run_steps is None:
+        run_steps = _RUN_BYTES // run_bytes(10, 1)
+    else:
+        monkeypatch.setattr("casfric.oracle._RUN_BYTES", run_bytes(10, run_steps))
+    runs = sum(-(-chunk // run_steps) for chunk in chunks)
+    calls = []
+    multiply = np.multiply
+
+    def counting_multiply(*args, **kwargs):
+        calls.append(1)
+        return multiply(*args, **kwargs)
+
+    monkeypatch.setattr(np, "multiply", counting_multiply)
+    evolve_fock(signal, PARAMS, truncation=10, dt_substeps=2)
+    monkeypatch.undo()
+    assert len(calls) <= runs + len(chunks) < 9600, (len(calls), runs)
