@@ -28,6 +28,7 @@ from .coupling import (
 from .dissipation import (
     _SCAN_TAIL_FACTOR,
     ROUTES,
+    SCAN_TAIL_REL_DEFAULT,
     TAIL_REL_DEFAULT,
     AdiabaticScanResult,
     _check_tail_rel,
@@ -165,10 +166,10 @@ def _int_in_range(cfg, key, default, low, high=None, path="config") -> int:
     return value
 
 
-def _tail_rel(cfg, path, default) -> float:
+def _tail_rel(cfg, path, default, *span_factor) -> float:
+    """The tail_rel at ``path``; an eta scan passes the span factor its grids are solved for."""
     value = _expect(cfg, "tail_rel", path, float, required=False, default=default)
-    if not 0.0 < value < 1.0:
-        raise ConfigError(f"{path}.tail_rel: must be in (0, 1), got {value!r}")
+    _construct(_check_tail_rel, f"{path}.tail_rel", value, *span_factor)
     return value
 
 
@@ -212,9 +213,7 @@ def _build_scan(cfg, path="scan") -> ScanSpec:
     dt = _expect(cfg, "dt", path, float, required=False)
     if dt is not None and dt <= 0.0:
         raise ConfigError(f"{path}.dt: must be positive, got {dt!r}")
-    tail_rel = _expect(cfg, "tail_rel", path, float, required=False, default=1e-12)
-    # each eta's grid span is solved for a fraction of tail_rel
-    _construct(_check_tail_rel, f"{path}.tail_rel", tail_rel, _SCAN_TAIL_FACTOR)
+    tail_rel = _tail_rel(cfg, path, SCAN_TAIL_REL_DEFAULT, _SCAN_TAIL_FACTOR)
     return ScanSpec(kind=kind, values=tuple(cleaned), dt=dt, tail_rel=tail_rel)
 
 
@@ -288,18 +287,14 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         fock_substeps=scenario.fock_substeps,
         mode_substeps=scenario.mode_substeps,
     )
-    if scenario.scan is None:
-        report = compare_routes(sample(scenario.profile, scenario.grid), scenario.params,
-                                tail_rel=scenario.tail_rel, **opts)
-        return ScenarioResult(scenario, rows=((None, report),))
-
-    if scenario.scan.kind == "amplitude":
+    if scenario.scan is None or scenario.scan.kind == "amplitude":
+        # one report on config.grid, or one per amplitude of the scan
+        amplitudes = (None,) if scenario.scan is None else scenario.scan.values
         rows = []
-        for amplitude in scenario.scan.values:
-            profile = with_amplitude(scenario.profile, amplitude)
-            report = compare_routes(sample(profile, scenario.grid), scenario.params,
-                                    tail_rel=scenario.tail_rel, **opts)
-            rows.append((amplitude, report))
+        for amplitude in amplitudes:
+            profile = scenario.profile if amplitude is None else with_amplitude(scenario.profile, amplitude)
+            signal = sample(profile, scenario.grid)
+            rows.append((amplitude, compare_routes(signal, scenario.params, tail_rel=scenario.tail_rel, **opts)))
         return ScenarioResult(scenario, rows=tuple(rows))
 
     scan = adiabatic_scan(

@@ -27,11 +27,13 @@ __all__ = [
 ]
 
 
-def _require_positive(obj, *names):
-    for name in names:
+def _require_finite(obj, *names, positive=()):
+    """Refuse a field of ``obj`` that is not finite, or, among ``positive``, not positive."""
+    for name in (*names, *positive):
         value = getattr(obj, name)
-        if not np.isfinite(value) or value <= 0.0:
-            raise ValueError(f"{type(obj).__name__}.{name} must be finite and positive, got {value!r}")
+        if not np.isfinite(value) or (name in positive and value <= 0.0):
+            qualifier = " and positive" if name in positive else ""
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite{qualifier}, got {value!r}")
 
 
 def _finite_range(values: np.ndarray):
@@ -79,7 +81,7 @@ class ExponentialRamp(CouplingProfile):
     eta: float
 
     def __post_init__(self):
-        _require_positive(self, "eta")
+        _require_finite(self, "gamma", positive=("eta",))
 
     def _eval_array(self, t, out, scratch):
         # (gamma*t) * exp((-eta)*t) where t > 0, +0.0 elsewhere (a NaN time too).
@@ -102,7 +104,7 @@ class SymmetricRamp(CouplingProfile):
     eta: float
 
     def __post_init__(self):
-        _require_positive(self, "eta")
+        _require_finite(self, "gamma", positive=("eta",))
 
     def _eval_array(self, t, out, scratch):
         # (gamma*t) * exp((-eta)*|t|)
@@ -121,7 +123,7 @@ class GaussianPulse(CouplingProfile):
     tau: float
 
     def __post_init__(self):
-        _require_positive(self, "tau")
+        _require_finite(self, "q0", positive=("tau",))
 
     def _eval_array(self, t, out, scratch):
         # q0 * exp(-((t/tau)**2))
@@ -147,7 +149,7 @@ class Flyby(CouplingProfile):
     v: float
 
     def __post_init__(self):
-        _require_positive(self, "charge", "d", "v")
+        _require_finite(self, positive=("charge", "d", "v"))
         for name in ("charge", "d"):  # _eval_array squares them as Python floats
             value = float(getattr(self, name))
             if np.isinf(value * value):
@@ -251,6 +253,8 @@ def load_sampled_csv(path) -> CouplingSignal:
     if data.shape[0] < 2:
         raise ValueError(f"{path}: need at least two samples")
     times, values = data[:, 0], data[:, 1]
+    if not np.all(np.isfinite(times)):  # a NaN would pass both tests below
+        raise ValueError(f"{path}: times must be finite")
     steps = np.diff(times)
     if np.any(steps <= 0.0):
         raise ValueError(f"{path}: times must be strictly increasing")

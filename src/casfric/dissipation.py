@@ -57,6 +57,9 @@ _SPREAD_FLOOR = 1e-300
 # |q| at a grid endpoint, relative to max|q|, above which a report has tail_warning.
 TAIL_REL_DEFAULT = 1e-10
 
+# The default tail_rel of an eta scan, which builds grids wide enough for it.
+SCAN_TAIL_REL_DEFAULT = 1e-12
+
 # A scan solves each grid's span for this fraction of its tail_rel, so the
 # endpoint samples sit safely below the threshold, not on it.
 _SCAN_TAIL_FACTOR = 0.1
@@ -66,15 +69,16 @@ class _TimeDomainSum:
     """I(inf) = -(i/2 hbar) * trapezoid of q(t) e^{2 i w t}, fed one block at a time.
 
     Its three buffers hold blocks of up to ``size`` samples and share one
-    allocation, made once.  ``reset`` starts the amplitude over a grid, so
-    one instance serves every grid of an eta scan; ``add`` then takes the
-    times and samples of each block of the grid's partition, in order.
+    allocation of 5*size - 2 floats: ``work`` if given, else one made here.
+    ``reset`` starts the amplitude over a grid, so one instance serves
+    every grid of an eta scan; ``add`` then takes the times and samples of
+    each block of the grid's partition, in order.
     """
 
-    def __init__(self, params: PhysicalParams, size: int):
+    def __init__(self, params: PhysicalParams, size: int, work=None):
         self.hbar = params.hbar
         self.w = 2.0 * params.omega  # 2j*omega*t has imaginary part w*t, bit for bit
-        work = np.empty(5 * size - 2)
+        work = np.empty(5 * size - 2) if work is None else work
         self.integrand = work[: 2 * size].view(np.complex128)
         self.pairs = work[2 * size : 4 * size - 2].view(np.complex128)
         self.trig = work[4 * size - 2 :]
@@ -210,13 +214,6 @@ def _relative_spread(values: Sequence[float]) -> float:
     return spread
 
 
-def _tails_resolved(first, last, q_min, q_max, tail_rel: float) -> bool:
-    """True when |q| at both grid endpoints, first and last, is below
-    tail_rel * max|q|, from the signal's min and max."""
-    threshold = tail_rel * max(q_max, -q_min)
-    return bool(abs(first) <= threshold and abs(last) <= threshold)
-
-
 def _check_routes(routes: Sequence[str]) -> None:
     unknown = [r for r in routes if r not in ROUTES]
     if unknown:
@@ -232,6 +229,67 @@ def _overflow_fails(route: str):
         yield
     except OverflowError as exc:
         raise NumericalFailure(f"{route}: float overflow") from exc
+
+
+class _FirstOrderPass:
+    """The one block loop that builds the first-order part of a report.
+
+    ``run`` takes each block's times from one grid.times call, refuses a
+    non-finite block as sample does, keeps the min, max and end samples
+    for the tail test and feeds hb's transform (always: it sets the
+    validity flag) and, if selected, barton's amplitude; ``totals`` reads
+    both dE, barton first.  Their workspaces and, if the pass
+    ``evaluates``, a block of profile values and scratch share one
+    allocation, made once, for the blocks of grids of up to ``n_samples``.
+    """
+
+    def __init__(self, params: PhysicalParams, routes: Sequence[str], n_samples: int, evaluates: bool = False):
+        self.params = params
+        size = min(BLOCK_SAMPLES + 1, n_samples)
+        stride = 5 * size - 2
+        sums = 2 if "barton" in routes else 1
+        work = np.empty(sums * stride + (2 * size if evaluates else 0))
+        self.transform = _SpectralSum(-2.0 * params.omega, size, work[:stride])
+        self.amplitude = _TimeDomainSum(params, size, work[stride : 2 * stride]) if sums == 2 else None
+        self.values, self.scratch = work[sums * stride :].reshape(2, size) if evaluates else (None, None)
+
+    def run(self, grid: TimeGrid, source, tail_rel: float) -> bool:
+        """Feed every block of ``grid``; True when |q| at both grid endpoints
+        is at most tail_rel * max|q|, so the incoming and outgoing states are free.
+
+        ``source`` is the CouplingSignal on ``grid``, fed in slices, or, to a
+        pass that evaluates, a profile, evaluated into its buffers block by block.
+        """
+        self.transform.reset(grid)
+        if self.amplitude is not None:
+            self.amplitude.reset(grid)
+        q_min, q_max = math.inf, -math.inf
+        for lo, hi in _blocks(grid.n_samples):
+            times = grid.times(lo, hi)
+            if self.values is None:
+                block = source.values[lo:hi]
+            else:
+                block = self.values[: hi - lo]
+                source._eval_array(times, block, self.scratch[: hi - lo])
+            block_min, block_max = _finite_range(block)
+            q_min, q_max = min(q_min, block_min), max(q_max, block_max)
+            if lo == 0:
+                first = block[0]
+            last = block[-1]
+            self.transform.add(times, block)
+            if self.amplitude is not None:
+                self.amplitude.add(times, block)
+            del times  # so no two blocks' times are held at once
+        threshold = tail_rel * max(q_max, -q_min)
+        return bool(abs(first) <= threshold and abs(last) <= threshold)
+
+    def totals(self):
+        """(barton's dE, None if not selected, and hb's dE) of the last run."""
+        with _overflow_fails("barton"):
+            de_time = None if self.amplitude is None else _delta_e_barton(self.amplitude.total(), self.params)
+        with _overflow_fails("hb"):
+            de_hb = _delta_e_hb(self.transform.total(), self.params)
+        return de_time, de_hb
 
 
 def compare_routes(
@@ -250,22 +308,22 @@ def compare_routes(
     The perturbative-validity flag is always evaluated, whichever routes
     run, from hb's transition probability B_1100 = dE/(2 hbar w); so is
     tail_warning, set when |q| at a grid endpoint exceeds tail_rel * max|q|
-    (the incoming or outgoing state is not free).  A float overflow inside
-    a route is raised as a NumericalFailure naming it.
+    (the incoming or outgoing state is not free); tail_rel must lie in
+    (0, 1).  Both first-order routes, and the tail test, take the signal
+    in one pass over its blocks.  A float overflow inside a route is
+    raised as a NumericalFailure naming it.
     """
     _check_routes(routes)
-    with _overflow_fails("barton"):
-        de_time = delta_e_time_domain(signal, params) if "barton" in routes else None
-    with _overflow_fails("hb"):
-        de_hb = delta_e_spectral(signal, params)
+    _check_tail_rel(tail_rel)
+    first_order = _FirstOrderPass(params, routes, signal.grid.n_samples)
+    resolved = first_order.run(signal.grid, signal, tail_rel)
+    de_time, de_hb = first_order.totals()
     de_mode, de_fock = _oracles(signal, params, routes, fock_truncation, fock_substeps, mode_substeps)
-    q = signal.values
-    return _report(params, signal.grid, routes, de_time, de_hb, de_mode, de_fock,
-                   tail_warning=not _tails_resolved(q[0], q[-1], q.min(), q.max(), tail_rel))
+    return _report(params, signal.grid, routes, de_time, de_hb, de_mode, de_fock, tail_warning=not resolved)
 
 
-def _oracles(signal, params, routes, fock_truncation, fock_substeps, mode_substeps):
-    """dE of the mode and Fock oracles, None for one not in ``routes``."""
+def _oracles(signal, params, routes, fock_truncation=10, fock_substeps=4, mode_substeps=1):
+    """dE of the mode and Fock oracles, None (and ``signal`` unread) for one not in ``routes``."""
     de_mode = None
     if "mode_oracle" in routes:
         with _overflow_fails("mode_oracle"):
@@ -298,8 +356,9 @@ def _report(params, grid, routes, de_time, de_hb, de_mode, de_fock, tail_warning
     )
 
 
-def _check_tail_rel(tail_rel: float, factor: float = 1.0) -> None:
-    """Refuse a tail_rel for which ramp_tail_span(eta, factor*tail_rel) has no span.
+def _check_tail_rel(tail_rel: float, factor: Optional[float] = None) -> None:
+    """Refuse a tail_rel outside (0, 1) and, given ``factor``, one for which
+    ramp_tail_span(eta, factor*tail_rel) has no span.
 
     The message quotes ``tail_rel`` itself, so a scan, which solves for
     _SCAN_TAIL_FACTOR of its tail_rel, names the value it was given.
@@ -307,7 +366,7 @@ def _check_tail_rel(tail_rel: float, factor: float = 1.0) -> None:
     if not 0.0 < tail_rel < 1.0:
         raise ValueError(f"tail_rel must be in (0, 1), got {tail_rel!r}")
     # below the smallest normal float the W_-1 iteration can divide by zero
-    if factor * tail_rel / math.e < sys.float_info.min:
+    if factor is not None and factor * tail_rel / math.e < sys.float_info.min:
         floor = sys.float_info.min * math.e / factor
         raise ValueError(f"tail_rel={tail_rel!r} is too small: the span solve needs at least ~{floor:.3g}")
 
@@ -322,7 +381,7 @@ def ramp_tail_span(eta: float, tail_rel: float) -> float:
     5.9) from w = log(-z), with the same start, step and stopping rule
     as scipy.special.lambertw(z, -1), so the span is bit-identical to it.
     """
-    _check_tail_rel(tail_rel)
+    _check_tail_rel(tail_rel, 1.0)
     z = -tail_rel / math.e
     w = math.log(-z)
     for _ in range(100):
@@ -346,73 +405,6 @@ def _ramp_grid(profile, eta: float, dt: float, tail_rel: float) -> TimeGrid:
             f"{MAX_GRID_SAMPLES}; raise eta or dt"
         )
     return TimeGrid(t_start, span, n)
-
-
-class _ScanBuffers:
-    """Every block buffer of an eta scan's first-order pass, for blocks of up
-    to ``size`` samples: hb's transform, barton's amplitude if selected, and
-    the profile's values and scratch.  Allocated once per scan; each point
-    resets them."""
-
-    def __init__(self, params: PhysicalParams, routes: Sequence[str], size: int):
-        self.transform = _SpectralSum(-2.0 * params.omega, size)  # always: it sets the validity flag
-        self.amplitude = _TimeDomainSum(params, size) if "barton" in routes else None
-        self.values, self.scratch = np.empty(size), np.empty(size)
-
-
-def _scan_point(
-    profile: CouplingProfile,
-    grid: TimeGrid,
-    params: PhysicalParams,
-    routes: Sequence[str],
-    tail_rel: float,
-    buffers: _ScanBuffers,
-    fock_truncation: int = 10,
-    fock_substeps: int = 4,
-    mode_substeps: int = 1,
-) -> DissipationReport:
-    """compare_routes(sample(profile, grid), ...), bit for bit, for one scan point.
-
-    One pass takes each block's times from one grid.times call, evaluates
-    the profile into ``buffers.values`` and feeds the block to hb's
-    transform and, if selected, barton's amplitude, so the first-order
-    routes allocate no block buffer of their own.  The pass refuses a
-    non-finite block as sample does, and an unresolved tail before any
-    route's total is read.  Oracle routes run on the sampled signal after.
-    """
-    transform, amplitude = buffers.transform, buffers.amplitude
-    transform.reset(grid)
-    if amplitude is not None:
-        amplitude.reset(grid)
-    q_min, q_max = math.inf, -math.inf
-    for lo, hi in _blocks(grid.n_samples):
-        times, block = grid.times(lo, hi), buffers.values[: hi - lo]
-        profile._eval_array(times, block, buffers.scratch[: hi - lo])
-        block_min, block_max = _finite_range(block)
-        q_min, q_max = min(q_min, block_min), max(q_max, block_max)
-        if lo == 0:
-            first = block[0]
-        last = block[-1]
-        transform.add(times, block)
-        if amplitude is not None:
-            amplitude.add(times, block)
-        del times  # so no two blocks' times are held at once
-    if not _tails_resolved(first, last, q_min, q_max, tail_rel):
-        raise TailSpanError(
-            f"grid span insufficient for eta={profile.eta:g}: coupling tails above {tail_rel:g} of peak"
-        )
-
-    with _overflow_fails("barton"):
-        de_time = None if amplitude is None else _delta_e_barton(amplitude.total(), params)
-    with _overflow_fails("hb"):
-        de_hb = _delta_e_hb(transform.total(), params)
-    de_mode = de_fock = None
-    if "mode_oracle" in routes or "fock_oracle" in routes:
-        de_mode, de_fock = _oracles(
-            sample(profile, grid), params, routes, fock_truncation, fock_substeps, mode_substeps
-        )
-    # the tails were resolved at tail_rel above, so no report of a scan is flagged
-    return _report(params, grid, routes, de_time, de_hb, de_mode, de_fock, tail_warning=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,7 +432,7 @@ def adiabatic_scan(
     params: PhysicalParams,
     routes: Sequence[str] = ("barton", "hb"),
     dt: Optional[float] = None,
-    tail_rel: float = 1e-12,
+    tail_rel: float = SCAN_TAIL_REL_DEFAULT,
     **route_options,
 ) -> AdiabaticScanResult:
     """Scan dE over switching rates for a ramp family with gamma fixed.
@@ -452,10 +444,11 @@ def adiabatic_scan(
     Every grid is sized before any point runs, so a scan point above
     MAX_GRID_SAMPLES is refused before the scan runs.  Each point's
     reports are those of compare_routes on the sampled grid, bit for bit,
-    but its first-order routes take the samples one block at a time as
-    they are evaluated, into block buffers allocated once for the whole
-    scan, so they hold O(BLOCK_SAMPLES) whatever eta; only an oracle route
-    samples the whole grid.
+    from one first-order pass allocated for the whole scan.  Without an
+    oracle route it evaluates each ramp into its own block buffers, so a
+    point holds O(BLOCK_SAMPLES) whatever eta; an oracle point samples its
+    grid once for both.  Unresolved tails raise TailSpanError before any
+    route's total is read.
     """
     if not isinstance(family, (SymmetricRamp, ExponentialRamp)):
         raise TypeError(f"adiabatic scans take a ramp family, got {type(family).__name__}")
@@ -472,20 +465,24 @@ def adiabatic_scan(
 
     profiles = [replace(family, eta=float(eta)) for eta in etas]
     grids = [_ramp_grid(profile, profile.eta, dt, tail_rel) for profile in profiles]
-    buffers = _ScanBuffers(params, routes, min(BLOCK_SAMPLES + 1, max(grid.n_samples for grid in grids)))
-    reports = [
-        _scan_point(profile, grid, params, routes, tail_rel, buffers, **route_options)
-        for profile, grid in zip(profiles, grids)
-    ]
+    oracle = "mode_oracle" in routes or "fock_oracle" in routes
+    first_order = _FirstOrderPass(params, routes, max(grid.n_samples for grid in grids), evaluates=not oracle)
+    reports = []
+    for profile, grid in zip(profiles, grids):
+        source = sample(profile, grid) if oracle else profile
+        if not first_order.run(grid, source, tail_rel):
+            raise TailSpanError(
+                f"grid span insufficient for eta={profile.eta:g}: coupling tails above {tail_rel:g} of peak"
+            )
+        de_time, de_hb = first_order.totals()
+        de_mode, de_fock = _oracles(source, params, routes, **route_options)
+        # the tails were resolved at tail_rel above, so no report of a scan is flagged
+        reports.append(_report(params, grid, routes, de_time, de_hb, de_mode, de_fock, tail_warning=False))
+        del source  # an oracle point's signal is freed before the next is sampled
 
-    def pick(report: DissipationReport) -> float:
-        populated = report.populated()
-        for token in ("hb", "barton", "mode_oracle", "fock_oracle"):
-            if token in populated:
-                return populated[token]
-        raise ValueError("no route produced a value")
-
-    delta_e = np.array([pick(r) for r in reports])
+    # the scan's dE is hb's where it ran, else barton's, else an oracle's
+    token = next(token for token in ("hb", "barton", "mode_oracle", "fock_oracle") if token in routes)
+    delta_e = np.array([report.populated()[token] for report in reports])
     delta_e_times_eta = delta_e * etas
     if len(etas) >= 2:
         slope = float(np.polyfit(np.log(etas), np.log(delta_e), 1)[0])

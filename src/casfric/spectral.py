@@ -35,14 +35,15 @@ class _SpectralSum:
     """Trapezoid of q(t) exp(-i*omega*t) over a grid, fed one block at a time.
 
     Its three buffers hold blocks of up to ``size`` samples and share one
-    allocation, made once.  ``reset`` starts the transform over a grid, so
-    one instance serves every grid of an eta scan; ``add`` then takes the
-    times and samples of each block of the grid's partition, in order.
+    allocation of 5*size - 2 floats: ``work`` if given, else one made here.
+    ``reset`` starts the transform over a grid, so one instance serves
+    every grid of an eta scan; ``add`` then takes the times and samples of
+    each block of the grid's partition, in order.
     """
 
-    def __init__(self, omega: float, size: int):
+    def __init__(self, omega: float, size: int, work=None):
         self.w = -omega  # -1j*omega*t has imaginary part w*t, bit for bit
-        work = np.empty(5 * size - 2)
+        work = np.empty(5 * size - 2) if work is None else work
         self.integrand = work[: 2 * size].view(np.complex128)
         self.pairs = work[2 * size : 4 * size - 2].view(np.complex128)
         self.trig = work[4 * size - 2 :]

@@ -19,12 +19,14 @@ from casfric import (
     TailSpanError,
     adiabatic_scan,
     compare_routes,
+    delta_e_spectral,
+    delta_e_time_domain,
     sample,
 )
 from casfric.core import BLOCK_SAMPLES
 from casfric.dissipation import (
     _SCAN_TAIL_FACTOR,
-    _ScanBuffers,
+    _FirstOrderPass,
     _ramp_grid,
     ramp_tail_span,
     time_domain_amplitude,
@@ -176,6 +178,60 @@ class TestBitIdentity:
         assert np.all(np.abs(values) < np.finfo(float).tiny) and np.count_nonzero(values) > n - 5
         signal = CouplingSignal(TimeGrid(0.0, 1.0, n), values)
         assert_both_routes_keep_the_exp_trapezoid_bits(signal, omegas=HB_OMEGAS)
+
+
+def subnormal_signal(n=1001):
+    values = 5e-320 * np.sin(np.arange(n, dtype=float))
+    return CouplingSignal(TimeGrid(0.0, 1.0, n), values)
+
+
+ROUTE_PAIRS = [("barton", "hb"), ("hb",)]
+
+
+class TestOneFirstOrderPass:
+    """compare_routes feeds both first-order routes from one pass over the
+    signal's blocks; the public quadratures keep their own loops and are
+    its reference: every dE field is == to theirs."""
+
+    @staticmethod
+    def assert_fields_are_the_public_routes(signal, routes):
+        report = compare_routes(signal, PARAMS, routes=routes)
+        barton = delta_e_time_domain(signal, PARAMS) if "barton" in routes else None
+        assert report.delta_e_time_domain == barton
+        assert report.delta_e_spectral == delta_e_spectral(signal, PARAMS)
+        assert report.validity_flag == (delta_e_spectral(signal, PARAMS) / (2.0 * PARAMS.hbar * PARAMS.omega) > 0.1)
+
+    @pytest.mark.parametrize("routes", ROUTE_PAIRS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_every_block_split(self, n, routes):
+        self.assert_fields_are_the_public_routes(pulse(n), routes)
+
+    @pytest.mark.parametrize("routes", ROUTE_PAIRS)
+    def test_subnormal_signal(self, routes):
+        self.assert_fields_are_the_public_routes(subnormal_signal(), routes)
+
+    @pytest.mark.parametrize("routes", ROUTE_PAIRS)
+    def test_each_block_is_read_once(self, monkeypatch, routes):
+        """One grid.times call per block, and no call into the public quadratures."""
+        signal = pulse(3 * BLOCK_SAMPLES + 17)
+        calls = []
+        original_times = TimeGrid.times
+
+        def recorded(self, lo=0, hi=None):
+            calls.append((lo, hi))
+            return original_times(self, lo, hi)
+
+        def refused(*args):
+            raise AssertionError("compare_routes called a public quadrature")
+
+        monkeypatch.setattr(TimeGrid, "times", recorded)
+        for name in ("delta_e_time_domain", "delta_e_spectral", "time_domain_amplitude", "_transform"):
+            monkeypatch.setattr(f"casfric.dissipation.{name}", refused)
+        monkeypatch.setattr("casfric.spectral.fourier_numeric", refused)
+        compare_routes(signal, PARAMS, routes=routes)
+        blocks = [(lo, min(lo + BLOCK_SAMPLES + 1, signal.grid.n_samples))
+                  for lo in range(0, signal.grid.n_samples - 1, BLOCK_SAMPLES)]
+        assert calls == blocks
 
 
 def traced_peak(function, *args):
@@ -373,7 +429,7 @@ class TestOneFormulaPerProfile:
         for time, value in zip(times, want):
             assert_same_bits(np.array([profile.evaluate(time)]), np.array([value]))
         # the scan's buffers hold the previous point's values: all of them must be overwritten
-        buffers = _ScanBuffers(PARAMS, ("barton", "hb"), len(t) + 3)
+        buffers = _FirstOrderPass(PARAMS, ("barton", "hb"), len(t) + 3, evaluates=True)
         buffers.values.fill(np.nan)
         buffers.scratch.fill(np.nan)
         profile._eval_array(t, buffers.values[: len(t)], buffers.scratch[: len(t)])

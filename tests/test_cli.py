@@ -1,5 +1,6 @@
 """Scenario configs, report rendering, exit codes, and determinism."""
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -17,7 +18,9 @@ from casfric.cli import (
     main,
     run_scenario,
 )
+from casfric import adiabatic_scan
 from casfric.core import MAX_FOCK_TRUNCATION, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
+from casfric.dissipation import SCAN_TAIL_REL_DEFAULT
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 EXPECTED_DIR = Path(__file__).resolve().parent / "expected"
@@ -455,6 +458,15 @@ class TestRangesAndSampleBudget:
         assert main([str(write_config(tmp_path, eta_scan_config(tail_rel=1e-300)))]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 2 + 4  # header, row, footer
 
+    def test_config_tail_rel_is_refused_by_the_library_rule_at_its_path(self, tmp_path, capsys):
+        assert main([str(write_config(tmp_path, small_benchmark(tail_rel=2.0)))]) == 2
+        assert capsys.readouterr().err == "error: config.tail_rel: tail_rel must be in (0, 1), got 2.0\n"
+
+    def test_an_eta_scan_without_tail_rel_takes_the_library_default(self, tmp_path):
+        scenario = load_config(write_config(tmp_path, eta_scan_config()))
+        assert scenario.scan.tail_rel == SCAN_TAIL_REL_DEFAULT == 1e-12
+        assert inspect.signature(adiabatic_scan).parameters["tail_rel"].default == SCAN_TAIL_REL_DEFAULT
+
     def test_tail_rel_message_quotes_the_configured_value(self, tmp_path, capsys):
         assert main([str(write_config(tmp_path, eta_scan_config(tail_rel=-1.0)))]) == 2
         err = capsys.readouterr().err
@@ -544,6 +556,17 @@ class TestUnknownKeys:
         assert main([str(write_config(tmp_path, sampled_inline()))]) == 0
         row = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert row[1] == "sampled" and float(row[3]) > 0.0
+
+    def test_sampled_csv_with_a_nan_time_is_exit_two(self, tmp_path, capsys):
+        # the NaN passed the loader's spacing tests and the run exited 0 with a dE
+        rows = (CONFIG_DIR / "sampled_profile.csv").read_text().splitlines()
+        rows[501] = "nan," + rows[501].split(",")[1]
+        (tmp_path / "samples.csv").write_text("\n".join(rows) + "\n")
+        body = json.loads((CONFIG_DIR / "sampled_profile.json").read_text())
+        body["profile"]["csv"] = "samples.csv"
+        assert main([str(write_config(tmp_path, body))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: profile: ") and err.rstrip().endswith("times must be finite"), err
 
     def test_sampled_csv_with_inline_samples_is_refused(self, tmp_path, capsys):
         assert main([str(write_config(tmp_path, sampled_inline(csv="samples.csv")))]) == 2

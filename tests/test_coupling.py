@@ -184,12 +184,52 @@ class TestCsvLoading:
         with pytest.raises(ValueError, match="two columns"):
             load_sampled_csv(path)
 
+    @pytest.mark.parametrize("row", [0, 500, 2000])
+    def test_rejects_a_non_finite_time(self, tmp_path, row):
+        # a NaN made both spacing tests false, so the file passed as uniform
+        path = tmp_path / "bad.csv"
+        times = np.linspace(-10.0, 10.0, 2001)
+        times[row] = np.nan
+        self._write(path, times, np.exp(-(np.nan_to_num(times) ** 2)))
+        with pytest.raises(ValueError, match="times must be finite"):
+            load_sampled_csv(path)
+
     def test_tolerates_tiny_spacing_jitter(self, tmp_path):
         path = tmp_path / "jitter.csv"
         times = [0.0, 1.0, 2.0 + 1e-12, 3.0]
         self._write(path, times, [0.0, 1.0, 1.0, 0.0])
         profile = load_sampled_csv(path)
         assert profile.grid.n_samples == 4
+
+
+class TestAmplitudeIsFinite:
+    """A closed-form profile refuses a non-finite amplitude when constructed,
+    not later inside sample; a finite one of either sign is allowed."""
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("make", [
+        lambda a: ExponentialRamp(gamma=a, eta=1.0),
+        lambda a: SymmetricRamp(gamma=a, eta=1.0),
+        lambda a: GaussianPulse(q0=a, tau=1.0),
+    ])
+    def test_non_finite_amplitude_is_refused(self, make, value):
+        with pytest.raises(ValueError, match=rf"\.(gamma|q0) must be finite, got {value!r}"):
+            make(value)
+
+    @pytest.mark.parametrize("profile", [
+        ExponentialRamp(gamma=-2.0, eta=1.0),
+        SymmetricRamp(gamma=-1e300, eta=1.0),
+        GaussianPulse(q0=-0.5, tau=1.0),
+        GaussianPulse(q0=0.0, tau=1.0),
+    ])
+    def test_finite_amplitude_of_either_sign_samples_clean(self, profile):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(sample(profile, TimeGrid(-5.0, 5.0, 101)).values))
+
+    def test_with_amplitude_goes_through_the_same_check(self):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            with_amplitude(SymmetricRamp(gamma=1.0, eta=1.0), np.inf)
 
 
 class TestAmplitudeKnob:

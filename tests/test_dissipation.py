@@ -189,6 +189,24 @@ class TestCompareRoutes:
             report = compare_routes(narrow, PARAMS, routes=("mode_oracle", "fock_oracle"), fock_truncation=4)
         assert report.tail_warning
 
+    @pytest.mark.parametrize("q0", [0.01, -0.01])
+    def test_the_tail_test_reads_max_abs_q_for_either_sign(self, q0):
+        wide = compare_routes(gauss_signal(q0=q0, n=481), PARAMS, routes=("hb",))
+        narrow = sample(GaussianPulse(q0=q0, tau=1.0), TimeGrid(-2.0, 2.0, 41))
+        assert not wide.tail_warning
+        assert compare_routes(narrow, PARAMS, routes=("hb",)).tail_warning
+
+    @pytest.mark.parametrize("tail_rel", [float("nan"), 0.0, -1.0, 1.0, 2.0, float("inf")])
+    def test_a_tail_rel_outside_the_unit_interval_is_refused_with_its_value(self, tail_rel):
+        # nan, 0 and -1 flagged every report, 2 none
+        with pytest.raises(ValueError, match=rf"tail_rel must be in \(0, 1\), got {tail_rel!r}"):
+            compare_routes(gauss_signal(n=481), PARAMS, routes=("hb",), tail_rel=tail_rel)
+
+    def test_a_tail_rel_below_the_span_floor_still_tests_the_tails(self):
+        # only an eta scan solves a span for its tail_rel
+        report = compare_routes(gauss_signal(n=481), PARAMS, routes=("hb",), tail_rel=1e-320)
+        assert report.tail_warning
+
     def test_the_one_tail_threshold_is_the_callers_tail_rel(self):
         # exp(-s^2) = 3e-10 at both endpoints, between the two thresholds
         s = np.sqrt(-np.log(3e-10))
@@ -287,12 +305,38 @@ class TestScanPreflight:
             )
 
 
-def test_importing_the_cli_loads_no_scipy():
+def run_python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports this casfric."""
     src = str(Path(casfric.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_importing_the_cli_loads_no_scipy():
     code = (
         "import sys, casfric.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]", out.stdout
+    out = run_python(code)
+    assert out.strip() == "[]", out
+
+
+def test_repeated_compare_routes_calls_fault_in_no_new_pages():
+    """Both first-order workspaces are one allocation.  As two allocations
+    alive at once, glibc trimmed the heap after every call and the next
+    call faulted ~1,000 pages back in on this 48001-sample pulse."""
+    pytest.importorskip("resource")
+    code = (
+        "import resource\n"
+        "from casfric import GaussianPulse, PhysicalParams, TimeGrid, compare_routes, sample\n"
+        "params = PhysicalParams(mass=1.0, omega=1.0)\n"
+        "signal = sample(GaussianPulse(q0=0.01, tau=1.0), TimeGrid(-12.0, 12.0, 48001))\n"
+        "for _ in range(3):\n"
+        "    compare_routes(signal, params)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(20):\n"
+        "    compare_routes(signal, params)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    faults = int(run_python(code))
+    assert faults < 20 * 10, faults
