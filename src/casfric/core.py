@@ -40,15 +40,22 @@ MAX_GRID_SAMPLES = 100_000_000
 MAX_FOCK_TRUNCATION = math.isqrt(math.isqrt(8 * MAX_GRID_SAMPLES // 16)) - 1
 
 
-def _blocks(n_samples: int):
-    """(lo, hi) of the trapezoid blocks over a grid of n_samples: BLOCK_SAMPLES
+def _blocks(n_samples: int, size: int = BLOCK_SAMPLES):
+    """(lo, hi) of the trapezoid blocks over a grid of n_samples: ``size``
     intervals each, every block sharing its end sample with the next.
 
-    The first-order routes' bits depend on this partition, so every pass
-    that integrates a grid takes its blocks from here.
+    The first-order routes' bits depend on the partition into blocks of
+    BLOCK_SAMPLES, so every pass that integrates a grid takes its blocks
+    from here.
     """
-    for lo in range(0, n_samples - 1, BLOCK_SAMPLES):
-        yield lo, min(lo + BLOCK_SAMPLES + 1, n_samples)
+    for lo in range(0, n_samples - 1, size):
+        yield lo, min(lo + size + 1, n_samples)
+
+
+# Trapezoid pairs per tile of the first-order pass, which fills each block's
+# pairs one tile at a time: a tile's buffers and its part of the pairs,
+# about 0.8 MB for both routes and a ramp's values, stay in a 2 MB L2 cache.
+_TILE_PAIRS = 1 << 13
 
 
 def _require_integer(value, name: str, least: int) -> None:
@@ -114,6 +121,9 @@ class TimeGrid:
             raise ValueError("grid endpoints must be finite")
         if not self.t_end > self.t_start:
             raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
+        # every time is t_start + i*dt: a span that overflows makes inf*0 = nan at i = 0
+        if not float(self.t_end) - float(self.t_start) < math.inf:
+            raise ValueError(f"the span t_end - t_start overflows, got [{self.t_start}, {self.t_end}]")
 
     @property
     def dt(self) -> float:

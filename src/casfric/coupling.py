@@ -88,12 +88,13 @@ class ExponentialRamp(CouplingProfile):
         # Unmasked on max(t, 0), which is t where t > 0 and keeps the t <= 0
         # lanes from overflowing (exp, gamma*t) or making 0*inf; they are
         # then written +0.0 in one masked pass.
-        np.maximum(t, 0.0, out=out)
-        np.multiply(out, -self.eta, out=scratch)
-        np.exp(scratch, out=scratch)
-        out *= self.gamma
-        out *= scratch
-        np.copyto(out, 0.0, where=~(t > 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # see SymmetricRamp
+            np.maximum(t, 0.0, out=out)
+            np.multiply(out, -self.eta, out=scratch)
+            np.exp(scratch, out=scratch)
+            out *= self.gamma
+            out *= scratch
+            np.copyto(out, 0.0, where=~(t > 0.0))
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,14 @@ class SymmetricRamp(CouplingProfile):
 
     def _eval_array(self, t, out, scratch):
         # (gamma*t) * exp((-eta)*|t|)
-        np.abs(t, out=scratch)
-        scratch *= -self.eta
-        np.exp(scratch, out=scratch)
-        np.multiply(t, self.gamma, out=out)
-        out *= scratch
+        # eta*|t| = inf gives exp = 0, so q = 0, its correctly rounded limit;
+        # gamma*t = inf gives inf or nan, which the callers' finite checks refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.abs(t, out=scratch)
+            scratch *= -self.eta
+            np.exp(scratch, out=scratch)
+            np.multiply(t, self.gamma, out=out)
+            out *= scratch
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,7 @@ class Flyby(CouplingProfile):
             value = float(getattr(self, name))
             if np.isinf(value * value):
                 raise ValueError(f"Flyby.{name} must have a finite square, got {value!r}")
-        with np.errstate(divide="ignore", over="ignore"):  # refused below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
             peak = self.evaluate(0.0)
         if not np.isfinite(peak):
             raise ValueError(
@@ -258,10 +262,9 @@ def load_sampled_csv(path) -> CouplingSignal:
     steps = np.diff(times)
     if np.any(steps <= 0.0):
         raise ValueError(f"{path}: times must be strictly increasing")
-    dt = (times[-1] - times[0]) / (len(times) - 1)
-    if np.max(np.abs(steps - dt)) > 1e-9 * dt:
+    grid = TimeGrid(float(times[0]), float(times[-1]), len(times))  # refuses a span that overflows
+    if np.max(np.abs(steps - grid.dt)) > 1e-9 * grid.dt:
         raise ValueError(f"{path}: times must be uniform to 1e-9 relative spacing")
-    grid = TimeGrid(float(times[0]), float(times[-1]), len(times))
     return CouplingSignal(grid, values)
 
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import oracle as _oracle
-from .core import BLOCK_SAMPLES, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid, _blocks, ladder_factor
+from .core import BLOCK_SAMPLES, MAX_GRID_SAMPLES, _TILE_PAIRS, PhysicalParams, TimeGrid, _blocks, ladder_factor
 from .coupling import CouplingProfile, CouplingSignal, ExponentialRamp, SymmetricRamp, _finite_range, sample
 from .errors import NumericalFailure, TailSpanError
 from .spectral import _SpectralSum, _transform
@@ -68,33 +68,40 @@ _SCAN_TAIL_FACTOR = 0.1
 class _TimeDomainSum:
     """I(inf) = -(i/2 hbar) * trapezoid of q(t) e^{2 i w t}, fed one block at a time.
 
-    Its three buffers hold blocks of up to ``size`` samples and share one
-    allocation of 5*size - 2 floats: ``work`` if given, else one made here.
-    ``reset`` starts the amplitude over a grid, so one instance serves
-    every grid of an eta scan; ``add`` then takes the times and samples of
-    each block of the grid's partition, in order.
+    It holds the trapezoid pairs of a block of up to ``size`` samples; its
+    integrand and trig buffers hold ``tile`` samples (``size`` if not
+    given).  The three share one allocation of 3*tile + 2*size - 2 floats:
+    ``work`` if given, else one made here.  ``reset`` starts the amplitude
+    over a grid, so one instance serves every grid of an eta scan; ``add``
+    then takes the times and samples of each block of the grid's
+    partition, in order.  A caller that feeds a block in parts ``fill``s
+    the pairs of each part, then adds the block's with ``add_pairs``.
     """
 
-    def __init__(self, params: PhysicalParams, size: int, work=None):
+    def __init__(self, params: PhysicalParams, size: int, work=None, tile=None):
         self.hbar = params.hbar
         self.w = 2.0 * params.omega  # 2j*omega*t has imaginary part w*t, bit for bit
-        work = np.empty(5 * size - 2) if work is None else work
-        self.integrand = work[: 2 * size].view(np.complex128)
-        self.pairs = work[2 * size : 4 * size - 2].view(np.complex128)
-        self.trig = work[4 * size - 2 :]
+        tile = size if tile is None else tile
+        work = np.empty(3 * tile + 2 * size - 2) if work is None else work
+        self.integrand = work[: 2 * tile].view(np.complex128)
+        self.pairs = work[2 * tile : 2 * tile + 2 * size - 2].view(np.complex128)
+        self.trig = work[2 * tile + 2 * size - 2 :]
 
     def reset(self, grid: TimeGrid) -> None:
         """Start a new amplitude over ``grid``."""
         self.dt, self.value = grid.dt, 0j
 
     def add(self, times: np.ndarray, block: np.ndarray) -> None:
-        """Add the trapezoid over one block: sample times ``times``, values ``block``.
+        """Add the trapezoid over one block: sample times ``times``, values ``block``."""
+        self.fill(times, block, 0)
+        self.add_pairs(len(block) - 1)
 
-        Both arrays are only read.
-        """
+    def fill(self, times: np.ndarray, block: np.ndarray, at: int) -> None:
+        """Write the trapezoid pairs of ``block``, sampled at ``times``, to
+        the pair buffer from pair ``at`` on; both arrays are only read."""
         n = len(block)
-        cos_sin, y, pair = self.trig[:n], self.integrand[:n], self.pairs[: n - 1]
-        phase = self.pairs.view(np.float64)[:n]  # the pair buffer is free until the pairs are summed
+        cos_sin, y, pair = self.trig[:n], self.integrand[:n], self.pairs[at : at + n - 1]
+        phase = self.pairs[at:].view(np.float64)[:n]  # these pairs are free until they are written
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused by total
             np.multiply(times, self.w, out=phase)
             np.multiply(block, np.cos(phase, out=cos_sin), out=y.real)
@@ -103,7 +110,11 @@ class _TimeDomainSum:
             pair_real = pair.view(np.float64)
             pair_real *= self.dt
             pair_real *= 0.5
-            self.value += pair.sum()
+
+    def add_pairs(self, count: int) -> None:
+        """Add the sum of the first ``count`` pairs, a block's, to the trapezoid."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused by total
+            self.value += self.pairs[:count].sum()
 
     def total(self) -> complex:
         """I(inf); OverflowError if the sum or its scaling by -i/(2 hbar) is not finite."""
@@ -234,52 +245,59 @@ def _overflow_fails(route: str):
 class _FirstOrderPass:
     """The one block loop that builds the first-order part of a report.
 
-    ``run`` takes each block's times from one grid.times call, refuses a
-    non-finite block as sample does, keeps the min, max and end samples
-    for the tail test and feeds hb's transform (always: it sets the
-    validity flag) and, if selected, barton's amplitude; ``totals`` reads
-    both dE, barton first.  Their workspaces and, if the pass
-    ``evaluates``, a block of profile values and scratch share one
-    allocation, made once, for the blocks of grids of up to ``n_samples``.
+    ``run`` takes each block's times from one grid.times call and walks
+    the block in tiles of _TILE_PAIRS pairs.  Per tile it refuses
+    non-finite samples as sample does, keeps the min, max and end samples
+    for the tail test and fills the tile's pairs of hb's transform
+    (always: it sets the validity flag) and, if selected, barton's
+    amplitude; each route then adds its block's pairs in one sum, as its
+    public quadrature does.  ``totals`` reads both dE, barton first.
+    Their workspaces and, if the pass ``evaluates``, a tile of profile
+    values and scratch share one allocation, made once, for the blocks of
+    grids of up to ``n_samples``.
     """
 
     def __init__(self, params: PhysicalParams, routes: Sequence[str], n_samples: int, evaluates: bool = False):
         self.params = params
         size = min(BLOCK_SAMPLES + 1, n_samples)
-        stride = 5 * size - 2
+        tile = min(_TILE_PAIRS + 1, size)
+        stride = 3 * tile + 2 * size - 2
         sums = 2 if "barton" in routes else 1
-        work = np.empty(sums * stride + (2 * size if evaluates else 0))
-        self.transform = _SpectralSum(-2.0 * params.omega, size, work[:stride])
-        self.amplitude = _TimeDomainSum(params, size, work[stride : 2 * stride]) if sums == 2 else None
-        self.values, self.scratch = work[sums * stride :].reshape(2, size) if evaluates else (None, None)
+        work = np.empty(sums * stride + (2 * tile if evaluates else 0))
+        self.transform = _SpectralSum(-2.0 * params.omega, size, work[:stride], tile)
+        self.amplitude = _TimeDomainSum(params, size, work[stride : 2 * stride], tile) if sums == 2 else None
+        self.values, self.scratch = work[sums * stride :].reshape(2, tile) if evaluates else (None, None)
 
     def run(self, grid: TimeGrid, source, tail_rel: float) -> bool:
         """Feed every block of ``grid``; True when |q| at both grid endpoints
         is at most tail_rel * max|q|, so the incoming and outgoing states are free.
 
         ``source`` is the CouplingSignal on ``grid``, fed in slices, or, to a
-        pass that evaluates, a profile, evaluated into its buffers block by block.
+        pass that evaluates, a profile, evaluated into its buffers tile by tile.
         """
-        self.transform.reset(grid)
-        if self.amplitude is not None:
-            self.amplitude.reset(grid)
+        routes = [self.transform] if self.amplitude is None else [self.transform, self.amplitude]
+        for route in routes:
+            route.reset(grid)
         q_min, q_max = math.inf, -math.inf
         for lo, hi in _blocks(grid.n_samples):
             times = grid.times(lo, hi)
-            if self.values is None:
-                block = source.values[lo:hi]
-            else:
-                block = self.values[: hi - lo]
-                source._eval_array(times, block, self.scratch[: hi - lo])
-            block_min, block_max = _finite_range(block)
-            q_min, q_max = min(q_min, block_min), max(q_max, block_max)
-            if lo == 0:
-                first = block[0]
-            last = block[-1]
-            self.transform.add(times, block)
-            if self.amplitude is not None:
-                self.amplitude.add(times, block)
-            del times  # so no two blocks' times are held at once
+            for a, b in _blocks(hi - lo, _TILE_PAIRS):
+                tile_times = times[a:b]
+                if self.values is None:
+                    tile = source.values[lo + a : lo + b]
+                else:
+                    tile = self.values[: b - a]
+                    source._eval_array(tile_times, tile, self.scratch[: b - a])
+                tile_min, tile_max = _finite_range(tile)
+                q_min, q_max = min(q_min, tile_min), max(q_max, tile_max)
+                if lo + a == 0:
+                    first = tile[0]
+                last = tile[-1]
+                for route in routes:
+                    route.fill(tile_times, tile, a)
+            for route in routes:
+                route.add_pairs(hi - lo - 1)
+            del times, tile_times  # so no two blocks' times are held at once
         threshold = tail_rel * max(q_max, -q_min)
         return bool(abs(first) <= threshold and abs(last) <= threshold)
 
@@ -445,7 +463,7 @@ def adiabatic_scan(
     MAX_GRID_SAMPLES is refused before the scan runs.  Each point's
     reports are those of compare_routes on the sampled grid, bit for bit,
     from one first-order pass allocated for the whole scan.  Without an
-    oracle route it evaluates each ramp into its own block buffers, so a
+    oracle route it evaluates each ramp into its own tile buffers, so a
     point holds O(BLOCK_SAMPLES) whatever eta; an oracle point samples its
     grid once for both.  Unresolved tails raise TailSpanError before any
     route's total is read.

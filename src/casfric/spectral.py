@@ -34,32 +34,39 @@ __all__ = ["fourier_numeric", "fourier_analytic"]
 class _SpectralSum:
     """Trapezoid of q(t) exp(-i*omega*t) over a grid, fed one block at a time.
 
-    Its three buffers hold blocks of up to ``size`` samples and share one
-    allocation of 5*size - 2 floats: ``work`` if given, else one made here.
-    ``reset`` starts the transform over a grid, so one instance serves
-    every grid of an eta scan; ``add`` then takes the times and samples of
-    each block of the grid's partition, in order.
+    It holds the trapezoid pairs of a block of up to ``size`` samples; its
+    integrand and trig buffers hold ``tile`` samples (``size`` if not
+    given).  The three share one allocation of 3*tile + 2*size - 2 floats:
+    ``work`` if given, else one made here.  ``reset`` starts the transform
+    over a grid, so one instance serves every grid of an eta scan; ``add``
+    then takes the times and samples of each block of the grid's
+    partition, in order.  A caller that feeds a block in parts ``fill``s
+    the pairs of each part, then adds the block's with ``add_pairs``.
     """
 
-    def __init__(self, omega: float, size: int, work=None):
+    def __init__(self, omega: float, size: int, work=None, tile=None):
         self.w = -omega  # -1j*omega*t has imaginary part w*t, bit for bit
-        work = np.empty(5 * size - 2) if work is None else work
-        self.integrand = work[: 2 * size].view(np.complex128)
-        self.pairs = work[2 * size : 4 * size - 2].view(np.complex128)
-        self.trig = work[4 * size - 2 :]
+        tile = size if tile is None else tile
+        work = np.empty(3 * tile + 2 * size - 2) if work is None else work
+        self.integrand = work[: 2 * tile].view(np.complex128)
+        self.pairs = work[2 * tile : 2 * tile + 2 * size - 2].view(np.complex128)
+        self.trig = work[2 * tile + 2 * size - 2 :]
 
     def reset(self, grid: TimeGrid) -> None:
         """Start a new transform over ``grid``."""
         self.dt, self.value = grid.dt, 0j
 
     def add(self, times: np.ndarray, block: np.ndarray) -> None:
-        """Add the trapezoid over one block: sample times ``times``, values ``block``.
+        """Add the trapezoid over one block: sample times ``times``, values ``block``."""
+        self.fill(times, block, 0)
+        self.add_pairs(len(block) - 1)
 
-        Both arrays are only read.
-        """
+    def fill(self, times: np.ndarray, block: np.ndarray, at: int) -> None:
+        """Write the trapezoid pairs of ``block``, sampled at ``times``, to
+        the pair buffer from pair ``at`` on; both arrays are only read."""
         n = len(block)
-        cos_sin, y, pair = self.trig[:n], self.integrand[:n], self.pairs[: n - 1]
-        phase = self.pairs.view(np.float64)[:n]  # the pair buffer is free until the pairs are summed
+        cos_sin, y, pair = self.trig[:n], self.integrand[:n], self.pairs[at : at + n - 1]
+        phase = self.pairs[at:].view(np.float64)[:n]  # these pairs are free until they are written
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused by total
             np.multiply(times, self.w, out=phase)
             np.multiply(block, np.cos(phase, out=cos_sin), out=y.real)
@@ -68,7 +75,11 @@ class _SpectralSum:
             pair_real = pair.view(np.float64)
             pair_real *= self.dt
             pair_real *= 0.5
-            self.value += pair.sum()
+
+    def add_pairs(self, count: int) -> None:
+        """Add the sum of the first ``count`` pairs, a block's, to the trapezoid."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused by total
+            self.value += self.pairs[:count].sum()
 
     def total(self) -> complex:
         """The transform; OverflowError if the sum is not finite."""

@@ -1,5 +1,6 @@
 """Block-streamed passes over long grids: grid slices, sampling and the
 two first-order quadratures, against full-array references."""
+import gc
 import tracemalloc
 
 import numpy as np
@@ -23,15 +24,16 @@ from casfric import (
     delta_e_time_domain,
     sample,
 )
-from casfric.core import BLOCK_SAMPLES
+from casfric.core import _TILE_PAIRS, BLOCK_SAMPLES, _blocks
 from casfric.dissipation import (
     _SCAN_TAIL_FACTOR,
     _FirstOrderPass,
+    _TimeDomainSum,
     _ramp_grid,
     ramp_tail_span,
     time_domain_amplitude,
 )
-from casfric.spectral import fourier_numeric
+from casfric.spectral import _SpectralSum, fourier_numeric
 
 PARAMS = PhysicalParams(mass=1.0, omega=1.0)
 SIZES = [2, 3, BLOCK_SAMPLES - 1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1, BLOCK_SAMPLES + 2, 3 * BLOCK_SAMPLES + 17]
@@ -186,6 +188,40 @@ def subnormal_signal(n=1001):
 
 
 ROUTE_PAIRS = [("barton", "hb"), ("hb",)]
+# a block of one tile, then blocks of T + 1, T + 2 and 2T + 8 pairs, filled in 2, 2 and 3 tiles
+TILE_SPLITS = [_TILE_PAIRS + 1, _TILE_PAIRS + 2, _TILE_PAIRS + 3, 2 * _TILE_PAIRS + 9]
+
+
+class TestTiledFill:
+    """Filling a block's pairs one tile at a time writes the bits that one
+    fill of the whole block writes, so the block's one .sum() is the same."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=st.integers(1, BLOCK_SAMPLES), seed=st.integers(0, 2**32 - 1))
+    @example(pairs=_TILE_PAIRS, seed=0)
+    @example(pairs=_TILE_PAIRS + 1, seed=1)
+    @example(pairs=2 * _TILE_PAIRS + 4, seed=2)
+    @example(pairs=BLOCK_SAMPLES, seed=3)
+    def test_tiles_write_the_pairs_of_one_fill(self, pairs, seed):
+        # samples from 1e-320 to 1e300 in magnitude, both signs, zeros of both signs
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(pairs + 1) * 10.0 ** rng.integers(-320, 301, size=pairs + 1)
+        values[rng.integers(0, pairs + 1, size=pairs // 8 + 1)] = 0.0
+        values[rng.integers(0, pairs + 1, size=pairs // 8 + 1)] = -0.0
+        grid = TimeGrid(-12.0, 12.0, pairs + 1)
+        times = grid.times()
+        for whole, tiled in [
+            (_SpectralSum(0.7, pairs + 1), _SpectralSum(0.7, pairs + 1, tile=_TILE_PAIRS + 1)),
+            (_TimeDomainSum(PARAMS, pairs + 1), _TimeDomainSum(PARAMS, pairs + 1, tile=_TILE_PAIRS + 1)),
+        ]:
+            whole.reset(grid)
+            tiled.reset(grid)
+            whole.add(times, values)
+            for a, b in _blocks(pairs + 1, _TILE_PAIRS):
+                tiled.fill(times[a:b], values[a:b], a)
+            tiled.add_pairs(pairs)
+            assert_same_bits(tiled.pairs.view(np.float64), whole.pairs.view(np.float64))
+            assert_same_bits(np.array([tiled.value.real, tiled.value.imag]), np.array([whole.value.real, whole.value.imag]))
 
 
 class TestOneFirstOrderPass:
@@ -204,6 +240,11 @@ class TestOneFirstOrderPass:
     @pytest.mark.parametrize("routes", ROUTE_PAIRS)
     @pytest.mark.parametrize("n", SIZES)
     def test_every_block_split(self, n, routes):
+        self.assert_fields_are_the_public_routes(pulse(n), routes)
+
+    @pytest.mark.parametrize("routes", ROUTE_PAIRS)
+    @pytest.mark.parametrize("n", TILE_SPLITS)
+    def test_every_tile_split(self, n, routes):
         self.assert_fields_are_the_public_routes(pulse(n), routes)
 
     @pytest.mark.parametrize("routes", ROUTE_PAIRS)
@@ -258,6 +299,22 @@ class TestWorkingSet:
             # a few blocks' temporaries; the long signal itself takes 32 MB
             assert peak_long < 128 * BLOCK_SAMPLES, name
             assert peak_long <= peak_short + 4096, name
+
+    def test_compare_routes_leaves_nothing_behind(self):
+        """No reference cycle keeps a call's arrays alive until the cyclic
+        collector runs: with it off, five calls hold what two held."""
+        signal = pulse(3 * BLOCK_SAMPLES + 17)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            held = []
+            for _ in range(5):
+                compare_routes(signal, PARAMS)
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert abs(held[4] - held[1]) < 4096, held
 
     def test_sampling_a_signal_reads_only_slices_of_its_grid(self, monkeypatch):
         """Each block interpolates from the few cells it covers, not from
@@ -364,7 +421,6 @@ class TestStreamedScan:
         with pytest.raises(ValueError, match=r"eta=1e-06 needs a grid of \d+ samples"):
             adiabatic_scan(ExponentialRamp(gamma=1.0, eta=1.0), [0.01, 1e-6], PARAMS, routes=("hb",))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("dt", [None, 1e4])
     def test_a_non_finite_sample_is_refused_as_sampling_refuses_it(self, dt):
         # gamma*t overflows to inf; refused before the tail test
@@ -446,11 +502,13 @@ class TestOneFormulaPerProfile:
         assert_same_bits(sample(profile, grid).values, formula_reference(profile, grid.times()))
 
 
-def one_time_bytes(routes, size):
-    """The block buffers an eta scan allocates once: a workspace of 5*size - 2
-    floats per first-order accumulator, and the profile's values and scratch."""
+def one_time_bytes(routes):
+    """The buffers an eta scan allocates once: per first-order accumulator
+    a block of pairs and a tile of integrand and trig, 3*tile + 2*block - 2
+    floats, and a tile of the profile's values and scratch."""
     accumulators = 2 if "barton" in routes else 1
-    return 8 * (accumulators * (5 * size - 2) + 2 * size)
+    block, tile = BLOCK_SAMPLES + 1, _TILE_PAIRS + 1
+    return 8 * (accumulators * (3 * tile + 2 * block - 2) + 2 * tile)
 
 
 class TestScanBuffers:
@@ -458,11 +516,10 @@ class TestScanBuffers:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_the_block_loop_allocates_no_block_buffer(self, family, routes):
         """Beyond the buffers allocated once and each block's times from
-        grid.times, a scan point of several blocks allocates less than a block."""
+        grid.times, a scan point of several blocks allocates less than a tile."""
         eta = 1e-3
         n = _ramp_grid(family, eta, np.pi / 32.0, 1e-12).n_samples
         assert n > 3 * BLOCK_SAMPLES + 1
         peak = traced_peak(adiabatic_scan, family, [eta], PARAMS, routes)
-        size = BLOCK_SAMPLES + 1
-        times = 8 * size
-        assert peak - one_time_bytes(routes, size) - times < 8 * BLOCK_SAMPLES
+        times = 8 * (BLOCK_SAMPLES + 1)
+        assert peak - one_time_bytes(routes) - times < 8 * _TILE_PAIRS

@@ -19,7 +19,7 @@ from casfric.cli import (
     run_scenario,
 )
 from casfric import adiabatic_scan
-from casfric.core import MAX_FOCK_TRUNCATION, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
+from casfric.core import BLOCK_SAMPLES, MAX_FOCK_TRUNCATION, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
 from casfric.dissipation import SCAN_TAIL_REL_DEFAULT
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -680,3 +680,62 @@ class TestExtremeParamsEndCleanly:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numerical failure: mode_oracle: float overflow\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_grid_span_that_overflows_is_exit_two_naming_grid(self, tmp_path, capsys):
+        # t_end - t_start = inf, so the time at index 0 was inf*0 = nan
+        body = small_benchmark(grid={"t_start": -1e308, "t_end": 1e308, "n_samples": 3}, routes=["hb"])
+        assert main([str(write_config(tmp_path, body))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: grid: the span t_end - t_start overflows, got [-1e+308, 1e+308]\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_sampled_csv_whose_span_overflows_is_exit_two(self, tmp_path, capsys):
+        (tmp_path / "samples.csv").write_text("t,q\n-1e308,0.0\n0.0,0.001\n1e308,0.0\n")
+        body = json.loads((CONFIG_DIR / "sampled_profile.json").read_text())
+        body["profile"]["csv"] = "samples.csv"
+        assert main([str(write_config(tmp_path, body))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: profile: the span t_end - t_start overflows, got [-1e+308, 1e+308]\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_flyby_whose_squares_underflow_is_exit_two_naming_d(self, tmp_path, capsys):
+        # charge**2 and d**2 underflow to 0, so q(0) = 0/0
+        body = small_benchmark(profile={"type": "flyby", "charge": 1e-200, "d": 1e-200, "v": 1.0},
+                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 241}, routes=["hb"])
+        assert main([str(write_config(tmp_path, body))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: profile: Flyby.d "), captured.err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, t_start", [("symmetric_ramp", -1e10), ("exponential_ramp", 0.0)])
+    @pytest.mark.parametrize(
+        "rates, code",
+        [({"gamma": 1.0, "eta": 1e300}, 0), ({"gamma": 1e300, "eta": 1e-300}, 2)],
+        ids=["eta-overflows", "gamma-overflows"],
+    )
+    def test_ramp_products_that_overflow(self, tmp_path, capsys, kind, t_start, rates, code):
+        # eta*|t| = inf gives exp = 0 and q = 0; gamma*t = inf is refused as not finite
+        body = small_benchmark(profile={"type": kind, **rates},
+                               grid={"t_start": t_start, "t_end": 1e10, "n_samples": 101}, routes=["hb"])
+        assert main([str(write_config(tmp_path, body))]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ("" if code == 0 else "error: signal values must be finite\n")
+        if code == 0:
+            assert float(captured.out.strip().split("\n")[1].split(",")[4]) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_samples", [48001, 2 * BLOCK_SAMPLES + 1], ids=["one-block", "two-blocks"])
+    def test_a_sum_that_overflows_only_when_its_parts_are_added_is_exit_three(self, tmp_path, capsys, n_samples):
+        # each half of the pulse's pairs sums to about 1.42e308; on two blocks
+        # each block's sum is finite and only adding them overflows
+        body = small_benchmark(params={"mass": 1.0, "omega": 1e-3},
+                               profile={"type": "gaussian_pulse", "q0": 8e307, "tau": 2.0},
+                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": n_samples}, routes=["hb"])
+        assert main([str(write_config(tmp_path, body))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: hb: float overflow\n"

@@ -77,6 +77,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, float("inf"), 5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_span_that_overflows(self):
+        with pytest.raises(ValueError, match="the span t_end - t_start overflows"):
+            TimeGrid(np.float64(-1e308), np.float64(1e308), 3)
+        assert TimeGrid(-8e307, 8e307, 3).times()[1] == 0.0  # the largest spans stay
+
     def test_refuses_an_integral_float_sample_count(self):
         with pytest.raises(ValueError, match=r"n_samples must be an integer >= 2, got 121\.0"):
             TimeGrid(-6.0, 6.0, 121.0)
