@@ -345,8 +345,7 @@ def _oracles(signal, params, routes, fock_truncation=10, fock_substeps=4, mode_s
     de_mode = None
     if "mode_oracle" in routes:
         with _overflow_fails("mode_oracle"):
-            pair_plus = _oracle.evolve_mode(signal, params, +1, substeps=mode_substeps)
-            pair_minus = _oracle.evolve_mode(signal, params, -1, substeps=mode_substeps)
+            pair_plus, pair_minus = _oracle._evolve_modes(signal, params, (+1, -1), mode_substeps)
             de_mode = _oracle.delta_e_modes(pair_plus, pair_minus, params)
 
     de_fock = None

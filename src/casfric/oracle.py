@@ -92,15 +92,16 @@ def _substep_coupling(signal: CouplingSignal, h: float, lo: int, hi: int):
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """mats[-1] @ ... @ mats[0] by pairwise folding (log-depth, vectorized)."""
+    """mats[..., -1, :, :] @ ... @ mats[..., 0, :, :] by pairwise folding
+    (log-depth, vectorized, one fold for all leading axes)."""
     prod = mats
-    while prod.shape[0] > 1:
-        paired = 2 * (prod.shape[0] // 2)
-        combined = prod[1:paired:2] @ prod[0:paired:2]
-        if prod.shape[0] % 2:
-            combined = np.concatenate([combined, prod[-1:]], axis=0)
+    while prod.shape[-3] > 1:
+        paired = 2 * (prod.shape[-3] // 2)
+        combined = prod[..., 1:paired:2, :, :] @ prod[..., 0:paired:2, :, :]
+        if prod.shape[-3] % 2:
+            combined = np.concatenate([combined, prod[..., -1:, :, :]], axis=-3)
         prod = combined
-    return prod[0]
+    return prod[..., 0, :, :]
 
 
 def _rk4_transfer_matrices(w2_start, w2_mid, w2_end, h: float) -> np.ndarray:
@@ -122,11 +123,11 @@ def _rk4_transfer_matrices(w2_start, w2_mid, w2_end, h: float) -> np.ndarray:
     # k4 = [[h k3_10, p], [-w2_end p, -w2_end h k3_01]] with p = 1 - h ms
     p = 1.0 - h * ms
     c = h / 6.0
-    steps = np.empty((len(w2_mid), 2, 2))
-    steps[:, 0, 0] = 1.0 + c * ((2.0 * k2_00 - 2.0 * ms) + h * k3_10)
-    steps[:, 0, 1] = c * ((3.0 + 2.0 * k3_01) + p)
-    steps[:, 1, 0] = c * (((-w2_start - 2.0 * w2_mid) + 2.0 * k3_10) - w2_end * p)
-    steps[:, 1, 1] = 1.0 + c * (-4.0 * ms - w2_end * (h * k3_01))
+    steps = np.empty(w2_mid.shape + (2, 2))
+    steps[..., 0, 0] = 1.0 + c * ((2.0 * k2_00 - 2.0 * ms) + h * k3_10)
+    steps[..., 0, 1] = c * ((3.0 + 2.0 * k3_01) + p)
+    steps[..., 1, 0] = c * (((-w2_start - 2.0 * w2_mid) + 2.0 * k3_10) - w2_end * p)
+    steps[..., 1, 1] = 1.0 + c * (-4.0 * ms - w2_end * (h * k3_01))
     return steps
 
 
@@ -148,40 +149,60 @@ def evolve_mode(
     """
     if mode_sign not in (+1, -1):
         raise ValueError(f"mode_sign must be +1 or -1, got {mode_sign!r}")
+    return _evolve_modes(signal, params, (mode_sign,), substeps)[0]
+
+
+def _evolve_modes(signal: CouplingSignal, params: PhysicalParams, signs, substeps: int) -> list:
+    """evolve_mode for each of ``signs`` in one sweep: each chunk's coupling
+    is interpolated once, and its Omega^2, steps and product are one array.
+    It raises what evolve_mode on each sign in turn would: a sign whose mode
+    inverts leaves the sweep, and its error waits for the signs before it."""
     h, n_steps = _substeps(signal, substeps)
     if not np.any(signal.values):
         # zero coupling is exactly free evolution; nothing to integrate
-        return BogoliubovPair(1.0 + 0.0j, 0.0j)
+        return [BogoliubovPair(1.0 + 0.0j, 0.0j)] * len(signs)
 
     w = params.omega
+    sign_column = np.array(signs, dtype=float)[:, None]
+    live, inverted = len(signs), None  # signs[:live] are still swept
     # one product per chunk, folded again at the end: the same pairwise
     # tree as one fold over every step, so the same bits
     starts = range(0, n_steps, _CHUNK_STEPS)
-    chunk_products = np.empty((len(starts), 2, 2))
+    chunk_products = np.empty((len(signs), len(starts), 2, 2))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite propagator is refused below
         for k, lo in enumerate(starts):
             q_nodes, q_mid = _substep_coupling(signal, h, lo, min(lo + _CHUNK_STEPS, n_steps))
-            w2_nodes = w**2 + mode_sign * q_nodes / params.mass
-            w2_mid = w**2 + mode_sign * q_mid / params.mass
-            if np.min(w2_nodes) <= 0.0 or np.min(w2_mid) <= 0.0:
+            w2_nodes = w**2 + sign_column[:live] * q_nodes / params.mass
+            w2_mid = w**2 + sign_column[:live] * q_mid / params.mass
+            down = (np.min(w2_nodes, axis=1) <= 0.0) | (np.min(w2_mid, axis=1) <= 0.0)
+            if down.any():
+                live = int(np.argmax(down))
                 q = signal.values
-                raise InvertedModeError(
-                    f"Omega^2 <= 0 for mode {mode_sign:+d}: max|q| = {max(q.max(), -q.min()):g} "
+                inverted = InvertedModeError(
+                    f"Omega^2 <= 0 for mode {signs[live]:+d}: max|q| = {max(q.max(), -q.min()):g} "
                     f"reaches m*w^2 = {params.mass * w**2:g}"
                 )
-            steps = _rk4_transfer_matrices(w2_nodes[:-1], w2_mid, w2_nodes[1:], h)
-            chunk_products[k] = _ordered_product(steps)
-        propagator = _ordered_product(chunk_products)
-    if not np.isfinite(propagator).all():
+                if live == 0:
+                    raise inverted
+                w2_nodes, w2_mid = w2_nodes[:live], w2_mid[:live]
+            steps = _rk4_transfer_matrices(w2_nodes[:, :-1], w2_mid, w2_nodes[:, 1:], h)
+            chunk_products[:live, k] = _ordered_product(steps)
+        propagators = _ordered_product(chunk_products[:live])
+    if not np.isfinite(propagators).all():
         raise OverflowError("the mode propagator overflowed")
+    if inverted is not None:
+        raise inverted
 
     t0, t1 = signal.grid.t_start, signal.grid.t_end
     f0 = np.exp(-1j * w * t0)
     u0 = np.array([f0, -1j * w * f0])
-    f, fdot = propagator @ u0
-    alpha = 0.5 * (f + 1j * fdot / w) * np.exp(1j * w * t1)
-    beta = 0.5 * (f - 1j * fdot / w) * np.exp(-1j * w * t1)
-    return BogoliubovPair(complex(alpha), complex(beta))
+    pairs = []
+    for propagator in propagators:
+        f, fdot = propagator @ u0
+        alpha = 0.5 * (f + 1j * fdot / w) * np.exp(1j * w * t1)
+        beta = 0.5 * (f - 1j * fdot / w) * np.exp(-1j * w * t1)
+        pairs.append(BogoliubovPair(complex(alpha), complex(beta)))
+    return pairs
 
 
 def delta_e_modes(pair_plus: BogoliubovPair, pair_minus: BogoliubovPair, params: PhysicalParams) -> float:
@@ -197,6 +218,8 @@ class FockStateVector:
     amplitudes: np.ndarray  # shape (N+1, N+1), amplitudes[n1, n2]
 
     def population(self, n1: int, n2: int) -> float:
+        if not (0 <= n1 <= self.truncation and 0 <= n2 <= self.truncation):
+            raise ValueError(f"populations are indexed 0..{self.truncation}, got ({n1!r}, {n2!r})")
         return abs(self.amplitudes[n1, n2]) ** 2
 
     @property

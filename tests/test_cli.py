@@ -682,6 +682,16 @@ class TestExtremeParamsEndCleanly:
         assert captured.err == "numerical failure: mode_oracle: float overflow\n"
 
     @pytest.mark.filterwarnings("error")
+    def test_the_plus_mode_overflow_comes_before_the_minus_mode_inversion(self, tmp_path, capsys):
+        # + is evolved first, so its overflow is reported, not the inversion of - in the first chunk
+        body = small_benchmark(profile={"type": "gaussian_pulse", "q0": 1e10, "tau": 1.0},
+                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 481}, routes=["mode_oracle"])
+        assert main([str(write_config(tmp_path, body))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: mode_oracle: float overflow\n"
+
+    @pytest.mark.filterwarnings("error")
     def test_a_grid_span_that_overflows_is_exit_two_naming_grid(self, tmp_path, capsys):
         # t_end - t_start = inf, so the time at index 0 was inf*0 = nan
         body = small_benchmark(grid={"t_start": -1e308, "t_end": 1e308, "n_samples": 3}, routes=["hb"])

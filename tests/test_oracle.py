@@ -6,6 +6,7 @@ analytic profile; the fixed-step evolution here sees the grid's linear
 interpolant instead, which shifts results by O(dt^2), so tolerances are
 set from the measured dt^2 coefficient.
 """
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from casfric.coupling import CouplingSignal
 from casfric.oracle import (
     _CHUNK_STEPS,
     _RUN_BYTES,
+    _evolve_modes,
     _ladder_position,
     _ordered_product,
     _rk4_transfer_matrices,
@@ -299,6 +301,15 @@ class TestDeltaEFock:
         amplitudes[1, 1] = 1.0
         assert delta_e_fock(FockStateVector(3, amplitudes), PARAMS) == 2.0 * PARAMS.hbar * PARAMS.omega
 
+    @pytest.mark.parametrize("n1, n2", [(-1, 0), (0, -4), (4, 0), (0, 4)])
+    def test_population_refuses_an_index_outside_the_basis(self, n1, n2):
+        amplitudes = np.zeros((4, 4), dtype=complex)
+        amplitudes[0, 0], amplitudes[3, 0] = 0.8, 0.6
+        state = FockStateVector(3, amplitudes)
+        assert state.population(3, 0) == pytest.approx(0.36)
+        with pytest.raises(ValueError, match=r"indexed 0\.\.3"):
+            state.population(n1, n2)
+
 
 # Reference copies of the whole-array mode oracle the chunked one replaced:
 # the full-length substep interpolant, the stacked 2x2 build and one fold
@@ -351,6 +362,15 @@ def whole_array_evolve_mode(signal, params, mode_sign, substeps):
     return complex(alpha), complex(beta)
 
 
+def two_sided_signal():
+    """q = 2 e^{-(t-5)^2} for t < 10, -2 e^{-(t-90)^2} for t > 80 and 0 between."""
+    grid = TimeGrid(0.0, 100.0, 20001)
+    t = grid.times()
+    q = np.where(t < 10.0, 2.0 * np.exp(-((t - 5.0) ** 2)), 0.0)
+    q += np.where(t > 80.0, -2.0 * np.exp(-((t - 90.0) ** 2)), 0.0)
+    return CouplingSignal(grid, q)
+
+
 def criterion_3_pulse():
     return gauss_signal(q0=1e-2, n=48001)
 
@@ -373,9 +393,11 @@ class TestChunkedModeSweep:
     @pytest.mark.parametrize("intervals", [1, 2, 4095, 4096, 4097, 8192, 100000])
     def test_chunked_sweep_is_one_whole_array_fold(self, intervals, substeps):
         signal = gauss_signal(q0=0.3, n=intervals + 1)
-        for sign in (+1, -1):
-            pair = evolve_mode(signal, PARAMS, sign, substeps=substeps)
-            assert (pair.alpha, pair.beta) == whole_array_evolve_mode(signal, PARAMS, sign, substeps)
+        swept = _evolve_modes(signal, PARAMS, (+1, -1), substeps)
+        for sign, both in zip((+1, -1), swept):
+            alone = evolve_mode(signal, PARAMS, sign, substeps=substeps)
+            want = whole_array_evolve_mode(signal, PARAMS, sign, substeps)
+            assert (alone.alpha, alone.beta) == (both.alpha, both.beta) == want
 
     @pytest.mark.parametrize(
         "grid",
@@ -411,23 +433,45 @@ class TestChunkedModeSweep:
             evolve_mode(signal, PARAMS, -1)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "signal, error, message",
+        [
+            # + stiffens until its propagator overflows; - inverts in the first chunk
+            (gauss_signal(q0=1e10, n=481), OverflowError, "the mode propagator overflowed"),
+            # - inverts near t = 5, + only near t = 90
+            (two_sided_signal(), InvertedModeError, "Omega^2 <= 0 for mode +1: max|q| = 2 "),
+            # only - inverts, so + runs to the end first
+            (gauss_signal(q0=1.5, n=4801), InvertedModeError, "Omega^2 <= 0 for mode -1: max|q| = 1.5 "),
+        ],
+        ids=["plus-overflows", "plus-inverts-later", "minus-inverts"],
+    )
+    def test_the_two_sign_sweep_raises_what_plus_then_minus_raises(self, signal, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            for sign in (+1, -1):
+                evolve_mode(signal, PARAMS, sign)
+        with pytest.raises(error, match=re.escape(message)):
+            _evolve_modes(signal, PARAMS, (+1, -1), 1)
+
     def test_peak_memory_does_not_grow_with_the_grid(self):
-        """Chunk-sized temporaries, plus 32 B per chunk for the chunk products."""
-        peaks = []
+        """Chunk-sized temporaries, plus 32 B per chunk and sign for the chunk products."""
+        peaks = {(+1,): [], (+1, -1): []}
         for n in (2 * (1 << 20) + 1, 4 * (1 << 20) + 1):
-            signal = sample(GaussianPulse(q0=1.0, tau=2.0), TimeGrid(-20.0, 20.0, n))
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                evolve_mode(signal, PARAMS, +1)
-                peaks.append(tracemalloc.get_traced_memory()[1] - start)
-            finally:
-                tracemalloc.stop()
-            # the signal itself takes 16 MB at the shorter length
-            assert peaks[-1] < 1024 * _CHUNK_STEPS, peaks
+            # q0 < m w^2, so neither mode inverts
+            signal = sample(GaussianPulse(q0=0.5, tau=2.0), TimeGrid(-20.0, 20.0, n))
+            for signs, sweep_peaks in peaks.items():
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    _evolve_modes(signal, PARAMS, signs, 1)
+                    sweep_peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                finally:
+                    tracemalloc.stop()
+                # the signal itself takes 16 MB at the shorter length
+                assert sweep_peaks[-1] < 1024 * _CHUNK_STEPS, peaks
         grown_chunks = (4 - 2) * (1 << 20) // _CHUNK_STEPS
-        assert peaks[1] <= peaks[0] + 2 * 32 * grown_chunks + 4096, peaks
+        for signs, (short, long) in peaks.items():
+            assert long <= short + len(signs) * 2 * 32 * grown_chunks + 4096, peaks
 
 
 def whole_array_evolve_fock(signal, params, truncation, dt_substeps):
