@@ -45,14 +45,14 @@ def _blocks(n_samples: int, size: int = BLOCK_SAMPLES):
     intervals each, every block sharing its end sample with the next.
 
     The first-order routes' bits depend on the partition into blocks of
-    BLOCK_SAMPLES, so every pass that integrates a grid takes its blocks
-    from here.
+    BLOCK_SAMPLES, so coupling._walk, the one loop that integrates a grid,
+    takes its blocks, and each block's tiles, from here.
     """
     for lo in range(0, n_samples - 1, size):
         yield lo, min(lo + size + 1, n_samples)
 
 
-# Trapezoid pairs per tile of the first-order pass, which fills each block's
+# Trapezoid pairs per tile of coupling._walk, which fills each block's
 # pairs one tile at a time: a tile's buffers and its part of the pairs,
 # about 0.8 MB for both routes and a ramp's values, stay in a 2 MB L2 cache.
 _TILE_PAIRS = 1 << 13

@@ -7,11 +7,12 @@ which decay to zero as |t| -> infinity (asymptotically free coupling).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import BLOCK_SAMPLES, TimeGrid
+from .core import _TILE_PAIRS, BLOCK_SAMPLES, TimeGrid, _blocks
 
 __all__ = [
     "CouplingProfile",
@@ -242,6 +243,49 @@ def sample(profile: CouplingProfile, grid: TimeGrid) -> CouplingSignal:
         hi = min(lo + BLOCK_SAMPLES, grid.n_samples)
         profile._eval_array(grid.times(lo, hi), values[lo:hi], scratch[: hi - lo])
     return CouplingSignal(grid, values)
+
+
+def _block_and_tile(n_samples: int):
+    """(block, tile): the samples in the largest block and the largest tile
+    that _walk feeds a sum over grids of up to ``n_samples``."""
+    block = min(BLOCK_SAMPLES + 1, n_samples)
+    return block, min(_TILE_PAIRS + 1, block)
+
+
+def _walk(grid: TimeGrid, source: CouplingProfile, sums, buffers=None):
+    """Reset the first-order ``sums`` to ``grid`` and stream ``source``'s samples into them.
+
+    Each block of core._blocks gets its times from one grid.times call and
+    is walked in tiles of _TILE_PAIRS pairs: a CouplingSignal's tiles are
+    slices, any other profile's are evaluated into ``buffers``, the
+    caller's (values, scratch) rows of a tile.  A non-finite tile is
+    refused as ``sample`` refuses it.  Each sum ``fill``s every tile, then
+    ``add_pairs`` once per block.  Returns the first, last, min and max samples.
+    """
+    for total in sums:
+        total.reset(grid)
+    sliced = isinstance(source, CouplingSignal)
+    q_min, q_max = math.inf, -math.inf
+    for lo, hi in _blocks(grid.n_samples):
+        times = grid.times(lo, hi)
+        for a, b in _blocks(hi - lo, _TILE_PAIRS):
+            tile_times = times[a:b]
+            if sliced:
+                tile = source.values[lo + a : lo + b]
+            else:
+                tile = buffers[0, : b - a]
+                source._eval_array(tile_times, tile, buffers[1, : b - a])
+            tile_min, tile_max = _finite_range(tile)
+            q_min, q_max = min(q_min, tile_min), max(q_max, tile_max)
+            if lo + a == 0:
+                first = tile[0]
+            last = tile[-1]
+            for total in sums:
+                total.fill(tile_times, tile, a)
+        for total in sums:
+            total.add_pairs(hi - lo - 1)
+        del times, tile_times  # so no two blocks' times are held at once
+    return first, last, q_min, q_max
 
 
 def load_sampled_csv(path) -> CouplingSignal:

@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import oracle as _oracle
-from .core import BLOCK_SAMPLES, MAX_GRID_SAMPLES, _TILE_PAIRS, PhysicalParams, TimeGrid, _blocks, ladder_factor
-from .coupling import CouplingProfile, CouplingSignal, ExponentialRamp, SymmetricRamp, _finite_range, sample
+from .core import MAX_GRID_SAMPLES, PhysicalParams, TimeGrid, ladder_factor
+from .coupling import CouplingProfile, CouplingSignal, ExponentialRamp, SymmetricRamp, _block_and_tile, _walk, sample
 from .errors import NumericalFailure, TailSpanError
 from .spectral import _SpectralSum, _transform
 
@@ -66,22 +66,17 @@ _SCAN_TAIL_FACTOR = 0.1
 
 
 class _TimeDomainSum:
-    """I(inf) = -(i/2 hbar) * trapezoid of q(t) e^{2 i w t}, fed one block at a time.
+    """I(inf) = -(i/2 hbar) * trapezoid of q(t) e^{2 i w t}, fed by coupling._walk.
 
-    It holds the trapezoid pairs of a block of up to ``size`` samples; its
-    integrand and trig buffers hold ``tile`` samples (``size`` if not
-    given).  The three share one allocation of 3*tile + 2*size - 2 floats:
-    ``work`` if given, else one made here.  ``reset`` starts the amplitude
-    over a grid, so one instance serves every grid of an eta scan; ``add``
-    then takes the times and samples of each block of the grid's
-    partition, in order.  A caller that feeds a block in parts ``fill``s
-    the pairs of each part, then adds the block's with ``add_pairs``.
+    Its pair buffer holds a block of up to ``size`` samples, its integrand
+    and trig buffers a tile of ``tile``: one allocation of 3*tile +
+    2*size - 2 floats, ``work`` if given.  ``reset`` starts the amplitude
+    over a grid, so one instance serves every grid of an eta scan.
     """
 
-    def __init__(self, params: PhysicalParams, size: int, work=None, tile=None):
+    def __init__(self, params: PhysicalParams, size: int, tile: int, work=None):
         self.hbar = params.hbar
         self.w = 2.0 * params.omega  # 2j*omega*t has imaginary part w*t, bit for bit
-        tile = size if tile is None else tile
         work = np.empty(3 * tile + 2 * size - 2) if work is None else work
         self.integrand = work[: 2 * tile].view(np.complex128)
         self.pairs = work[2 * tile : 2 * tile + 2 * size - 2].view(np.complex128)
@@ -90,11 +85,6 @@ class _TimeDomainSum:
     def reset(self, grid: TimeGrid) -> None:
         """Start a new amplitude over ``grid``."""
         self.dt, self.value = grid.dt, 0j
-
-    def add(self, times: np.ndarray, block: np.ndarray) -> None:
-        """Add the trapezoid over one block: sample times ``times``, values ``block``."""
-        self.fill(times, block, 0)
-        self.add_pairs(len(block) - 1)
 
     def fill(self, times: np.ndarray, block: np.ndarray, at: int) -> None:
         """Write the trapezoid pairs of ``block``, sampled at ``times``, to
@@ -129,27 +119,24 @@ def time_domain_amplitude(signal: CouplingSignal, params: PhysicalParams) -> com
     """I(inf) = -(i/2 hbar) * integral q(t) e^{2 i w t} dt over the grid.
 
     Trapezoidal quadrature in the time domain, deliberately independent
-    of the spectral module.  Blocks of BLOCK_SAMPLES intervals, each
-    sharing its end sample with the next, keep the working set
-    O(BLOCK_SAMPLES) in three buffers allocated once per call.
+    of the spectral module but for coupling._walk, which delivers the
+    samples of each block of BLOCK_SAMPLES intervals in tiles: the working
+    set is tile-sized integrand and trig buffers and one block's pairs.
 
     The phase 2*w*t is the imaginary part of the argument np.exp(2j*w*t)
     would take; q*cos goes into the real part and q*sin into the
-    imaginary part of the integrand block.  libm's cexp of a zero real
+    imaginary part of the integrand tile.  libm's cexp of a zero real
     part returns that same cos and sin, so every term is the one
     q*np.exp(...) gives, and, cos being even and sin odd in libm, the
     integrand at -w would still be its exact conjugate.  The trapezoid
     runs in place: pair sum, times dt, times 0.5 and one pairwise sum per
     block, np.trapezoid's terms and order, so a grid of one block gives
-    the bits of a single trapezoid call.  A sum, or its scaling by
-    -i/(2 hbar), that overflows raises OverflowError instead of returning
-    inf or nan.
+    the bits of a single trapezoid call.  A NaN or infinite sample raises
+    ValueError; a sum, or its scaling by -i/(2 hbar), that overflows
+    raises OverflowError instead of returning inf or nan.
     """
-    grid, q = signal.grid, signal.values
-    amplitude = _TimeDomainSum(params, min(BLOCK_SAMPLES + 1, grid.n_samples))
-    amplitude.reset(grid)
-    for lo, hi in _blocks(grid.n_samples):
-        amplitude.add(grid.times(lo, hi), q[lo:hi])
+    amplitude = _TimeDomainSum(params, *_block_and_tile(signal.grid.n_samples))
+    _walk(signal.grid, signal, [amplitude])
     return amplitude.total()
 
 
@@ -243,61 +230,30 @@ def _overflow_fails(route: str):
 
 
 class _FirstOrderPass:
-    """The one block loop that builds the first-order part of a report.
+    """hb's transform (always: it sets the validity flag) and, if selected,
+    barton's amplitude, fed by one coupling._walk, and the tail test.
 
-    ``run`` takes each block's times from one grid.times call and walks
-    the block in tiles of _TILE_PAIRS pairs.  Per tile it refuses
-    non-finite samples as sample does, keeps the min, max and end samples
-    for the tail test and fills the tile's pairs of hb's transform
-    (always: it sets the validity flag) and, if selected, barton's
-    amplitude; each route then adds its block's pairs in one sum, as its
-    public quadrature does.  ``totals`` reads both dE, barton first.
-    Their workspaces and, if the pass ``evaluates``, a tile of profile
-    values and scratch share one allocation, made once, for the blocks of
-    grids of up to ``n_samples``.
+    Their workspaces and the walk's tile buffers for a profile (untouched
+    for a signal) share one allocation, made once for grids of up to
+    ``n_samples``.  ``totals`` reads both dE, barton first.
     """
 
-    def __init__(self, params: PhysicalParams, routes: Sequence[str], n_samples: int, evaluates: bool = False):
+    def __init__(self, params: PhysicalParams, routes: Sequence[str], n_samples: int):
         self.params = params
-        size = min(BLOCK_SAMPLES + 1, n_samples)
-        tile = min(_TILE_PAIRS + 1, size)
+        size, tile = _block_and_tile(n_samples)
         stride = 3 * tile + 2 * size - 2
         sums = 2 if "barton" in routes else 1
-        work = np.empty(sums * stride + (2 * tile if evaluates else 0))
-        self.transform = _SpectralSum(-2.0 * params.omega, size, work[:stride], tile)
-        self.amplitude = _TimeDomainSum(params, size, work[stride : 2 * stride], tile) if sums == 2 else None
-        self.values, self.scratch = work[sums * stride :].reshape(2, tile) if evaluates else (None, None)
+        work = np.empty(sums * stride + 2 * tile)
+        self.transform = _SpectralSum(-2.0 * params.omega, size, tile, work[:stride])
+        self.amplitude = _TimeDomainSum(params, size, tile, work[stride : 2 * stride]) if sums == 2 else None
+        self.buffers = work[sums * stride :].reshape(2, tile)
 
     def run(self, grid: TimeGrid, source, tail_rel: float) -> bool:
-        """Feed every block of ``grid``; True when |q| at both grid endpoints
-        is at most tail_rel * max|q|, so the incoming and outgoing states are free.
-
-        ``source`` is the CouplingSignal on ``grid``, fed in slices, or, to a
-        pass that evaluates, a profile, evaluated into its buffers tile by tile.
-        """
-        routes = [self.transform] if self.amplitude is None else [self.transform, self.amplitude]
-        for route in routes:
-            route.reset(grid)
-        q_min, q_max = math.inf, -math.inf
-        for lo, hi in _blocks(grid.n_samples):
-            times = grid.times(lo, hi)
-            for a, b in _blocks(hi - lo, _TILE_PAIRS):
-                tile_times = times[a:b]
-                if self.values is None:
-                    tile = source.values[lo + a : lo + b]
-                else:
-                    tile = self.values[: b - a]
-                    source._eval_array(tile_times, tile, self.scratch[: b - a])
-                tile_min, tile_max = _finite_range(tile)
-                q_min, q_max = min(q_min, tile_min), max(q_max, tile_max)
-                if lo + a == 0:
-                    first = tile[0]
-                last = tile[-1]
-                for route in routes:
-                    route.fill(tile_times, tile, a)
-            for route in routes:
-                route.add_pairs(hi - lo - 1)
-            del times, tile_times  # so no two blocks' times are held at once
+        """Walk ``source`` on ``grid``, a CouplingSignal on it or a profile;
+        True when |q| at both grid endpoints is at most tail_rel * max|q|,
+        so the incoming and outgoing states are free."""
+        sums = [self.transform] if self.amplitude is None else [self.transform, self.amplitude]
+        first, last, q_min, q_max = _walk(grid, source, sums, self.buffers)
         threshold = tail_rel * max(q_max, -q_min)
         return bool(abs(first) <= threshold and abs(last) <= threshold)
 
@@ -340,7 +296,7 @@ def compare_routes(
     return _report(params, signal.grid, routes, de_time, de_hb, de_mode, de_fock, tail_warning=not resolved)
 
 
-def _oracles(signal, params, routes, fock_truncation=10, fock_substeps=4, mode_substeps=1):
+def _oracles(signal, params, routes, fock_truncation, fock_substeps, mode_substeps):
     """dE of the mode and Fock oracles, None (and ``signal`` unread) for one not in ``routes``."""
     de_mode = None
     if "mode_oracle" in routes:
@@ -450,7 +406,9 @@ def adiabatic_scan(
     routes: Sequence[str] = ("barton", "hb"),
     dt: Optional[float] = None,
     tail_rel: float = SCAN_TAIL_REL_DEFAULT,
-    **route_options,
+    fock_truncation: int = 10,
+    fock_substeps: int = 4,
+    mode_substeps: int = 1,
 ) -> AdiabaticScanResult:
     """Scan dE over switching rates for a ramp family with gamma fixed.
 
@@ -464,7 +422,8 @@ def adiabatic_scan(
     from one first-order pass allocated for the whole scan.  Without an
     oracle route it evaluates each ramp into its own tile buffers, so a
     point holds O(BLOCK_SAMPLES) whatever eta; an oracle point samples its
-    grid once for both.  Unresolved tails raise TailSpanError before any
+    grid once for both; the oracle options and their defaults are those
+    of compare_routes.  Unresolved tails raise TailSpanError before any
     route's total is read.
     """
     if not isinstance(family, (SymmetricRamp, ExponentialRamp)):
@@ -483,7 +442,7 @@ def adiabatic_scan(
     profiles = [replace(family, eta=float(eta)) for eta in etas]
     grids = [_ramp_grid(profile, profile.eta, dt, tail_rel) for profile in profiles]
     oracle = "mode_oracle" in routes or "fock_oracle" in routes
-    first_order = _FirstOrderPass(params, routes, max(grid.n_samples for grid in grids), evaluates=not oracle)
+    first_order = _FirstOrderPass(params, routes, max(grid.n_samples for grid in grids))
     reports = []
     for profile, grid in zip(profiles, grids):
         source = sample(profile, grid) if oracle else profile
@@ -492,7 +451,7 @@ def adiabatic_scan(
                 f"grid span insufficient for eta={profile.eta:g}: coupling tails above {tail_rel:g} of peak"
             )
         de_time, de_hb = first_order.totals()
-        de_mode, de_fock = _oracles(source, params, routes, **route_options)
+        de_mode, de_fock = _oracles(source, params, routes, fock_truncation, fock_substeps, mode_substeps)
         # the tails were resolved at tail_rel above, so no report of a scan is flagged
         reports.append(_report(params, grid, routes, de_time, de_hb, de_mode, de_fock, tail_warning=False))
         del source  # an oracle point's signal is freed before the next is sampled

@@ -19,34 +19,31 @@ import cmath
 
 import numpy as np
 
-from .core import BLOCK_SAMPLES, TimeGrid, _blocks
+from .core import TimeGrid
 from .coupling import (
     CouplingProfile,
     CouplingSignal,
     ExponentialRamp,
     GaussianPulse,
     SymmetricRamp,
+    _block_and_tile,
+    _walk,
 )
 
 __all__ = ["fourier_numeric", "fourier_analytic"]
 
 
 class _SpectralSum:
-    """Trapezoid of q(t) exp(-i*omega*t) over a grid, fed one block at a time.
+    """Trapezoid of q(t) exp(-i*omega*t) over a grid, fed by coupling._walk.
 
-    It holds the trapezoid pairs of a block of up to ``size`` samples; its
-    integrand and trig buffers hold ``tile`` samples (``size`` if not
-    given).  The three share one allocation of 3*tile + 2*size - 2 floats:
-    ``work`` if given, else one made here.  ``reset`` starts the transform
-    over a grid, so one instance serves every grid of an eta scan; ``add``
-    then takes the times and samples of each block of the grid's
-    partition, in order.  A caller that feeds a block in parts ``fill``s
-    the pairs of each part, then adds the block's with ``add_pairs``.
+    Its pair buffer holds a block of up to ``size`` samples, its integrand
+    and trig buffers a tile of ``tile``: one allocation of 3*tile +
+    2*size - 2 floats, ``work`` if given.  ``reset`` starts the transform
+    over a grid, so one instance serves every grid of an eta scan.
     """
 
-    def __init__(self, omega: float, size: int, work=None, tile=None):
+    def __init__(self, omega: float, size: int, tile: int, work=None):
         self.w = -omega  # -1j*omega*t has imaginary part w*t, bit for bit
-        tile = size if tile is None else tile
         work = np.empty(3 * tile + 2 * size - 2) if work is None else work
         self.integrand = work[: 2 * tile].view(np.complex128)
         self.pairs = work[2 * tile : 2 * tile + 2 * size - 2].view(np.complex128)
@@ -55,11 +52,6 @@ class _SpectralSum:
     def reset(self, grid: TimeGrid) -> None:
         """Start a new transform over ``grid``."""
         self.dt, self.value = grid.dt, 0j
-
-    def add(self, times: np.ndarray, block: np.ndarray) -> None:
-        """Add the trapezoid over one block: sample times ``times``, values ``block``."""
-        self.fill(times, block, 0)
-        self.add_pairs(len(block) - 1)
 
     def fill(self, times: np.ndarray, block: np.ndarray, at: int) -> None:
         """Write the trapezoid pairs of ``block``, sampled at ``times``, to
@@ -93,29 +85,23 @@ def fourier_numeric(signal: CouplingSignal, omega: float) -> complex:
 
     The phase -omega*t is the imaginary part of the complex argument that
     np.exp(-1j*omega*t) would take; q*cos goes into the real part and
-    q*sin into the imaginary part of the integrand block, the cos and sin
+    q*sin into the imaginary part of the integrand tile, the cos and sin
     that libm's cexp of a zero real part returns.  Hermitian symmetry
     holds bit-exactly: the phase at -omega is the exact negation of the
     phase at +omega, cos is even and sin is odd in libm, so the integrand
     at -omega is the elementwise conjugate of the integrand at +omega.
 
-    The grid is integrated in blocks of BLOCK_SAMPLES intervals, each
-    sharing its end sample with the next, so the working set is three
-    O(BLOCK_SAMPLES) buffers allocated once per call, whatever the grid
-    length.  Each block's trapezoid runs in place with np.trapezoid's
-    terms and pairwise sum, so a grid of one block gives the bits of a
-    single trapezoid call.  A power-of-two count of terms per block keeps
-    numpy's pairwise summation close to its full-array order, so long
-    grids move only in the last digits.  A sum that overflows raises
+    coupling._walk feeds it blocks of BLOCK_SAMPLES intervals, each sharing
+    its end sample with the next, in tiles: the working set is tile-sized
+    integrand and trig buffers and one block's pairs, whatever the grid
+    length.  Each block's trapezoid is summed with np.trapezoid's terms
+    and pairwise order, so a grid of one block gives the bits of a single
+    trapezoid call, and long grids move only in the last digits.  A NaN
+    or infinite sample raises ValueError; a sum that overflows raises
     OverflowError instead of returning inf or nan.
     """
-    grid, q = signal.grid, signal.values
-    if not (np.isfinite(q.min()) and np.isfinite(q.max())):
-        raise ValueError("signal contains NaN or infinite values")
-    transform = _SpectralSum(omega, min(BLOCK_SAMPLES + 1, grid.n_samples))
-    transform.reset(grid)
-    for lo, hi in _blocks(grid.n_samples):
-        transform.add(grid.times(lo, hi), q[lo:hi])
+    transform = _SpectralSum(omega, *_block_and_tile(signal.grid.n_samples))
+    _walk(signal.grid, signal, [transform])
     return transform.total()
 
 

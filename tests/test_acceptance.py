@@ -104,6 +104,28 @@ def test_criterion_2_perturbation_vs_exact():
     )
 
 
+def test_criterion_2_oracle_gap_is_the_interpolant_bias():
+    """The oracles read q through the grid's linear interpolant, whose
+    first-order dE is sinc^4(omega*dt) times the trapezoid's (sinc x =
+    sin x / x, computed here, not by the library).  On an eta-scan grid at
+    the default dt = pi/32 that bias is the mode oracle's gap to hb but
+    for < 1e-5, while the gap itself is > 6e-3; < 1 s."""
+    start = time.perf_counter()
+    scan = adiabatic_scan(
+        SymmetricRamp(gamma=1e-4, eta=1.0), [0.1], PARAMS, routes=("hb", "mode_oracle"), mode_substeps=4
+    )
+    (row,) = scan.reports
+    x = PARAMS.omega * row.grid.dt
+    bias = (np.sin(x) / x) ** 4 - 1.0
+    gap = row.delta_e_mode_oracle / row.delta_e_spectral - 1.0
+    elapsed = time.perf_counter() - start
+    report(
+        "2 interpolant bias",
+        abs(gap) > 6e-3 and abs(gap - bias) < 1e-5 and elapsed < 1.0,
+        f"gap {gap:.4e}, sinc^4 - 1 = {bias:.4e}, difference {gap - bias:.2e} at omega*dt = {x:.5f}; {elapsed:.3f} s",
+    )
+
+
 def test_criterion_3_cross_oracle():
     """Truncated-Fock dE (N = 10) within 1e-3 of the mode-function dE."""
     start = time.perf_counter()

@@ -20,8 +20,6 @@ from casfric import (
     TailSpanError,
     adiabatic_scan,
     compare_routes,
-    delta_e_spectral,
-    delta_e_time_domain,
     sample,
 )
 from casfric.core import _TILE_PAIRS, BLOCK_SAMPLES, _blocks
@@ -29,6 +27,8 @@ from casfric.dissipation import (
     _SCAN_TAIL_FACTOR,
     _FirstOrderPass,
     _TimeDomainSum,
+    _delta_e_barton,
+    _delta_e_hb,
     _ramp_grid,
     ramp_tail_span,
     time_domain_amplitude,
@@ -211,12 +211,13 @@ class TestTiledFill:
         grid = TimeGrid(-12.0, 12.0, pairs + 1)
         times = grid.times()
         for whole, tiled in [
-            (_SpectralSum(0.7, pairs + 1), _SpectralSum(0.7, pairs + 1, tile=_TILE_PAIRS + 1)),
-            (_TimeDomainSum(PARAMS, pairs + 1), _TimeDomainSum(PARAMS, pairs + 1, tile=_TILE_PAIRS + 1)),
+            (_SpectralSum(0.7, pairs + 1, tile=pairs + 1), _SpectralSum(0.7, pairs + 1, tile=_TILE_PAIRS + 1)),
+            (_TimeDomainSum(PARAMS, pairs + 1, tile=pairs + 1), _TimeDomainSum(PARAMS, pairs + 1, tile=_TILE_PAIRS + 1)),
         ]:
             whole.reset(grid)
             tiled.reset(grid)
-            whole.add(times, values)
+            whole.fill(times, values, 0)
+            whole.add_pairs(pairs)
             for a, b in _blocks(pairs + 1, _TILE_PAIRS):
                 tiled.fill(times[a:b], values[a:b], a)
             tiled.add_pairs(pairs)
@@ -226,30 +227,32 @@ class TestTiledFill:
 
 class TestOneFirstOrderPass:
     """compare_routes feeds both first-order routes from one pass over the
-    signal's blocks; the public quadratures keep their own loops and are
-    its reference: every dE field is == to theirs."""
+    signal's blocks; every dE field is == to the dE of the test-local
+    np.exp/np.trapezoid block loop, which shares no code with the pass."""
 
     @staticmethod
-    def assert_fields_are_the_public_routes(signal, routes):
+    def assert_fields_are_the_exp_trapezoid_routes(signal, routes):
         report = compare_routes(signal, PARAMS, routes=routes)
-        barton = delta_e_time_domain(signal, PARAMS) if "barton" in routes else None
+        amplitude = complex(-0.5j / PARAMS.hbar * exp_trapezoid_blocks(signal, 2j * PARAMS.omega))
+        barton = _delta_e_barton(amplitude, PARAMS) if "barton" in routes else None
+        hb = _delta_e_hb(exp_trapezoid_blocks(signal, -1j * (-2.0 * PARAMS.omega)), PARAMS)
         assert report.delta_e_time_domain == barton
-        assert report.delta_e_spectral == delta_e_spectral(signal, PARAMS)
-        assert report.validity_flag == (delta_e_spectral(signal, PARAMS) / (2.0 * PARAMS.hbar * PARAMS.omega) > 0.1)
+        assert report.delta_e_spectral == hb
+        assert report.validity_flag == (hb / (2.0 * PARAMS.hbar * PARAMS.omega) > 0.1)
 
     @pytest.mark.parametrize("routes", ROUTE_PAIRS)
     @pytest.mark.parametrize("n", SIZES)
     def test_every_block_split(self, n, routes):
-        self.assert_fields_are_the_public_routes(pulse(n), routes)
+        self.assert_fields_are_the_exp_trapezoid_routes(pulse(n), routes)
 
     @pytest.mark.parametrize("routes", ROUTE_PAIRS)
     @pytest.mark.parametrize("n", TILE_SPLITS)
     def test_every_tile_split(self, n, routes):
-        self.assert_fields_are_the_public_routes(pulse(n), routes)
+        self.assert_fields_are_the_exp_trapezoid_routes(pulse(n), routes)
 
     @pytest.mark.parametrize("routes", ROUTE_PAIRS)
     def test_subnormal_signal(self, routes):
-        self.assert_fields_are_the_public_routes(subnormal_signal(), routes)
+        self.assert_fields_are_the_exp_trapezoid_routes(subnormal_signal(), routes)
 
     @pytest.mark.parametrize("routes", ROUTE_PAIRS)
     def test_each_block_is_read_once(self, monkeypatch, routes):
@@ -485,11 +488,11 @@ class TestOneFormulaPerProfile:
         for time, value in zip(times, want):
             assert_same_bits(np.array([profile.evaluate(time)]), np.array([value]))
         # the scan's buffers hold the previous point's values: all of them must be overwritten
-        buffers = _FirstOrderPass(PARAMS, ("barton", "hb"), len(t) + 3, evaluates=True)
-        buffers.values.fill(np.nan)
-        buffers.scratch.fill(np.nan)
-        profile._eval_array(t, buffers.values[: len(t)], buffers.scratch[: len(t)])
-        assert_same_bits(buffers.values[: len(t)], want)
+        values, scratch = _FirstOrderPass(PARAMS, ("barton", "hb"), len(t) + 3).buffers
+        values.fill(np.nan)
+        scratch.fill(np.nan)
+        profile._eval_array(t, values[: len(t)], scratch[: len(t)])
+        assert_same_bits(values[: len(t)], want)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -30,6 +30,7 @@ from casfric import (
     compare_routes,
     delta_e_spectral,
     delta_e_time_domain,
+    fourier_numeric,
     sample,
     time_domain_amplitude,
 )
@@ -62,6 +63,26 @@ def ramp_signal(gamma=1e-3, n=16001):
 
 def zero_signal():
     return CouplingSignal(TimeGrid(-1.0, 1.0, 21), np.zeros(21))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_first_order_entry_refuses_a_non_finite_sample_alike(bad):
+    """The quadratures, both dE and compare_routes stream the signal through
+    one walk, so a NaN or infinite sample gets the one refusal."""
+    signal = gauss_signal()
+    signal.values[2400] = bad  # bypasses construction-time validation
+    entries = {
+        "fourier_numeric": lambda: fourier_numeric(signal, -2.0),
+        "time_domain_amplitude": lambda: time_domain_amplitude(signal, PARAMS),
+        "delta_e_time_domain": lambda: delta_e_time_domain(signal, PARAMS),
+        "delta_e_spectral": lambda: delta_e_spectral(signal, PARAMS),
+        "compare_routes": lambda: compare_routes(signal, PARAMS),
+    }
+    for name, entry in entries.items():
+        with pytest.raises(ValueError) as caught:
+            entry()
+        assert type(caught.value) is ValueError, name
+        assert str(caught.value) == "signal values must be finite", name
 
 
 class TestTimeDomainAmplitude:
@@ -302,6 +323,17 @@ class TestScanPreflight:
         with pytest.raises(ValueError, match=r"eta=1e-06 needs a grid of \d+ samples"):
             adiabatic_scan(
                 ExponentialRamp(gamma=1.0, eta=1.0), [0.01, 1e-6], PARAMS, routes=("hb", "mode_oracle")
+            )
+
+
+    def test_a_misspelled_oracle_option_is_refused_before_any_point_is_evaluated(self, monkeypatch):
+        def no_evaluation(self, t, out, scratch):
+            raise AssertionError("a scan point was evaluated")
+
+        monkeypatch.setattr(SymmetricRamp, "_eval_array", no_evaluation)
+        with pytest.raises(TypeError, match=r"adiabatic_scan\(\) got an unexpected keyword argument 'fock_trunc'"):
+            adiabatic_scan(
+                SymmetricRamp(gamma=1.0, eta=1.0), [0.1, 0.05], PARAMS, routes=("hb", "fock_oracle"), fock_trunc=3
             )
 
 
