@@ -682,14 +682,14 @@ class TestExtremeParamsEndCleanly:
         assert captured.err == "numerical failure: mode_oracle: float overflow\n"
 
     @pytest.mark.filterwarnings("error")
-    def test_the_plus_mode_overflow_comes_before_the_minus_mode_inversion(self, tmp_path, capsys):
-        # + is evolved first, so its overflow is reported, not the inversion of - in the first chunk
+    def test_the_minus_mode_inversion_is_refused_before_the_plus_mode_overflows(self, tmp_path, capsys):
+        # inversion is decided from the samples before the sweep, so + never gets to overflow
         body = small_benchmark(profile={"type": "gaussian_pulse", "q0": 1e10, "tau": 1.0},
                                grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 481}, routes=["mode_oracle"])
         assert main([str(write_config(tmp_path, body))]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "numerical failure: mode_oracle: float overflow\n"
+        assert captured.err == "numerical failure: Omega^2 <= 0 for mode -1: max|q| = 1e+10 reaches m*w^2 = 1\n"
 
     @pytest.mark.filterwarnings("error")
     def test_a_grid_span_that_overflows_is_exit_two_naming_grid(self, tmp_path, capsys):

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casfric import (
     BogoliubovPair,
@@ -137,6 +139,14 @@ class TestEvolveMode:
         pair = evolve_mode(signal, PARAMS, +1)
         assert abs(pair.normalization_defect) < 1e-9
 
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_a_nan_sample_is_named(self, sign):
+        # values is a mutable array, so a finite signal can be spoiled after construction
+        signal = gauss_signal(n=481)
+        signal.values[200] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            evolve_mode(signal, PARAMS, sign)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="mode_sign"):
             evolve_mode(zero_signal(), PARAMS, 2)
@@ -234,6 +244,12 @@ class TestEvolveFock:
         assert message.startswith("norm drifted by inf")
         assert "h*omega*(2N+1) = 9.72" in message and "2*sqrt(2) = 2.83" in message
         assert message.endswith("raise dt_substeps") and "truncation" not in message
+
+    def test_a_nan_sample_is_named(self):
+        signal = gauss_signal(n=481)
+        signal.values[200] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            evolve_fock(signal, PARAMS, 4, 1)
 
     def test_rejects_tiny_truncation(self):
         with pytest.raises(ValueError, match="truncation"):
@@ -436,14 +452,12 @@ class TestChunkedModeSweep:
     @pytest.mark.parametrize(
         "signal, error, message",
         [
-            # + stiffens until its propagator overflows; - inverts in the first chunk
-            (gauss_signal(q0=1e10, n=481), OverflowError, "the mode propagator overflowed"),
             # - inverts near t = 5, + only near t = 90
             (two_sided_signal(), InvertedModeError, "Omega^2 <= 0 for mode +1: max|q| = 2 "),
-            # only - inverts, so + runs to the end first
+            # only - inverts
             (gauss_signal(q0=1.5, n=4801), InvertedModeError, "Omega^2 <= 0 for mode -1: max|q| = 1.5 "),
         ],
-        ids=["plus-overflows", "plus-inverts-later", "minus-inverts"],
+        ids=["plus-inverts-later", "minus-inverts"],
     )
     def test_the_two_sign_sweep_raises_what_plus_then_minus_raises(self, signal, error, message):
         with pytest.raises(error, match=re.escape(message)):
@@ -451,6 +465,68 @@ class TestChunkedModeSweep:
                 evolve_mode(signal, PARAMS, sign)
         with pytest.raises(error, match=re.escape(message)):
             _evolve_modes(signal, PARAMS, (+1, -1), 1)
+
+    def test_the_minus_inversion_is_refused_before_the_plus_overflow(self):
+        # + stiffens until its propagator overflows; - inverts, and that is
+        # decided from the samples before the sweep begins
+        signal = gauss_signal(q0=1e10, n=481)
+        with pytest.raises(OverflowError, match="the mode propagator overflowed"):
+            evolve_mode(signal, PARAMS, +1)
+        message = "Omega^2 <= 0 for mode -1: max|q| = 1e+10 reaches m*w^2 = 1"
+        with pytest.raises(InvertedModeError, match=re.escape(message)):
+            _evolve_modes(signal, PARAMS, (+1, -1), 1)
+
+    @pytest.mark.parametrize("signs", [(-1,), (+1, -1)])
+    def test_an_inversion_is_refused_before_any_step_is_built(self, monkeypatch, signs):
+        # the pulse of test_inversion_in_a_later_chunk_is_the_same_error
+        signal = sample(GaussianPulse(q0=1.5, tau=1.0), TimeGrid(-100.0, 12.0, 48001))
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return _rk4_transfer_matrices(*args)
+
+        monkeypatch.setattr("casfric.oracle._rk4_transfer_matrices", counted)
+        with pytest.raises(InvertedModeError, match="for mode -1"):
+            _evolve_modes(signal, PARAMS, signs, 1)
+        assert builds == []
+
+    def test_a_rounding_past_the_samples_range_is_still_refused(self):
+        # the largest sample is an ulp under m*w^2 = 1, but np.interp rounds the
+        # interpolant at that sample's substep node up to 1.0, so Omega^2 = 0 there
+        values = np.array([-378.3757593880971, 0.9999999999999999, -529.2781532559253, -1267.3195524133898])
+        signal = CouplingSignal(TimeGrid(5.3013059651194, 781551.563803988, 4), values)
+        h, n_steps = _substeps(signal, 3)
+        assert _substep_coupling(signal, h, 0, n_steps)[0][3] == 1.0 > values.max()
+        with pytest.raises(InvertedModeError, match="for mode -1"):
+            evolve_mode(signal, PARAMS, -1, substeps=3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q0, mass", [(np.finfo(float).max, 1.0), (1e300, 1e-10)])
+    def test_an_omega2_that_overflows_is_refused_without_a_warning(self, q0, mass):
+        signal = sample(GaussianPulse(q0=q0, tau=1.0), TimeGrid(-12.0, 12.0, 481))
+        with pytest.raises(InvertedModeError, match="for mode -1"):
+            evolve_mode(signal, PhysicalParams(mass=mass, omega=1.0), -1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        t_start=st.floats(-1e6, 1e6),
+        span=st.floats(1e-3, 1e6),
+        rises=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=40),
+        substeps=st.integers(1, 9),
+        split=st.floats(0.0, 1.0),
+    )
+    def test_the_substep_interpolant_stays_in_the_samples_range(self, t_start, span, rises, substeps, split):
+        """What deciding inversion from the samples' range relies on: the
+        interpolant leaves it by less than the ulp of max|q| it is widened by."""
+        values = np.cumsum(rises)
+        signal = CouplingSignal(TimeGrid(t_start, t_start + span, len(values)), values)
+        reach = np.spacing(np.max(np.abs(values)))
+        h, n_steps = _substeps(signal, substeps)
+        lo = int(split * n_steps)
+        for first, last in [(0, n_steps), (0, max(lo, 1)), (min(lo, n_steps - 1), n_steps)]:
+            for q in _substep_coupling(signal, h, first, last):
+                assert values.min() - reach <= q.min() and q.max() <= values.max() + reach
 
     def test_peak_memory_does_not_grow_with_the_grid(self):
         """Chunk-sized temporaries, plus 32 B per chunk and sign for the chunk products."""
