@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -69,22 +69,28 @@ def _require_integer(value, name: str, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _finite_delta_e(delta_e: float, route: str) -> float:
+    """``delta_e``, or OverflowError naming ``route`` if it is not finite."""
+    if not math.isfinite(delta_e):
+        raise OverflowError(f"the {route} dE overflowed")
+    return delta_e
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Two identical oscillators: mass, shared eigenfrequency, coupling charge.
+    """Two identical oscillators: mass, shared eigenfrequency and hbar.
 
-    The fields fix every matrix element of the problem.  ``charge`` sets
-    the scale of the separation-driven coupling e^2/s^3 and is not used
-    by purely analytic profiles.
+    The fields fix every matrix element of the problem.  The coupling
+    strength comes from the profile (a Flyby's charge, a ramp's gamma),
+    never from here.  ``hbar`` is keyword-only.
     """
 
     mass: float
     omega: float
-    charge: float = 1.0
-    hbar: float = 1.0
+    hbar: float = field(default=1.0, kw_only=True)
 
     def __post_init__(self):
-        for name in ("mass", "omega", "charge", "hbar"):
+        for name in ("mass", "omega", "hbar"):
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -95,11 +101,11 @@ class PhysicalParams:
                 f"b = hbar/(2*mass*omega) must be positive and finite, got hbar={self.hbar!r}, "
                 f"mass={self.mass!r}, omega={self.omega!r}"
             )
-        # the |00> -> |11> gap; the validity flag divides hb's dE by it
-        if not 2.0 * self.hbar * self.omega > 0.0:
-            raise ValueError(
-                f"the gap 2*hbar*omega underflows to 0, got hbar={self.hbar!r}, omega={self.omega!r}"
-            )
+        # the |00> -> |11> gap; every route's dE scales by it, the validity flag divides by it
+        gap = 2.0 * self.hbar * self.omega
+        if not 0.0 < gap < math.inf:
+            fault = "underflows to 0" if gap == 0.0 else "overflows to inf"
+            raise ValueError(f"the gap 2*hbar*omega {fault}, got hbar={self.hbar!r}, omega={self.omega!r}")
 
 
 def ladder_factor(params: PhysicalParams) -> float:

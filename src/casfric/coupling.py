@@ -8,6 +8,7 @@ which decay to zero as |t| -> infinity (asymptotically free coupling).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -289,17 +290,20 @@ def _walk(grid: TimeGrid, source: CouplingProfile, sums, buffers=None):
 
 
 def load_sampled_csv(path) -> CouplingSignal:
-    """Load a (time, q) profile from a two-column CSV with a one-line header.
+    """Load a (time, q) profile from a two-column CSV with a one-line header
+    and at least two data rows.
 
     Times must be strictly increasing and uniformly spaced to within a
     1e-9 relative tolerance; the samples become a CouplingSignal on the
     implied uniform grid.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError(f"{path}: expected two columns (time, q), got {data.shape[1]}")
+    with warnings.catch_warnings():  # a file with no data rows is refused below, in one error
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
     if data.shape[0] < 2:
         raise ValueError(f"{path}: need at least two samples")
+    if data.shape[1] != 2:
+        raise ValueError(f"{path}: expected two columns (time, q), got {data.shape[1]}")
     times, values = data[:, 0], data[:, 1]
     if not np.all(np.isfinite(times)):  # a NaN would pass both tests below
         raise ValueError(f"{path}: times must be finite")

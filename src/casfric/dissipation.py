@@ -28,10 +28,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import oracle as _oracle
-from .core import MAX_GRID_SAMPLES, PhysicalParams, TimeGrid, ladder_factor
+from .core import MAX_GRID_SAMPLES, PhysicalParams, TimeGrid, _finite_delta_e, ladder_factor
 from .coupling import CouplingProfile, CouplingSignal, ExponentialRamp, SymmetricRamp, _block_and_tile, _walk, sample
 from .errors import NumericalFailure, TailSpanError
-from .spectral import _SpectralSum, _transform
+from .spectral import _SpectralSum, fourier_numeric
 
 __all__ = [
     "DissipationReport",
@@ -143,9 +143,7 @@ def time_domain_amplitude(signal: CouplingSignal, params: PhysicalParams) -> com
 def _delta_e_barton(amplitude: complex, params: PhysicalParams) -> float:
     """dE = 8 hbar w (b |I(inf)|)^2 from the time-domain amplitude I(inf)."""
     delta_e = 8.0 * params.hbar * params.omega * (ladder_factor(params) * abs(amplitude)) ** 2
-    if not math.isfinite(delta_e):
-        raise OverflowError("the time-domain dE overflowed")
-    return delta_e
+    return _finite_delta_e(delta_e, "time-domain")
 
 
 def delta_e_time_domain(signal: CouplingSignal, params: PhysicalParams) -> float:
@@ -158,23 +156,26 @@ def delta_e_time_domain(signal: CouplingSignal, params: PhysicalParams) -> float
     return _delta_e_barton(time_domain_amplitude(signal, params), params)
 
 
-def delta_e_spectral(source, params: PhysicalParams) -> float:
+def delta_e_spectral(signal: CouplingSignal, params: PhysicalParams) -> float:
     """dE = (2 hbar w) * B_1100 with B_1100 = (b^2/hbar^2) |qhat(-2w)|^2.
 
     The transition sum dE = sum_nm (E_n - E_m) P_m B_nm at T = 0, with its
     one open channel |00> -> |11> and A_1100 = <11| -y1*y2 |00> = -b.
 
-    ``source`` is a CouplingSignal (numeric transform) or a closed-form
-    profile (analytic transform).  Computed through the spectral module,
-    never through the time-domain amplitude.
+    ``signal`` is a CouplingSignal, as for every other route; anything
+    else raises TypeError (closed forms are fourier_analytic's).  qhat
+    comes from the spectral module, never from the time-domain amplitude.
+    A dE that overflows raises OverflowError.
     """
-    return _delta_e_hb(_transform(source, -2.0 * params.omega), params)
+    if not isinstance(signal, CouplingSignal):
+        raise TypeError(f"delta_e_spectral takes a CouplingSignal, got {type(signal).__name__}")
+    return _delta_e_hb(fourier_numeric(signal, -2.0 * params.omega), params)
 
 
 def _delta_e_hb(qhat: complex, params: PhysicalParams) -> float:
     """dE = (2 hbar w) |b_1100|^2 from qhat(-2w)."""
     b_1100 = (-1.0 / (1j * params.hbar)) * -ladder_factor(params) * qhat
-    return 2.0 * params.hbar * params.omega * abs(b_1100) ** 2
+    return _finite_delta_e(2.0 * params.hbar * params.omega * abs(b_1100) ** 2, "spectral")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_FOCK_TRUNCATION, PhysicalParams, _require_integer, ladder_factor
+from .core import MAX_FOCK_TRUNCATION, PhysicalParams, _finite_delta_e, _require_integer, ladder_factor
 from .coupling import CouplingSignal, _finite_range
 from .errors import InvertedModeError, NormDriftError
 
@@ -67,6 +67,9 @@ _CHUNK_STEPS = 1 << 12
 # 1.  So the buffer stays near this size whatever N: 45 steps a run at
 # N = 10, 5 at N = 30, one from N = 52.
 _RUN_BYTES = 1 << 18
+
+# Largest final norm drift evolve_fock accepts: it never renormalizes.
+_NORM_TOL = 1e-6
 
 # RK4 is stable on the imaginary axis for |h*lambda| <= 2*sqrt(2); the free
 # Fock Hamiltonian's largest rate is w*(2N+1), so h*w*(2N+1) above this
@@ -165,16 +168,17 @@ def _evolve_modes(signal: CouplingSignal, params: PhysicalParams, signs, substep
         return [BogoliubovPair(1.0 + 0.0j, 0.0j)] * len(signs)
 
     w = params.omega
-    q_abs = max(q_max, -q_min)
     with np.errstate(over="ignore", invalid="ignore"):  # an Omega^2 of -inf inverts; inf propagators fail below
         # Omega^2 = w^2 + sign*q/m is monotone in q; np.interp's rounding takes the
         # interpolant past the samples' range by under 0.2 ulp of max|q| (800,000 random grids)
-        reach = np.spacing(q_abs)
+        reach = np.spacing(max(q_max, -q_min))
         for sign in signs:
             if min(w**2 + sign * q / params.mass for q in (q_min - reach, q_max + reach)) <= 0.0:
+                # - inverts where q >= m w^2, + where q <= -m w^2
+                end, q_end, bound = ("max q", q_max, "m*w^2") if sign < 0 else ("min q", q_min, "-m*w^2")
                 raise InvertedModeError(
-                    f"Omega^2 <= 0 for mode {sign:+d}: max|q| = {q_abs:g} "
-                    f"reaches m*w^2 = {params.mass * w**2:g}"
+                    f"Omega^2 <= 0 for mode {sign:+d}: {end} = {q_end:g} "
+                    f"reaches {bound} = {-sign * params.mass * w**2:g}"
                 )
         sign_column = np.array(signs, dtype=float)[:, None]
         # one product per chunk, folded again at the end: the same pairwise
@@ -204,8 +208,9 @@ def _evolve_modes(signal: CouplingSignal, params: PhysicalParams, signs, substep
 
 
 def delta_e_modes(pair_plus: BogoliubovPair, pair_minus: BogoliubovPair, params: PhysicalParams) -> float:
-    """Energy gained by the ground state: hbar*w per created quantum, both modes."""
-    return params.hbar * params.omega * (pair_plus.occupation + pair_minus.occupation)
+    """Energy gained by the ground state: hbar*w per created quantum, both
+    modes; OverflowError if it is not finite."""
+    return _finite_delta_e(params.hbar * params.omega * (pair_plus.occupation + pair_minus.occupation), "mode")
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,13 +244,12 @@ def evolve_fock(
     params: PhysicalParams,
     truncation: int,
     dt_substeps: int = 1,
-    norm_tol: float = 1e-6,
 ) -> FockStateVector:
     """Integrate i hbar d|psi>/dt = [H0 + q(t) b (a1+a1')(a2+a2')] |psi> from |00>.
 
     Fixed-step 4th-order integration with step dt/dt_substeps.  No
-    renormalization is applied; a final norm drift beyond ``norm_tol``
-    raises NormDriftError as a signal to refine the step or raise the
+    renormalization is applied; a final norm drift beyond 1e-6 raises
+    NormDriftError as a signal to refine the step or raise the
     truncation, or, when h*w*(2N+1) is above RK4's stability limit
     2*sqrt(2), to refine the step alone.
     """
@@ -341,19 +345,22 @@ def evolve_fock(
         amplitudes = now[4].view(np.complex128).copy()
         state = FockStateVector(truncation, amplitudes)
         norm_drift = state.norm_drift
-    if not norm_drift <= norm_tol:  # NaN fails it too
+    if not norm_drift <= _NORM_TOL:  # NaN fails it too
         stiffness = h * params.omega * (2 * truncation + 1)
         if stiffness > _RK4_IMAGINARY_LIMIT:
             advice = (f"h*omega*(2N+1) = {stiffness:.3g} is above RK4's stability limit "
                       f"2*sqrt(2) = {_RK4_IMAGINARY_LIMIT:.3g}; raise dt_substeps")
         else:
             advice = "refine dt_substeps or raise the truncation"
-        raise NormDriftError(f"norm drifted by {norm_drift:.3e} (> {norm_tol:g}); {advice}")
+        raise NormDriftError(f"norm drifted by {norm_drift:.3e} (> {_NORM_TOL:g}); {advice}")
     return state
 
 
 def delta_e_fock(state: FockStateVector, params: PhysicalParams) -> float:
-    """Energy above the ground state: sum hbar*w*(n1+n2) |amplitude|^2."""
+    """Energy above the ground state: sum hbar*w*(n1+n2) |amplitude|^2;
+    OverflowError if it is not finite."""
     n = np.arange(state.truncation + 1, dtype=float)
     quanta = n[:, None] + n[None, :]
-    return float(params.hbar * params.omega * np.sum(quanta * np.abs(state.amplitudes) ** 2))
+    # a Python float: a product that overflows is inf, not a numpy warning
+    mean_quanta = float(np.sum(quanta * np.abs(state.amplitudes) ** 2))
+    return _finite_delta_e(params.hbar * params.omega * mean_quanta, "Fock")

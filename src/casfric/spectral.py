@@ -124,13 +124,3 @@ def fourier_analytic(profile: CouplingProfile, omega: float) -> complex:
     else:
         raise TypeError(f"no closed-form transform for {type(profile).__name__}; use fourier_numeric")
     return complex(value)
-
-
-def _transform(source, omega: float) -> complex:
-    """qhat(omega) of a CouplingSignal (numeric) or a closed-form profile (analytic)."""
-    # a CouplingSignal is a CouplingProfile too, so it is tested first
-    if isinstance(source, CouplingSignal):
-        return fourier_numeric(source, omega)
-    if isinstance(source, CouplingProfile):
-        return fourier_analytic(source, omega)
-    raise TypeError(f"expected a CouplingSignal or CouplingProfile, got {type(source).__name__}")

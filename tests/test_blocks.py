@@ -269,7 +269,7 @@ class TestOneFirstOrderPass:
             raise AssertionError("compare_routes called a public quadrature")
 
         monkeypatch.setattr(TimeGrid, "times", recorded)
-        for name in ("delta_e_time_domain", "delta_e_spectral", "time_domain_amplitude", "_transform"):
+        for name in ("delta_e_time_domain", "delta_e_spectral", "time_domain_amplitude", "fourier_numeric"):
             monkeypatch.setattr(f"casfric.dissipation.{name}", refused)
         monkeypatch.setattr("casfric.spectral.fourier_numeric", refused)
         compare_routes(signal, PARAMS, routes=routes)

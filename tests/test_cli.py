@@ -208,6 +208,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"numerical failure: {route}: float overflow\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_hb_product_that_overflows_is_exit_three(self, tmp_path, capsys):
+        # qhat(-2w) is finite; its product with b/hbar = 5e299 overflows
+        body = small_benchmark(params={"mass": 1e-300, "omega": 1.0},
+                               profile={"type": "gaussian_pulse", "q0": 1e10, "tau": 1.0},
+                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 481}, routes=["hb"])
+        assert main([str(write_config(tmp_path, body))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: hb: float overflow\n"
+
     @pytest.mark.parametrize("target", ["missing/report.csv", "."])
     def test_unwritable_out_is_exit_two(self, tmp_path, capsys, target):
         out = tmp_path / target
@@ -440,6 +451,11 @@ class TestRangesAndSampleBudget:
             (dict(eta_scan_config(), grid={"t_start": -1.0, "t_end": 1.0, "n_samples": 3}),
              r"config\.grid: .*scan\.dt"),
             (dict(eta_scan_config(), tail_rel=0.999), r"config\.tail_rel: .*scan\.tail_rel"),
+            (small_benchmark(params=5), r"^error: config\.params: expected dict, got int\n$"),
+            (small_benchmark(scan={"kind": "bogus", "values": [0.1]}),
+             r"^error: scan\.kind: expected 'eta' or 'amplitude', got 'bogus'\n$"),
+            (eta_scan_config(values=[0.1, -1.0]), r"^error: scan\.values\[1\]: eta must be positive, got -1\.0\n$"),
+            ("[1, 2]", r"^error: scenario\.json: top level must be a JSON object\n$"),
         ],
     )
     def test_out_of_range_value_is_exit_two_with_its_field(self, tmp_path, capsys, body, field):
@@ -540,6 +556,8 @@ class TestUnknownKeys:
         [
             (with_key(small_benchmark(), None, "fock_trunction", 500), "config.fock_trunction"),
             (with_key(small_benchmark(), "params", "omgea", 2.0), "params.omgea"),
+            # the coupling strength is the profile's; params has no charge
+            (with_key(small_benchmark(), "params", "charge", 1.0), "params.charge"),
             (with_key(small_benchmark(), "grid", "n_sampels", 11), "grid.n_sampels"),
             (with_key(eta_scan_config(), "scan", "tail_rle", 1e-3), "scan.tail_rle"),
             (with_key(small_benchmark(scan={"kind": "amplitude", "values": [0.01]}), "scan", "dt", 0.1), "scan.dt"),
@@ -567,6 +585,20 @@ class TestUnknownKeys:
         assert main([str(write_config(tmp_path, body))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: profile: ") and err.rstrip().endswith("times must be finite"), err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text", ["t,q\n", "t,q\n\n", "", "t,q\n0.0,0.001\n"], ids=["header-only", "blank-line", "empty", "one-row"]
+    )
+    def test_sampled_csv_with_fewer_than_two_rows_is_one_error_line(self, tmp_path, capsys, text):
+        # np.loadtxt warns on a file with no data row; the refusal is one line without it
+        (tmp_path / "samples.csv").write_text(text)
+        body = json.loads((CONFIG_DIR / "sampled_profile.json").read_text())
+        body["profile"]["csv"] = "samples.csv"
+        assert main([str(write_config(tmp_path, body))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: profile: {tmp_path / 'samples.csv'}: need at least two samples\n"
 
     def test_sampled_csv_with_inline_samples_is_refused(self, tmp_path, capsys):
         assert main([str(write_config(tmp_path, sampled_inline(csv="samples.csv")))]) == 2
@@ -662,6 +694,19 @@ class TestExtremeParamsEndCleanly:
         assert captured.err.startswith("error: params: the gap 2*hbar*omega underflows to 0"), captured.err
 
     @pytest.mark.filterwarnings("error")
+    def test_overflowing_gap_is_exit_two_naming_params(self, tmp_path, capsys):
+        # 2*hbar*omega = inf while b = 5e299 is finite: refused before any route runs
+        body = small_benchmark(params={"mass": 1e-10, "omega": 1e10, "hbar": 1e300},
+                               profile={"type": "gaussian_pulse", "q0": 1e-30, "tau": 1e-9},
+                               grid={"t_start": -1.2e-8, "t_end": 1.2e-8, "n_samples": 4801},
+                               routes=["hb", "mode_oracle", "fock_oracle"], fock_truncation=4, fock_substeps=4)
+        assert main([str(write_config(tmp_path, body))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith("error: params: the gap 2*hbar*omega overflows to inf"), captured.err
+
+    @pytest.mark.filterwarnings("error")
     def test_flyby_with_an_infinite_peak_is_exit_two_naming_d(self, tmp_path, capsys):
         # d**2 underflows to 0, so q(0) = charge^2/0
         body = small_benchmark(profile={"type": "flyby", "charge": 1.0, "d": 2.1e-262, "v": 1.0},
@@ -689,7 +734,7 @@ class TestExtremeParamsEndCleanly:
         assert main([str(write_config(tmp_path, body))]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "numerical failure: Omega^2 <= 0 for mode -1: max|q| = 1e+10 reaches m*w^2 = 1\n"
+        assert captured.err == "numerical failure: Omega^2 <= 0 for mode -1: max q = 1e+10 reaches m*w^2 = 1\n"
 
     @pytest.mark.filterwarnings("error")
     def test_a_grid_span_that_overflows_is_exit_two_naming_grid(self, tmp_path, capsys):

@@ -1,4 +1,7 @@
 """Parameter container and uniform-grid plumbing."""
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -29,10 +32,10 @@ class TestLadderFactor:
         assert np.isfinite(b) and b > 0
 
 
-@pytest.mark.parametrize("field", ["mass", "omega", "charge", "hbar"])
+@pytest.mark.parametrize("field", ["mass", "omega", "hbar"])
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_params_reject_nonpositive(field, bad):
-    kwargs = dict(mass=1.0, omega=1.0, charge=1.0, hbar=1.0)
+    kwargs = dict(mass=1.0, omega=1.0, hbar=1.0)
     kwargs[field] = bad
     with pytest.raises(ValueError, match=field):
         PhysicalParams(**kwargs)
@@ -49,6 +52,27 @@ def test_params_reject_nonpositive(field, bad):
 )
 def test_params_reject_a_zero_or_infinite_ladder_factor(kwargs):
     with pytest.raises(ValueError, match=r"b = hbar/\(2\*mass\*omega\) must be positive and finite"):
+        PhysicalParams(**kwargs)
+
+
+def test_params_are_mass_omega_and_a_keyword_only_hbar():
+    # the coupling strength comes from the profile; a third positional
+    # argument, once charge, must not silently become hbar
+    assert [field.name for field in dataclasses.fields(PhysicalParams)] == ["mass", "omega", "hbar"]
+    with pytest.raises(TypeError):
+        PhysicalParams(1.0, 1.0, 2.0)
+    assert PhysicalParams(1.0, 1.0, hbar=2.0).hbar == 2.0
+
+
+@pytest.mark.parametrize(
+    "kwargs, fault",
+    [
+        (dict(mass=1.0, omega=1.85e-219, hbar=4.49e-252), "underflows to 0"),
+        (dict(mass=1e-10, omega=1e10, hbar=1e300), "overflows to inf"),
+    ],
+)
+def test_params_reject_a_gap_that_is_zero_or_infinite(kwargs, fault):
+    with pytest.raises(ValueError, match=re.escape(f"the gap 2*hbar*omega {fault}")):
         PhysicalParams(**kwargs)
 
 

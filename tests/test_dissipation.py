@@ -129,10 +129,13 @@ class TestDeltaESpectral:
     def test_zero_signal(self):
         assert delta_e_spectral(zero_signal(), PARAMS) == 0.0
 
-    def test_exponential_ramp_closed_form(self):
-        np.testing.assert_allclose(
-            delta_e_spectral(ExponentialRamp(gamma=1e-3, eta=1.0), PARAMS), RAMP_DELTA_E, rtol=1e-14
-        )
+    @pytest.mark.parametrize(
+        "source", [ExponentialRamp(gamma=1e-3, eta=1.0), ramp_signal(n=5).values], ids=["closed-form", "array"]
+    )
+    def test_takes_only_a_signal(self, source):
+        # closed forms have one entry point, fourier_analytic
+        with pytest.raises(TypeError, match="takes a CouplingSignal"):
+            delta_e_spectral(source, PARAMS)
 
     def test_exponential_ramp_quadrature(self):
         np.testing.assert_allclose(delta_e_spectral(ramp_signal(), PARAMS), RAMP_DELTA_E, rtol=1e-5)
@@ -140,6 +143,13 @@ class TestDeltaESpectral:
     def test_rejects_profiles_without_closed_form(self):
         with pytest.raises(TypeError):
             delta_e_spectral(Flyby(charge=1.0, d=1.0, v=1.0), PARAMS)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_product_raises_instead_of_returning_inf(self):
+        # qhat is finite; b/hbar = 5e299 times it overflows the complex product to inf
+        params = PhysicalParams(mass=1e-300, omega=1.0)
+        with pytest.raises(OverflowError, match="the spectral dE overflowed"):
+            delta_e_spectral(gauss_signal(q0=1e10, n=481), params)
 
     @pytest.mark.parametrize(
         "signal_factory",
@@ -164,6 +174,20 @@ class TestCompareRoutes:
         with pytest.raises(NumericalFailure, match=f"^{route}: float overflow") as info:
             compare_routes(gauss_signal(q0=1e200, n=801), PARAMS, routes=(route,))
         assert isinstance(info.value.__cause__, OverflowError)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_oracle_energy_that_overflows_is_a_numerical_failure(self):
+        # q = 0.1 m w^2 sin(2wt) over 160 cycles pumps ~2e9 quanta by parametric
+        # resonance, ~1e7 times what first order predicts: hb's dE stays finite
+        # while hbar*w times the oracle's quanta overflows
+        w = 8e7
+        grid = TimeGrid(-160 * np.pi / w, 160 * np.pi / w, 32001)
+        t = grid.times()
+        values = 0.1 * w**2 * np.sin(2.0 * w * t) * np.exp(-((4.0 * t / (grid.t_end - grid.t_start)) ** 2))
+        signal, params = CouplingSignal(grid, values), PhysicalParams(mass=1.0, omega=w, hbar=1e295)
+        with pytest.raises(NumericalFailure, match="^mode_oracle: float overflow"):
+            compare_routes(signal, params, routes=("hb", "mode_oracle"))
+        assert np.isfinite(compare_routes(signal, params, routes=("hb",)).delta_e_spectral)
 
     def test_zero_signal_report(self):
         report = compare_routes(zero_signal(), PARAMS, routes=("barton", "hb"))
