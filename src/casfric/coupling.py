@@ -50,6 +50,14 @@ def _finite_range(values: np.ndarray):
     return q_min, q_max
 
 
+def _require_signal(signal, entry_point: str) -> None:
+    """TypeError unless ``signal``, the input of ``entry_point``, is a
+    CouplingSignal: a closed-form profile is sampled first, or transformed
+    by fourier_analytic."""
+    if not isinstance(signal, CouplingSignal):
+        raise TypeError(f"{entry_point} takes a CouplingSignal, got {type(signal).__name__}")
+
+
 class CouplingProfile:
     """Base class; subclasses define q(t) through ``_eval_array``."""
 

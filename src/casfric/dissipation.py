@@ -29,7 +29,16 @@ import numpy as np
 
 from . import oracle as _oracle
 from .core import MAX_GRID_SAMPLES, PhysicalParams, TimeGrid, _finite_delta_e, ladder_factor
-from .coupling import CouplingProfile, CouplingSignal, ExponentialRamp, SymmetricRamp, _block_and_tile, _walk, sample
+from .coupling import (
+    CouplingProfile,
+    CouplingSignal,
+    ExponentialRamp,
+    SymmetricRamp,
+    _block_and_tile,
+    _require_signal,
+    _walk,
+    sample,
+)
 from .errors import NumericalFailure, TailSpanError
 from .spectral import _SpectralSum, fourier_numeric
 
@@ -131,10 +140,12 @@ def time_domain_amplitude(signal: CouplingSignal, params: PhysicalParams) -> com
     integrand at -w would still be its exact conjugate.  The trapezoid
     runs in place: pair sum, times dt, times 0.5 and one pairwise sum per
     block, np.trapezoid's terms and order, so a grid of one block gives
-    the bits of a single trapezoid call.  A NaN or infinite sample raises
-    ValueError; a sum, or its scaling by -i/(2 hbar), that overflows
-    raises OverflowError instead of returning inf or nan.
+    the bits of a single trapezoid call.  A ``signal`` that is not a
+    CouplingSignal raises TypeError, a NaN or infinite sample ValueError;
+    a sum, or its scaling by -i/(2 hbar), that overflows raises
+    OverflowError instead of returning inf or nan.
     """
+    _require_signal(signal, "time_domain_amplitude")
     amplitude = _TimeDomainSum(params, *_block_and_tile(signal.grid.n_samples))
     _walk(signal.grid, signal, [amplitude])
     return amplitude.total()
@@ -150,9 +161,11 @@ def delta_e_time_domain(signal: CouplingSignal, params: PhysicalParams) -> float
     """dE = 8 hbar w (b |I(inf)|)^2 from the time-domain amplitude.
 
     b is squared with |I| and not alone: for a small hbar, b^2 underflows
-    while |I|^2, which goes as 1/hbar^2, overflows.  A dE that still
-    overflows raises OverflowError.
+    while |I|^2, which goes as 1/hbar^2, overflows.  A ``signal`` that is
+    not a CouplingSignal raises TypeError; a dE that still overflows raises
+    OverflowError.
     """
+    _require_signal(signal, "delta_e_time_domain")
     return _delta_e_barton(time_domain_amplitude(signal, params), params)
 
 
@@ -167,8 +180,7 @@ def delta_e_spectral(signal: CouplingSignal, params: PhysicalParams) -> float:
     comes from the spectral module, never from the time-domain amplitude.
     A dE that overflows raises OverflowError.
     """
-    if not isinstance(signal, CouplingSignal):
-        raise TypeError(f"delta_e_spectral takes a CouplingSignal, got {type(signal).__name__}")
+    _require_signal(signal, "delta_e_spectral")
     return _delta_e_hb(fourier_numeric(signal, -2.0 * params.omega), params)
 
 
@@ -285,9 +297,11 @@ def compare_routes(
     tail_warning, set when |q| at a grid endpoint exceeds tail_rel * max|q|
     (the incoming or outgoing state is not free); tail_rel must lie in
     (0, 1).  Both first-order routes, and the tail test, take the signal
-    in one pass over its blocks.  A float overflow inside a route is
-    raised as a NumericalFailure naming it.
+    in one pass over its blocks.  A ``signal`` that is not a CouplingSignal
+    raises TypeError; a float overflow inside a route is raised as a
+    NumericalFailure naming it.
     """
+    _require_signal(signal, "compare_routes")
     _check_routes(routes)
     _check_tail_rel(tail_rel)
     first_order = _FirstOrderPass(params, routes, signal.grid.n_samples)

@@ -27,6 +27,7 @@ from .coupling import (
     GaussianPulse,
     SymmetricRamp,
     _block_and_tile,
+    _require_signal,
     _walk,
 )
 
@@ -96,10 +97,12 @@ def fourier_numeric(signal: CouplingSignal, omega: float) -> complex:
     integrand and trig buffers and one block's pairs, whatever the grid
     length.  Each block's trapezoid is summed with np.trapezoid's terms
     and pairwise order, so a grid of one block gives the bits of a single
-    trapezoid call, and long grids move only in the last digits.  A NaN
-    or infinite sample raises ValueError; a sum that overflows raises
-    OverflowError instead of returning inf or nan.
+    trapezoid call, and long grids move only in the last digits.  A
+    ``signal`` that is not a CouplingSignal raises TypeError, a NaN or
+    infinite sample ValueError; a sum that overflows raises OverflowError
+    instead of returning inf or nan.
     """
+    _require_signal(signal, "fourier_numeric")
     transform = _SpectralSum(omega, *_block_and_tile(signal.grid.n_samples))
     _walk(signal.grid, signal, [transform])
     return transform.total()

@@ -736,3 +736,21 @@ def test_fock_step_loop_makes_no_per_step_write(monkeypatch, run_steps):
     evolve_fock(signal, PARAMS, truncation=10, dt_substeps=2)
     monkeypatch.undo()
     assert len(calls) <= runs + len(chunks) < 9600, (len(calls), runs)
+
+
+def test_fock_step_loop_calls_no_module_level_dot(monkeypatch):
+    """The step's 8 products and 4 weighted sums are each operand's bound
+    ndarray.dot, which skips np.dot's __array_function__ dispatch: an
+    evolve_fock run of 9600 steps makes no np.dot call at all."""
+    signal = gauss_signal(n=4801)  # 9600 substeps at dt_substeps = 2
+    calls = []
+    dot = np.dot
+
+    def counting_dot(*args, **kwargs):
+        calls.append(1)
+        return dot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", counting_dot)
+    evolve_fock(signal, PARAMS, truncation=10, dt_substeps=2)
+    monkeypatch.undo()
+    assert len(calls) == 0
