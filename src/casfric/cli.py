@@ -236,7 +236,7 @@ def load_config(path) -> Scenario:
     params = _build(PhysicalParams, _expect(raw, "params", "config", dict), "params")
     profile_config = _expect(raw, "profile", "config", dict)
     profile = _build_profile(profile_config, path.parent)
-    scan = _build_scan(raw["scan"]) if raw.get("scan") is not None else None
+    scan = _build_scan(_expect(raw, "scan", "config", dict)) if raw.get("scan") is not None else None
 
     eta_scan = scan is not None and scan.kind == "eta"
     if eta_scan and not isinstance(profile, (ExponentialRamp, SymmetricRamp)):
@@ -246,7 +246,7 @@ def load_config(path) -> Scenario:
             raise ConfigError(f"config.{key}: an eta scan builds its own grids; set {instead} instead")
     grid = None
     if raw.get("grid") is not None:
-        grid = _build_grid(raw["grid"])
+        grid = _build_grid(_expect(raw, "grid", "config", dict))
     elif not eta_scan:
         raise ConfigError("config.grid: required unless the scenario is an eta scan")
 

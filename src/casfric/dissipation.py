@@ -58,8 +58,15 @@ __all__ = [
 # considered strained; a report flag, never an error.
 STRAINED_PROBABILITY = 0.1
 
-# Route tokens, as they appear in scenario configs and report columns.
-ROUTES = ("barton", "hb", "mode_oracle", "fock_oracle")
+# Route token, as it appears in scenario configs, -> the DissipationReport
+# field that holds its dE, in the order the routes run and fail.
+_FIELDS = {
+    "barton": "delta_e_time_domain",
+    "hb": "delta_e_spectral",
+    "mode_oracle": "delta_e_mode_oracle",
+    "fock_oracle": "delta_e_fock_oracle",
+}
+ROUTES = tuple(_FIELDS)
 
 _SPREAD_FLOOR = 1e-300
 
@@ -205,13 +212,8 @@ class DissipationReport:
 
     def populated(self) -> dict:
         """Route token -> dE for the routes that ran."""
-        pairs = (
-            ("barton", self.delta_e_time_domain),
-            ("hb", self.delta_e_spectral),
-            ("mode_oracle", self.delta_e_mode_oracle),
-            ("fock_oracle", self.delta_e_fock_oracle),
-        )
-        return {token: value for token, value in pairs if value is not None}
+        values = ((token, getattr(self, field)) for token, field in _FIELDS.items())
+        return {token: value for token, value in values if value is not None}
 
 
 def _relative_spread(values: Sequence[float]) -> float:
@@ -242,17 +244,19 @@ def _overflow_fails(route: str):
         raise NumericalFailure(f"{route}: float overflow") from exc
 
 
-class _FirstOrderPass:
-    """hb's transform (always: it sets the validity flag) and, if selected,
-    barton's amplitude, fed by one coupling._walk, and the tail test.
+class _RoutePass:
+    """``run`` feeds hb's transform (always: it sets the validity flag) and,
+    if selected, barton's amplitude by one coupling._walk, with the tail
+    test; ``report`` adds the selected oracles and builds the report.
 
-    Their workspaces and the walk's tile buffers for a profile (untouched
-    for a signal) share one allocation, made once for grids of up to
-    ``n_samples``.  ``totals`` reads both dE, barton first.
+    The sums' workspaces and the walk's tile buffers for a profile
+    (untouched for a signal) share one allocation, made once for grids of
+    up to ``n_samples``.
     """
 
-    def __init__(self, params: PhysicalParams, routes: Sequence[str], n_samples: int):
-        self.params = params
+    def __init__(self, params, routes, n_samples, fock_truncation, fock_substeps, mode_substeps):
+        self.params, self.routes = params, routes
+        self.fock_truncation, self.fock_substeps, self.mode_substeps = fock_truncation, fock_substeps, mode_substeps
         size, tile = _block_and_tile(n_samples)
         stride = 3 * tile + 2 * size - 2
         sums = 2 if "barton" in routes else 1
@@ -270,13 +274,35 @@ class _FirstOrderPass:
         threshold = tail_rel * max(q_max, -q_min)
         return bool(abs(first) <= threshold and abs(last) <= threshold)
 
-    def totals(self):
-        """(barton's dE, None if not selected, and hb's dE) of the last run."""
-        with _overflow_fails("barton"):
-            de_time = None if self.amplitude is None else _delta_e_barton(self.amplitude.total(), self.params)
+    def report(self, grid: TimeGrid, source, tail_warning: bool) -> DissipationReport:
+        """The report of the last ``run``; routes fail in _FIELDS' order, and
+        the oracles sample a profile ``source`` on ``grid`` once, here."""
+        params, routes = self.params, self.routes
+        delta_e = {}
+        if self.amplitude is not None:
+            with _overflow_fails("barton"):
+                delta_e["barton"] = _delta_e_barton(self.amplitude.total(), params)
         with _overflow_fails("hb"):
-            de_hb = _delta_e_hb(self.transform.total(), self.params)
-        return de_time, de_hb
+            de_hb = _delta_e_hb(self.transform.total(), params)
+        if "hb" in routes:
+            delta_e["hb"] = de_hb
+        if "mode_oracle" in routes or "fock_oracle" in routes:
+            signal = source if isinstance(source, CouplingSignal) else sample(source, grid)
+        if "mode_oracle" in routes:
+            with _overflow_fails("mode_oracle"):
+                pairs = _oracle._evolve_modes(signal, params, (+1, -1), self.mode_substeps)
+                delta_e["mode_oracle"] = _oracle.delta_e_modes(*pairs, params)
+        if "fock_oracle" in routes:
+            with _overflow_fails("fock_oracle"):
+                state = _oracle.evolve_fock(signal, params, self.fock_truncation, self.fock_substeps)
+                delta_e["fock_oracle"] = _oracle.delta_e_fock(state, params)
+        return DissipationReport(
+            **{field: delta_e.get(token) for token, field in _FIELDS.items()},
+            relative_spread=_relative_spread(list(delta_e.values())),
+            validity_flag=de_hb / (2.0 * params.hbar * params.omega) > STRAINED_PROBABILITY,
+            grid=grid,
+            tail_warning=tail_warning,
+        )
 
 
 def compare_routes(
@@ -296,52 +322,17 @@ def compare_routes(
     run, from hb's transition probability B_1100 = dE/(2 hbar w); so is
     tail_warning, set when |q| at a grid endpoint exceeds tail_rel * max|q|
     (the incoming or outgoing state is not free); tail_rel must lie in
-    (0, 1).  Both first-order routes, and the tail test, take the signal
-    in one pass over its blocks.  A ``signal`` that is not a CouplingSignal
-    raises TypeError; a float overflow inside a route is raised as a
-    NumericalFailure naming it.
+    (0, 1).  One route pass takes both first-order routes and the tail
+    test over the signal's blocks, then the oracles.  A ``signal`` that is
+    not a CouplingSignal raises TypeError; a float overflow inside a route
+    is raised as a NumericalFailure naming it.
     """
     _require_signal(signal, "compare_routes")
     _check_routes(routes)
     _check_tail_rel(tail_rel)
-    first_order = _FirstOrderPass(params, routes, signal.grid.n_samples)
-    resolved = first_order.run(signal.grid, signal, tail_rel)
-    de_time, de_hb = first_order.totals()
-    de_mode, de_fock = _oracles(signal, params, routes, fock_truncation, fock_substeps, mode_substeps)
-    return _report(params, signal.grid, routes, de_time, de_hb, de_mode, de_fock, tail_warning=not resolved)
-
-
-def _oracles(signal, params, routes, fock_truncation, fock_substeps, mode_substeps):
-    """dE of the mode and Fock oracles, None (and ``signal`` unread) for one not in ``routes``."""
-    de_mode = None
-    if "mode_oracle" in routes:
-        with _overflow_fails("mode_oracle"):
-            pair_plus, pair_minus = _oracle._evolve_modes(signal, params, (+1, -1), mode_substeps)
-            de_mode = _oracle.delta_e_modes(pair_plus, pair_minus, params)
-
-    de_fock = None
-    if "fock_oracle" in routes:
-        with _overflow_fails("fock_oracle"):
-            state = _oracle.evolve_fock(signal, params, fock_truncation, fock_substeps)
-            de_fock = _oracle.delta_e_fock(state, params)
-    return de_mode, de_fock
-
-
-def _report(params, grid, routes, de_time, de_hb, de_mode, de_fock, tail_warning) -> DissipationReport:
-    """The report of one signal's routes; hb's dE, always computed, sets the validity flag."""
-    de_spec = de_hb if "hb" in routes else None
-    b_1100_probability = de_hb / (2.0 * params.hbar * params.omega)
-    populated = [v for v in (de_time, de_spec, de_mode, de_fock) if v is not None]
-    return DissipationReport(
-        delta_e_time_domain=de_time,
-        delta_e_spectral=de_spec,
-        delta_e_mode_oracle=de_mode,
-        delta_e_fock_oracle=de_fock,
-        relative_spread=_relative_spread(populated),
-        validity_flag=b_1100_probability > STRAINED_PROBABILITY,
-        grid=grid,
-        tail_warning=tail_warning,
-    )
+    route_pass = _RoutePass(params, routes, signal.grid.n_samples, fock_truncation, fock_substeps, mode_substeps)
+    resolved = route_pass.run(signal.grid, signal, tail_rel)
+    return route_pass.report(signal.grid, signal, tail_warning=not resolved)
 
 
 def _check_tail_rel(tail_rel: float, factor: Optional[float] = None) -> None:
@@ -434,12 +425,12 @@ def adiabatic_scan(
     Every grid is sized before any point runs, so a scan point above
     MAX_GRID_SAMPLES is refused before the scan runs.  Each point's
     reports are those of compare_routes on the sampled grid, bit for bit,
-    from one first-order pass allocated for the whole scan.  Without an
-    oracle route it evaluates each ramp into its own tile buffers, so a
-    point holds O(BLOCK_SAMPLES) whatever eta; an oracle point samples its
-    grid once for both; the oracle options and their defaults are those
-    of compare_routes.  Unresolved tails raise TailSpanError before any
-    route's total is read.
+    from one route pass allocated for the whole scan.  Every point's walk
+    evaluates its ramp into the pass's tile buffers, so the first-order
+    routes hold O(BLOCK_SAMPLES) whatever eta; with an oracle route the
+    point then samples its grid once, for the oracles only.  The oracle
+    options and their defaults are those of compare_routes.  Unresolved
+    tails raise TailSpanError before any route's total is read.
     """
     if not isinstance(family, (SymmetricRamp, ExponentialRamp)):
         raise TypeError(f"adiabatic scans take a ramp family, got {type(family).__name__}")
@@ -456,20 +447,16 @@ def adiabatic_scan(
 
     profiles = [replace(family, eta=float(eta)) for eta in etas]
     grids = [_ramp_grid(profile, profile.eta, dt, tail_rel) for profile in profiles]
-    oracle = "mode_oracle" in routes or "fock_oracle" in routes
-    first_order = _FirstOrderPass(params, routes, max(grid.n_samples for grid in grids))
+    n_samples = max(grid.n_samples for grid in grids)
+    route_pass = _RoutePass(params, routes, n_samples, fock_truncation, fock_substeps, mode_substeps)
     reports = []
     for profile, grid in zip(profiles, grids):
-        source = sample(profile, grid) if oracle else profile
-        if not first_order.run(grid, source, tail_rel):
+        if not route_pass.run(grid, profile, tail_rel):
             raise TailSpanError(
                 f"grid span insufficient for eta={profile.eta:g}: coupling tails above {tail_rel:g} of peak"
             )
-        de_time, de_hb = first_order.totals()
-        de_mode, de_fock = _oracles(source, params, routes, fock_truncation, fock_substeps, mode_substeps)
         # the tails were resolved at tail_rel above, so no report of a scan is flagged
-        reports.append(_report(params, grid, routes, de_time, de_hb, de_mode, de_fock, tail_warning=False))
-        del source  # an oracle point's signal is freed before the next is sampled
+        reports.append(route_pass.report(grid, profile, tail_warning=False))
 
     # the scan's dE is hb's where it ran, else barton's, else an oracle's
     token = next(token for token in ("hb", "barton", "mode_oracle", "fock_oracle") if token in routes)

@@ -21,6 +21,7 @@ expected and quantified rather than reconciled analytically.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,9 +154,13 @@ def evolve_mode(
     ``signal`` that is not a CouplingSignal raises TypeError.
     """
     _require_signal(signal, "evolve_mode")
-    if mode_sign not in (+1, -1):
+    try:
+        sign = operator.index(mode_sign)  # an integral float such as 1.0 is refused
+    except TypeError:
+        sign = None
+    if sign not in (+1, -1):
         raise ValueError(f"mode_sign must be +1 or -1, got {mode_sign!r}")
-    return _evolve_modes(signal, params, (mode_sign,), substeps)[0]
+    return _evolve_modes(signal, params, (sign,), substeps)[0]
 
 
 def _evolve_modes(signal: CouplingSignal, params: PhysicalParams, signs, substeps: int) -> list:

@@ -99,10 +99,12 @@ def fourier_numeric(signal: CouplingSignal, omega: float) -> complex:
     and pairwise order, so a grid of one block gives the bits of a single
     trapezoid call, and long grids move only in the last digits.  A
     ``signal`` that is not a CouplingSignal raises TypeError, a NaN or
-    infinite sample ValueError; a sum that overflows raises OverflowError
-    instead of returning inf or nan.
+    infinite sample or ``omega`` ValueError; a sum that overflows raises
+    OverflowError instead of returning inf or nan.
     """
     _require_signal(signal, "fourier_numeric")
+    if not cmath.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega!r}")
     transform = _SpectralSum(omega, *_block_and_tile(signal.grid.n_samples))
     _walk(signal.grid, signal, [transform])
     return transform.total()

@@ -22,10 +22,12 @@ from casfric import (
     compare_routes,
     sample,
 )
+from casfric import dissipation
 from casfric.core import _TILE_PAIRS, BLOCK_SAMPLES, _blocks
+from casfric.coupling import _walk
 from casfric.dissipation import (
     _SCAN_TAIL_FACTOR,
-    _FirstOrderPass,
+    _RoutePass,
     _TimeDomainSum,
     _delta_e_barton,
     _delta_e_hb,
@@ -387,13 +389,35 @@ class TestStreamedScan:
         assert scan.reports[0].grid.n_samples == BLOCK_SAMPLES + 2
         assert list(scan.reports) == sampled_scan_reports(family, [0.01], PARAMS, ("barton", "hb"), dt=dt)
 
-    def test_mode_oracle_scan_equals_sampling_then_comparing(self):
+    @pytest.mark.parametrize(
+        "routes",
+        [("hb", "mode_oracle"), ("mode_oracle",), ("barton", "hb", "mode_oracle"), ("hb", "fock_oracle"), ("barton", "hb")],
+    )
+    def test_oracle_scan_equals_sampling_then_comparing(self, routes):
         family = SymmetricRamp(gamma=0.05, eta=1.0)
-        routes = ("hb", "mode_oracle")
-        scan = adiabatic_scan(family, [0.5, 0.2], PARAMS, routes=routes, mode_substeps=2)
-        want = sampled_scan_reports(family, [0.5, 0.2], PARAMS, routes, mode_substeps=2)
+        options = dict(mode_substeps=2, fock_truncation=6, fock_substeps=4)
+        scan = adiabatic_scan(family, [0.5, 0.2], PARAMS, routes=routes, **options)
+        want = sampled_scan_reports(family, [0.5, 0.2], PARAMS, routes, **options)
         assert list(scan.reports) == want
-        assert all(report.delta_e_mode_oracle is not None for report in scan.reports)
+        assert all(set(report.populated()) == set(routes) for report in scan.reports)
+
+    @pytest.mark.parametrize("routes, oracle", [(("hb", "mode_oracle"), True), (("barton", "hb"), False)])
+    def test_every_point_walks_its_ramp_and_samples_only_for_the_oracles(self, monkeypatch, routes, oracle):
+        calls = []
+
+        def walk(grid, source, *args):
+            calls.append(("walk", type(source).__name__, getattr(source, "eta", None)))
+            return _walk(grid, source, *args)
+
+        def sample_once(profile, grid):
+            calls.append(("sample", type(profile).__name__, profile.eta))
+            return sample(profile, grid)
+
+        monkeypatch.setattr(dissipation, "_walk", walk)
+        monkeypatch.setattr(dissipation, "sample", sample_once)
+        adiabatic_scan(SymmetricRamp(gamma=0.05, eta=1.0), [0.5, 0.2], PARAMS, routes=routes)
+        steps = ("walk", "sample") if oracle else ("walk",)
+        assert calls == [(step, "SymmetricRamp", eta) for eta in (0.5, 0.2) for step in steps]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_peak_memory_does_not_grow_with_the_grid(self, family):
@@ -488,7 +512,7 @@ class TestOneFormulaPerProfile:
         for time, value in zip(times, want):
             assert_same_bits(np.array([profile.evaluate(time)]), np.array([value]))
         # the scan's buffers hold the previous point's values: all of them must be overwritten
-        values, scratch = _FirstOrderPass(PARAMS, ("barton", "hb"), len(t) + 3).buffers
+        values, scratch = _RoutePass(PARAMS, ("barton", "hb"), len(t) + 3, 10, 4, 1).buffers
         values.fill(np.nan)
         scratch.fill(np.nan)
         profile._eval_array(t, values[: len(t)], scratch[: len(t)])

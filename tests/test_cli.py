@@ -52,6 +52,9 @@ class TestConfigValidation:
         assert scenario.scenario_id == "small-benchmark"
         assert scenario.routes == ("barton", "hb", "mode_oracle", "fock_oracle")
 
+    def test_a_null_scan_is_absent(self, tmp_path):
+        assert load_config(write_config(tmp_path, small_benchmark(scan=None))).scan is None
+
     def test_invalid_json_reports_line_and_column(self, tmp_path):
         path = write_config(tmp_path, '{\n  "params": {,}\n}')
         with pytest.raises(ConfigError, match=r"line 2, column 14"):
@@ -452,6 +455,10 @@ class TestRangesAndSampleBudget:
              r"config\.grid: .*scan\.dt"),
             (dict(eta_scan_config(), tail_rel=0.999), r"config\.tail_rel: .*scan\.tail_rel"),
             (small_benchmark(params=5), r"^error: config\.params: expected dict, got int\n$"),
+            (small_benchmark(scan=5), r"^error: config\.scan: expected dict, got int\n$"),
+            (small_benchmark(scan=[1]), r"^error: config\.scan: expected dict, got list\n$"),
+            (small_benchmark(grid=5), r"^error: config\.grid: expected dict, got int\n$"),
+            (small_benchmark(grid="x"), r"^error: config\.grid: expected dict, got str\n$"),
             (small_benchmark(scan={"kind": "bogus", "values": [0.1]}),
              r"^error: scan\.kind: expected 'eta' or 'amplitude', got 'bogus'\n$"),
             (eta_scan_config(values=[0.1, -1.0]), r"^error: scan\.values\[1\]: eta must be positive, got -1\.0\n$"),

@@ -169,10 +169,19 @@ class TestDeltaESpectral:
 
 
 class TestCompareRoutes:
-    @pytest.mark.parametrize("route", ["barton", "hb"])
-    def test_overflow_is_a_numerical_failure_naming_the_route(self, route):
+    @pytest.mark.parametrize(
+        "routes, route",
+        [
+            (("barton",), "barton"),
+            (("hb",), "hb"),
+            # routes fail in the order barton, hb, mode, Fock, whatever the order they are listed in
+            (("fock_oracle", "mode_oracle", "hb", "barton"), "barton"),
+            (("fock_oracle", "mode_oracle", "hb"), "hb"),
+        ],
+    )
+    def test_overflow_is_a_numerical_failure_naming_the_route(self, routes, route):
         with pytest.raises(NumericalFailure, match=f"^{route}: float overflow") as info:
-            compare_routes(gauss_signal(q0=1e200, n=801), PARAMS, routes=(route,))
+            compare_routes(gauss_signal(q0=1e200, n=801), PARAMS, routes=routes)
         assert isinstance(info.value.__cause__, OverflowError)
 
     @pytest.mark.filterwarnings("error")

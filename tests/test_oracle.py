@@ -154,6 +154,11 @@ class TestEvolveMode:
         with pytest.raises(ValueError, match="substeps"):
             evolve_mode(zero_signal(), PARAMS, +1, substeps=0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_refuses_an_integral_float_mode_sign(self, sign):
+        with pytest.raises(ValueError, match=rf"^mode_sign must be \+1 or -1, got {sign!r}$"):
+            evolve_mode(gauss_signal(n=201), PARAMS, sign)
+
     def test_refuses_an_integral_float_substep_count(self):
         with pytest.raises(ValueError, match=r"substeps must be an integer >= 1, got 2\.0"):
             evolve_mode(gauss_signal(n=201), PARAMS, +1, substeps=2.0)

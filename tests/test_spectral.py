@@ -65,6 +65,11 @@ class TestFourierNumeric:
         with pytest.raises(ValueError, match="must be finite"):
             fourier_numeric(signal, 1.0)
 
+    @pytest.mark.parametrize("omega", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_non_finite_omega(self, omega):
+        with pytest.raises(ValueError, match=r"^omega must be finite, got -?(nan|inf)$"):
+            fourier_numeric(gaussian_signal(n=101, span=8.0), omega)
+
     @given(w=st.floats(min_value=1e-3, max_value=50.0))
     @settings(max_examples=25, deadline=None)
     def test_hermitian_symmetry_is_bitwise(self, w):
