@@ -242,7 +242,7 @@ def load_config(path) -> Scenario:
     if eta_scan and not isinstance(profile, (ExponentialRamp, SymmetricRamp)):
         raise ConfigError("config.scan: eta scans need an exponential_ramp or symmetric_ramp profile")
     for key, instead in (("grid", "scan.dt"), ("tail_rel", "scan.tail_rel")):
-        if eta_scan and key in raw:  # it sizes its own grids and tests their tails
+        if eta_scan and raw.get(key) is not None:  # it sizes its own grids and tests their tails
             raise ConfigError(f"config.{key}: an eta scan builds its own grids; set {instead} instead")
     grid = None
     if raw.get("grid") is not None:

@@ -84,15 +84,14 @@ def _substeps(signal: CouplingSignal, substeps: int):
     return signal.grid.dt / substeps, (signal.grid.n_samples - 1) * substeps
 
 
-def _substep_coupling(signal: CouplingSignal, h: float, lo: int, hi: int):
-    """Coupling at substep nodes lo..hi and the midpoints between them
-    (linear inside grid cells), from the grid cells those steps cross."""
-    t_nodes = signal.grid.t_start + h * np.arange(lo, hi + 1)
-    t_first, t_last = t_nodes[0], t_nodes[-1]
-    q_nodes = signal._interpolate(t_nodes, t_first, t_last)
-    t_nodes[:-1] += 0.5 * h
-    q_mid = signal._interpolate(t_nodes[:-1], t_first, t_last)
-    return q_nodes, q_mid
+def _substep_coupling(signal: CouplingSignal, h: float, lo: int, hi: int) -> np.ndarray:
+    """Coupling at substep nodes lo..hi and their steps' midpoints, linear
+    inside grid cells and interleaved (node lo + j at 2j, its midpoint at
+    2j + 1), from one np.interp call over the grid cells the steps cross."""
+    t = np.empty(2 * (hi - lo) + 1)
+    t[0::2] = signal.grid.t_start + h * np.arange(lo, hi + 1)
+    t[1::2] = t[0:-1:2] + 0.5 * h
+    return signal._interpolate(t, t[0], t[-1])
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -164,8 +163,8 @@ def evolve_mode(
 
 
 def _evolve_modes(signal: CouplingSignal, params: PhysicalParams, signs, substeps: int) -> list:
-    """evolve_mode for each of ``signs`` in one sweep: each chunk's coupling
-    is interpolated once, and its Omega^2, steps and product are one array.
+    """evolve_mode for each of ``signs`` in one sweep: each chunk's coupling is
+    one interleaved array, and its Omega^2, steps and product are one array.
     Inversion is decided before the sweep, for each sign in turn, from the
     samples' range, which the linear interpolant leaves only by rounding."""
     h, n_steps = _substeps(signal, substeps)
@@ -193,10 +192,9 @@ def _evolve_modes(signal: CouplingSignal, params: PhysicalParams, signs, substep
         starts = range(0, n_steps, _CHUNK_STEPS)
         chunk_products = np.empty((len(signs), len(starts), 2, 2))
         for k, lo in enumerate(starts):
-            q_nodes, q_mid = _substep_coupling(signal, h, lo, min(lo + _CHUNK_STEPS, n_steps))
-            w2_nodes = w**2 + sign_column * q_nodes / params.mass
-            w2_mid = w**2 + sign_column * q_mid / params.mass
-            steps = _rk4_transfer_matrices(w2_nodes[:, :-1], w2_mid, w2_nodes[:, 1:], h)
+            q = _substep_coupling(signal, h, lo, min(lo + _CHUNK_STEPS, n_steps))
+            w2 = w**2 + sign_column * q / params.mass
+            steps = _rk4_transfer_matrices(w2[:, 0:-1:2], w2[:, 1::2], w2[:, 2::2], h)
             chunk_products[:, k] = _ordered_product(steps)
         propagators = _ordered_product(chunk_products)
     if not np.isfinite(propagators).all():
@@ -296,14 +294,13 @@ def evolve_fock(
     # Every stage's left operand for a run of steps, ahead of the steps:
     # lefts[2j] has q at node j in its q x columns, lefts[2j + 1] q at the
     # midpoint of step j.  The w N1 and identity columns are copied in once;
-    # the q x columns of a whole run are one multiply.
+    # a run's q x columns are one multiply of its slice of the chunk's q by x.
     run_steps = max(1, min(_RUN_BYTES // (2 * left.nbytes), _CHUNK_STEPS, n_steps))
     lefts = np.repeat(left[None], 2 * run_steps + 1, axis=0)
     coupling_columns = lefts[:, :, 0::3]
     # step j of a run: the .dot of (k1's, k2's and k3's, k4's) operator
     stage_lefts = [(start.dot, half.dot, end.dot)
                    for start, half, end in zip(lefts[0::2], lefts[1::2], lefts[2::2])]
-    q_run = np.empty((2 * run_steps + 1, 1, 1))  # a run's node and midpoint q, interleaved
 
     # k1..k4 and psi (last) in one stack, so every stage input and the
     # update is one weighted sum over it; the update goes into the psi slot
@@ -332,14 +329,12 @@ def evolve_fock(
 
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging state fails the norm test
         for lo in range(0, n_steps, _CHUNK_STEPS):
-            q_nodes, q_mid = _substep_coupling(signal, h, lo, min(lo + _CHUNK_STEPS, n_steps))
-            for start in range(0, len(q_mid), run_steps):
-                steps = min(run_steps, len(q_mid) - start)
-                q_run[0 : 2 * steps + 1 : 2, 0, 0] = q_nodes[start : start + steps + 1]
-                q_run[1 : 2 * steps : 2, 0, 0] = q_mid[start : start + steps]
-                np.multiply(q_run[: 2 * steps + 1], x, coupling_columns[: 2 * steps + 1])
+            q = _substep_coupling(signal, h, lo, min(lo + _CHUNK_STEPS, n_steps))
+            for start in range(0, len(q) - 1, 2 * run_steps):
+                run = q[start : start + 2 * run_steps + 1, None, None]
+                np.multiply(run, x, coupling_columns[: len(run)])
                 # each stage's derivative is its left @ (stage @ right), through `products`
-                for left_start, left_half, left_end in stage_lefts[:steps]:
+                for left_start, left_half, left_end in stage_lefts[: len(run) // 2]:
                     k1, k2, k3, k4, _, stack, psi_next, psi_dot = now
                     psi_dot(right, products)
                     left_start(products_by_row, k1)

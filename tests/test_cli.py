@@ -46,6 +46,15 @@ def small_benchmark(**overrides):
     return body
 
 
+def eta_scan_config(**scan):
+    return {
+        "params": {"mass": 1.0, "omega": 1.0},
+        "profile": {"type": "symmetric_ramp", "gamma": 0.001, "eta": 1.0},
+        "routes": ["hb"],
+        "scan": {"kind": "eta", "values": [0.1], **scan},
+    }
+
+
 class TestConfigValidation:
     def test_valid_config_loads(self, tmp_path):
         scenario = load_config(write_config(tmp_path, small_benchmark()))
@@ -54,6 +63,16 @@ class TestConfigValidation:
 
     def test_a_null_scan_is_absent(self, tmp_path):
         assert load_config(write_config(tmp_path, small_benchmark(scan=None))).scan is None
+
+    def test_a_null_grid_is_absent_in_an_eta_scan(self, tmp_path):
+        scenario = load_config(write_config(tmp_path, dict(eta_scan_config(), grid=None)))
+        assert scenario.grid is None and scenario.scan.kind == "eta"
+
+    @pytest.mark.parametrize("body", [small_benchmark(tail_rel=None), dict(eta_scan_config(), tail_rel=None)],
+                             ids=["grid-config", "eta-scan"])
+    def test_a_null_tail_rel_is_not_a_number_in_every_config(self, tmp_path, capsys, body):
+        assert main([str(write_config(tmp_path, body))]) == 2
+        assert capsys.readouterr().err == "error: config.tail_rel: expected a number, got None\n"
 
     def test_invalid_json_reports_line_and_column(self, tmp_path):
         path = write_config(tmp_path, '{\n  "params": {,}\n}')
@@ -414,15 +433,6 @@ def test_shipped_configs_run_clean(name, tmp_path):
     data_rows = [line for line in text.strip().split("\n")[1:] if not line.startswith("#")]
     assert len(data_rows) >= 1
     assert_matches_recorded(text, (EXPECTED_DIR / name).with_suffix(".csv").read_text())
-
-
-def eta_scan_config(**scan):
-    return {
-        "params": {"mass": 1.0, "omega": 1.0},
-        "profile": {"type": "symmetric_ramp", "gamma": 0.001, "eta": 1.0},
-        "routes": ["hb"],
-        "scan": {"kind": "eta", "values": [0.1], **scan},
-    }
 
 
 class TestRangesAndSampleBudget:

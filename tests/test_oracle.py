@@ -453,9 +453,9 @@ class TestChunkedModeSweep:
         assert h_chunked == h and n_steps == len(q_mid)
         for lo in range(0, n_steps, _CHUNK_STEPS):
             hi = min(lo + _CHUNK_STEPS, n_steps)
-            nodes, mid = _substep_coupling(signal, h, lo, hi)
-            assert np.array_equal(nodes, q_nodes[lo : hi + 1])
-            assert np.array_equal(mid, q_mid[lo:hi])
+            q = _substep_coupling(signal, h, lo, hi)
+            assert np.array_equal(q[0::2], q_nodes[lo : hi + 1])
+            assert np.array_equal(q[1::2], q_mid[lo:hi])
 
     def test_inversion_in_a_later_chunk_is_the_same_error(self):
         # the pulse peaks ~40000 steps in; the first chunks are nearly free
@@ -517,7 +517,7 @@ class TestChunkedModeSweep:
         values = np.array([-378.3757593880971, 0.9999999999999999, -529.2781532559253, -1267.3195524133898])
         signal = CouplingSignal(TimeGrid(5.3013059651194, 781551.563803988, 4), values)
         h, n_steps = _substeps(signal, 3)
-        assert _substep_coupling(signal, h, 0, n_steps)[0][3] == 1.0 > values.max()
+        assert _substep_coupling(signal, h, 0, n_steps)[2 * 3] == 1.0 > values.max()
         # the message quotes the end of q that inverts the mode, not max|q| = 1267.32
         message = "Omega^2 <= 0 for mode -1: max q = 1 reaches m*w^2 = 1"
         with pytest.raises(InvertedModeError, match=re.escape(message)):
@@ -547,8 +547,8 @@ class TestChunkedModeSweep:
         h, n_steps = _substeps(signal, substeps)
         lo = int(split * n_steps)
         for first, last in [(0, n_steps), (0, max(lo, 1)), (min(lo, n_steps - 1), n_steps)]:
-            for q in _substep_coupling(signal, h, first, last):
-                assert values.min() - reach <= q.min() and q.max() <= values.max() + reach
+            q = _substep_coupling(signal, h, first, last)
+            assert values.min() - reach <= q.min() and q.max() <= values.max() + reach
 
     def test_peak_memory_does_not_grow_with_the_grid(self):
         """Chunk-sized temporaries, plus 32 B per chunk and sign for the chunk products."""
@@ -617,10 +617,11 @@ def test_fock_loop_agrees_with_the_dense_operator(truncation):
 
 def closure_loop_evolve_fock(signal, params, truncation, dt_substeps):
     """evolve_fock's amplitudes from its earlier step loop: the same
-    operator, stacks and chunks, with each stage's two products in a
-    `derivative` closure and every `out` passed by keyword."""
+    operator and stacks, with each stage's two products in a `derivative`
+    closure and every `out` passed by keyword, over the full-length
+    substep interpolant rather than the chunked one under test."""
     n_levels = truncation + 1
-    h, n_steps = _substeps(signal, dt_substeps)
+    h, q_nodes, q_mid = whole_array_substep_coupling(signal, dt_substeps)
     x = _ladder_position(truncation)
     minus_i = np.array([[0.0, -1.0], [1.0, 0.0]])
     n = np.arange(n_levels, dtype=float)
@@ -648,23 +649,21 @@ def closure_loop_evolve_fock(signal, params, truncation, dt_substeps):
     to_k3 = np.array([0.0, 0.5 * h, 0.0, 0.0, 1.0])
     to_k4 = np.array([0.0, 0.0, h, 0.0, 1.0])
     update = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0, 1.0])
-    for lo in range(0, n_steps, _CHUNK_STEPS):
-        q_nodes, q_mid = _substep_coupling(signal, h, lo, min(lo + _CHUNK_STEPS, n_steps))
-        q_nodes = q_nodes.tolist()
-        np.multiply(q_nodes[0], x, out=coupling_columns)
-        for q_half, q_end in zip(q_mid.tolist(), q_nodes[1:]):
-            k1, k2, k3, k4, psi, stack = now
-            derivative(psi, k1)
-            np.multiply(q_half, x, out=coupling_columns)
-            np.dot(to_k2, stack, out=stage_input_flat)
-            derivative(stage_input, k2)
-            np.dot(to_k3, stack, out=stage_input_flat)
-            derivative(stage_input, k3)
-            np.multiply(q_end, x, out=coupling_columns)
-            np.dot(to_k4, stack, out=stage_input_flat)
-            derivative(stage_input, k4)
-            np.dot(update, stack, out=after[-1][4])
-            now, after = after, now
+    q_nodes = q_nodes.tolist()
+    np.multiply(q_nodes[0], x, out=coupling_columns)
+    for q_half, q_end in zip(q_mid.tolist(), q_nodes[1:]):
+        k1, k2, k3, k4, psi, stack = now
+        derivative(psi, k1)
+        np.multiply(q_half, x, out=coupling_columns)
+        np.dot(to_k2, stack, out=stage_input_flat)
+        derivative(stage_input, k2)
+        np.dot(to_k3, stack, out=stage_input_flat)
+        derivative(stage_input, k3)
+        np.multiply(q_end, x, out=coupling_columns)
+        np.dot(to_k4, stack, out=stage_input_flat)
+        derivative(stage_input, k4)
+        np.dot(update, stack, out=after[-1][4])
+        now, after = after, now
     return now[4].view(np.complex128).copy()
 
 
@@ -759,3 +758,24 @@ def test_fock_step_loop_calls_no_module_level_dot(monkeypatch):
     evolve_fock(signal, PARAMS, truncation=10, dt_substeps=2)
     monkeypatch.undo()
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("oracle", ["two-sign mode sweep", "evolve_fock"])
+def test_each_chunk_is_one_interp_call(monkeypatch, oracle):
+    """Both oracles read a chunk's nodes and midpoints, interleaved, from one
+    np.interp call: a grid of three whole chunks makes three calls."""
+    signal = gauss_signal(n=3 * _CHUNK_STEPS + 1)
+    queries = []
+    interp = np.interp
+
+    def counting_interp(x, *args, **kwargs):
+        queries.append(len(x))
+        return interp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counting_interp)
+    if oracle == "evolve_fock":
+        evolve_fock(signal, PARAMS, truncation=2, dt_substeps=1)
+    else:
+        _evolve_modes(signal, PARAMS, (+1, -1), 1)
+    monkeypatch.undo()
+    assert queries == [2 * _CHUNK_STEPS + 1] * 3
