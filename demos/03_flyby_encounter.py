@@ -10,13 +10,13 @@ powers of v.  Doubling the speed can buy many orders of magnitude.
 """
 import numpy as np
 
-from casfric import Flyby, PhysicalParams, TimeGrid, coupling_from_separation, delta_e_spectral, delta_e_time_domain, sample
+from casfric import Flyby, PhysicalParams, TimeGrid, delta_e_spectral, delta_e_time_domain, sample
 
 params = PhysicalParams(mass=1.0, omega=1.0)
 
 print(__doc__)
 print("peak coupling at closest approach, e = d = 1:",
-      coupling_from_separation(1.0, 1.0))
+      Flyby(charge=1.0, d=1.0, v=1.0).evaluate(0.0))
 print()
 print(f"{'v':>6} | {'dE':>13} | {'dE * exp(+4wd/v)':>18}")
 print("-" * 45)

@@ -17,10 +17,8 @@ from .coupling import (
     Flyby,
     GaussianPulse,
     SymmetricRamp,
-    coupling_from_separation,
     load_sampled_csv,
     sample,
-    with_amplitude,
 )
 from .dissipation import (
     ROUTES,
@@ -55,10 +53,8 @@ __all__ = [
     "SymmetricRamp",
     "GaussianPulse",
     "Flyby",
-    "coupling_from_separation",
     "sample",
     "load_sampled_csv",
-    "with_amplitude",
     "fourier_numeric",
     "fourier_analytic",
     "DissipationReport",

@@ -21,9 +21,9 @@ from .coupling import (
     Flyby,
     GaussianPulse,
     SymmetricRamp,
+    _with_amplitude,
     load_sampled_csv,
     sample,
-    with_amplitude,
 )
 from .dissipation import (
     _SCAN_TAIL_FACTOR,
@@ -259,7 +259,7 @@ def load_config(path) -> Scenario:
 
     if scan is not None and scan.kind == "amplitude":
         try:
-            with_amplitude(profile, scan.values[0])
+            _with_amplitude(profile, scan.values[0])
         except TypeError as exc:
             raise ConfigError("config.scan: amplitude scans need a profile with an amplitude parameter") from exc
 
@@ -292,7 +292,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         amplitudes = (None,) if scenario.scan is None else scenario.scan.values
         rows = []
         for amplitude in amplitudes:
-            profile = scenario.profile if amplitude is None else with_amplitude(scenario.profile, amplitude)
+            profile = scenario.profile if amplitude is None else _with_amplitude(scenario.profile, amplitude)
             signal = sample(profile, scenario.grid)
             rows.append((amplitude, compare_routes(signal, scenario.params, tail_rel=scenario.tail_rel, **opts)))
         return ScenarioResult(scenario, rows=tuple(rows))

@@ -23,9 +23,7 @@ __all__ = [
     "Flyby",
     "CouplingSignal",
     "sample",
-    "coupling_from_separation",
     "load_sampled_csv",
-    "with_amplitude",
 ]
 
 
@@ -231,13 +229,6 @@ class CouplingSignal(CouplingProfile):
         return np.interp(t, grid.times(lo, hi), self.values[lo:hi])
 
 
-def coupling_from_separation(e: float, s: float) -> float:
-    """Instantaneous coupling e^2/s^3 at separation s > 0."""
-    if s <= 0.0:
-        raise ValueError(f"separation must be positive, got {s!r}")
-    return e**2 / s**3
-
-
 def sample(profile: CouplingProfile, grid: TimeGrid) -> CouplingSignal:
     """Evaluate ``profile`` on every grid time.
 
@@ -324,7 +315,7 @@ def load_sampled_csv(path) -> CouplingSignal:
     return CouplingSignal(grid, values)
 
 
-def with_amplitude(profile: CouplingProfile, amplitude: float) -> CouplingProfile:
+def _with_amplitude(profile: CouplingProfile, amplitude: float) -> CouplingProfile:
     """Copy of ``profile`` with its amplitude parameter set to ``amplitude``.
 
     Ramps expose gamma, the Gaussian pulse exposes q0.  Flyby and sampled

@@ -15,10 +15,8 @@ PUBLIC_NAMES = [
     "SymmetricRamp",
     "GaussianPulse",
     "Flyby",
-    "coupling_from_separation",
     "sample",
     "load_sampled_csv",
-    "with_amplitude",
     "fourier_numeric",
     "fourier_analytic",
     "DissipationReport",
@@ -43,7 +41,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 31
     assert sorted(casfric.__all__) == sorted(PUBLIC_NAMES)
 
 

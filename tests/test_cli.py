@@ -19,10 +19,12 @@ from casfric.cli import (
     run_scenario,
 )
 from casfric import adiabatic_scan
-from casfric.core import BLOCK_SAMPLES, MAX_FOCK_TRUNCATION, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
+from casfric.core import MAX_FOCK_TRUNCATION, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
 from casfric.dissipation import SCAN_TAIL_REL_DEFAULT
+from cli_probes import PROBES, run_all, stderr_matches, write_probe
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
 EXPECTED_DIR = Path(__file__).resolve().parent / "expected"
 
 
@@ -65,13 +67,12 @@ class TestConfigValidation:
         assert load_config(write_config(tmp_path, small_benchmark(scan=None))).scan is None
 
     def test_a_null_grid_is_absent_in_an_eta_scan(self, tmp_path):
-        scenario = load_config(write_config(tmp_path, dict(eta_scan_config(), grid=None)))
+        scenario = load_config(write_probe(PROBES["eta_grid_null"], tmp_path)[0])
         assert scenario.grid is None and scenario.scan.kind == "eta"
 
-    @pytest.mark.parametrize("body", [small_benchmark(tail_rel=None), dict(eta_scan_config(), tail_rel=None)],
-                             ids=["grid-config", "eta-scan"])
-    def test_a_null_tail_rel_is_not_a_number_in_every_config(self, tmp_path, capsys, body):
-        assert main([str(write_config(tmp_path, body))]) == 2
+    def test_a_null_tail_rel_is_not_a_number_in_a_grid_config(self, tmp_path, capsys):
+        # the eta scan's case is the probe eta_tail_rel_null
+        assert main([str(write_config(tmp_path, small_benchmark(tail_rel=None)))]) == 2
         assert capsys.readouterr().err == "error: config.tail_rel: expected a number, got None\n"
 
     def test_invalid_json_reports_line_and_column(self, tmp_path):
@@ -229,17 +230,6 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"numerical failure: {route}: float overflow\n"
-
-    @pytest.mark.filterwarnings("error")
-    def test_an_hb_product_that_overflows_is_exit_three(self, tmp_path, capsys):
-        # qhat(-2w) is finite; its product with b/hbar = 5e299 overflows
-        body = small_benchmark(params={"mass": 1e-300, "omega": 1.0},
-                               profile={"type": "gaussian_pulse", "q0": 1e10, "tau": 1.0},
-                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 481}, routes=["hb"])
-        assert main([str(write_config(tmp_path, body))]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "numerical failure: hb: float overflow\n"
 
     @pytest.mark.parametrize("target", ["missing/report.csv", "."])
     def test_unwritable_out_is_exit_two(self, tmp_path, capsys, target):
@@ -605,10 +595,11 @@ class TestUnknownKeys:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "text", ["t,q\n", "t,q\n\n", "", "t,q\n0.0,0.001\n"], ids=["header-only", "blank-line", "empty", "one-row"]
+        "text", ["t,q\n\n", "", "t,q\n0.0,0.001\n"], ids=["blank-line", "empty", "one-row"]
     )
     def test_sampled_csv_with_fewer_than_two_rows_is_one_error_line(self, tmp_path, capsys, text):
         # np.loadtxt warns on a file with no data row; the refusal is one line without it
+        # (a header only is the probe no_data)
         (tmp_path / "samples.csv").write_text(text)
         body = json.loads((CONFIG_DIR / "sampled_profile.json").read_text())
         body["profile"]["csv"] = "samples.csv"
@@ -652,15 +643,34 @@ def test_every_schema_field_is_checked_with_its_path(tmp_path, capsys, section, 
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("probe", PROBES.values(), ids=list(PROBES))
+def test_cli_probe(tmp_path, capsys, probe):
+    assert main(write_probe(probe, tmp_path)) == probe.code
+    captured = capsys.readouterr()
+    assert stderr_matches(probe, captured.err, tmp_path), captured.err
+    assert probe.code == 0 or captured.out == "", captured.out
+
+
+def test_the_probe_runner_reports_every_failing_probe(capsys, monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(SRC_DIR))
+    wrong_code = dataclasses.replace(PROBES["tiny_mass"], code=3)
+    wrong_stderr = dataclasses.replace(PROBES["span_overflow"], stderr="error: grid: the span overflows\n")
+    assert run_all([wrong_code, wrong_stderr]) == 1
+    out = capsys.readouterr().out
+    assert "tiny_mass: exit 2, expected 3\n" in out
+    assert "span_overflow: stderr is not 'error: grid: the span overflows\\n'\n" in out
+    assert out.endswith("2 probes, 2 faults\n")
+
+
+def probe_row(tmp_path, capsys, name):
+    """The CSV data row the CLI prints for the table's probe ``name``."""
+    assert main(write_probe(PROBES[name], tmp_path)) == 0
+    return capsys.readouterr().out.strip().split("\n")[1].split(",")
+
+
 def test_small_hbar_gives_a_finite_barton_equal_to_hb(tmp_path, capsys):
     # b^2 underflows and |I|^2 overflows; barton squares their product instead
-    body = small_benchmark(params={"mass": 1.0, "omega": 1.0, "hbar": 1e-300},
-                           profile={"type": "gaussian_pulse", "q0": 1.0, "tau": 1.0},
-                           grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 481}, routes=["barton", "hb"])
-    assert main([str(write_config(tmp_path, body))]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    row = captured.out.strip().split("\n")[1].split(",")
+    row = probe_row(tmp_path, capsys, "small_hbar")
     barton, hb = float(row[3]), float(row[4])
     assert np.isfinite(barton) and barton > 0.0
     assert barton == pytest.approx(hb, rel=1e-12)
@@ -681,132 +691,29 @@ class TestExtremeParamsEndCleanly:
     one line on stderr: no traceback and no numpy warning."""
 
     @pytest.mark.filterwarnings("error")
-    def test_barton_scaling_overflow_is_exit_three(self, tmp_path, capsys):
-        # the trapezoid is finite; -i/(2 hbar) times it overflows
-        body = small_benchmark(params={"mass": 1.0, "omega": 1.0e-20, "hbar": 8.7e-299},
+    def test_underflowing_gap_is_exit_two_naming_params(self, tmp_path, capsys):
+        # the fock_oracle case is the probe zero_gap
+        body = small_benchmark(params={"mass": 1.0, "omega": 3.0e-81, "hbar": 8.7e-299},
                                profile={"type": "exponential_ramp", "gamma": 1.16e115, "eta": 1.0},
-                               grid={"t_start": 0.0, "t_end": 40.0, "n_samples": 241}, routes=["barton"])
-        assert main([str(write_config(tmp_path, body))]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "numerical failure: barton: float overflow\n"
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "params, profile, routes",
-        [
-            ({"mass": 1.0, "omega": 1.85e-219, "hbar": 4.49e-252},
-             {"type": "flyby", "charge": 1e-150, "d": 1.0, "v": 1.0}, ["fock_oracle"]),
-            ({"mass": 1.0, "omega": 3.0e-81, "hbar": 8.7e-299},
-             {"type": "exponential_ramp", "gamma": 1.16e115, "eta": 1.0}, ["barton"]),
-        ],
-    )
-    def test_underflowing_gap_is_exit_two_naming_params(self, tmp_path, capsys, params, profile, routes):
-        body = small_benchmark(params=params, profile=profile, routes=routes,
-                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 241})
+                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 241}, routes=["barton"])
         assert main([str(write_config(tmp_path, body))]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1, captured.err
         assert captured.err.startswith("error: params: the gap 2*hbar*omega underflows to 0"), captured.err
 
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_gap_is_exit_two_naming_params(self, tmp_path, capsys):
-        # 2*hbar*omega = inf while b = 5e299 is finite: refused before any route runs
-        body = small_benchmark(params={"mass": 1e-10, "omega": 1e10, "hbar": 1e300},
-                               profile={"type": "gaussian_pulse", "q0": 1e-30, "tau": 1e-9},
-                               grid={"t_start": -1.2e-8, "t_end": 1.2e-8, "n_samples": 4801},
-                               routes=["hb", "mode_oracle", "fock_oracle"], fock_truncation=4, fock_substeps=4)
-        assert main([str(write_config(tmp_path, body))]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1, captured.err
-        assert captured.err.startswith("error: params: the gap 2*hbar*omega overflows to inf"), captured.err
+    @pytest.mark.parametrize("name", ["symmetric_eta", "exponential_eta"])
+    def test_a_ramp_whose_eta_t_overflows_is_zero(self, tmp_path, capsys, name):
+        # eta*|t| = inf gives exp = 0 and q = 0
+        assert float(probe_row(tmp_path, capsys, name)[4]) == 0.0
 
     @pytest.mark.filterwarnings("error")
-    def test_flyby_with_an_infinite_peak_is_exit_two_naming_d(self, tmp_path, capsys):
-        # d**2 underflows to 0, so q(0) = charge^2/0
-        body = small_benchmark(profile={"type": "flyby", "charge": 1.0, "d": 2.1e-262, "v": 1.0},
-                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 241}, routes=["hb"])
-        assert main([str(write_config(tmp_path, body))]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith("error: profile: Flyby.d "), captured.err
-
-    @pytest.mark.filterwarnings("error")
-    def test_mode_oracle_overflow_is_exit_three(self, tmp_path, capsys):
-        body = small_benchmark(params={"mass": 1.0, "omega": 3.23e48},
-                               profile={"type": "gaussian_pulse", "q0": 1.92, "tau": 0.376},
-                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 241}, routes=["mode_oracle"])
-        assert main([str(write_config(tmp_path, body))]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "numerical failure: mode_oracle: float overflow\n"
-
-    @pytest.mark.filterwarnings("error")
-    def test_the_minus_mode_inversion_is_refused_before_the_plus_mode_overflows(self, tmp_path, capsys):
-        # inversion is decided from the samples before the sweep, so + never gets to overflow
-        body = small_benchmark(profile={"type": "gaussian_pulse", "q0": 1e10, "tau": 1.0},
-                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 481}, routes=["mode_oracle"])
-        assert main([str(write_config(tmp_path, body))]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "numerical failure: Omega^2 <= 0 for mode -1: max q = 1e+10 reaches m*w^2 = 1\n"
-
-    @pytest.mark.filterwarnings("error")
-    def test_a_grid_span_that_overflows_is_exit_two_naming_grid(self, tmp_path, capsys):
-        # t_end - t_start = inf, so the time at index 0 was inf*0 = nan
-        body = small_benchmark(grid={"t_start": -1e308, "t_end": 1e308, "n_samples": 3}, routes=["hb"])
-        assert main([str(write_config(tmp_path, body))]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: grid: the span t_end - t_start overflows, got [-1e+308, 1e+308]\n"
-
-    @pytest.mark.filterwarnings("error")
-    def test_a_sampled_csv_whose_span_overflows_is_exit_two(self, tmp_path, capsys):
-        (tmp_path / "samples.csv").write_text("t,q\n-1e308,0.0\n0.0,0.001\n1e308,0.0\n")
-        body = json.loads((CONFIG_DIR / "sampled_profile.json").read_text())
-        body["profile"]["csv"] = "samples.csv"
-        assert main([str(write_config(tmp_path, body))]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: profile: the span t_end - t_start overflows, got [-1e+308, 1e+308]\n"
-
-    @pytest.mark.filterwarnings("error")
-    def test_flyby_whose_squares_underflow_is_exit_two_naming_d(self, tmp_path, capsys):
-        # charge**2 and d**2 underflow to 0, so q(0) = 0/0
-        body = small_benchmark(profile={"type": "flyby", "charge": 1e-200, "d": 1e-200, "v": 1.0},
-                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 241}, routes=["hb"])
-        assert main([str(write_config(tmp_path, body))]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith("error: profile: Flyby.d "), captured.err
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("kind, t_start", [("symmetric_ramp", -1e10), ("exponential_ramp", 0.0)])
-    @pytest.mark.parametrize(
-        "rates, code",
-        [({"gamma": 1.0, "eta": 1e300}, 0), ({"gamma": 1e300, "eta": 1e-300}, 2)],
-        ids=["eta-overflows", "gamma-overflows"],
-    )
-    def test_ramp_products_that_overflow(self, tmp_path, capsys, kind, t_start, rates, code):
-        # eta*|t| = inf gives exp = 0 and q = 0; gamma*t = inf is refused as not finite
-        body = small_benchmark(profile={"type": kind, **rates},
-                               grid={"t_start": t_start, "t_end": 1e10, "n_samples": 101}, routes=["hb"])
-        assert main([str(write_config(tmp_path, body))]) == code
-        captured = capsys.readouterr()
-        assert captured.err == ("" if code == 0 else "error: signal values must be finite\n")
-        if code == 0:
-            assert float(captured.out.strip().split("\n")[1].split(",")[4]) == 0.0
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n_samples", [48001, 2 * BLOCK_SAMPLES + 1], ids=["one-block", "two-blocks"])
-    def test_a_sum_that_overflows_only_when_its_parts_are_added_is_exit_three(self, tmp_path, capsys, n_samples):
-        # each half of the pulse's pairs sums to about 1.42e308; on two blocks
-        # each block's sum is finite and only adding them overflows
+    def test_a_sum_that_overflows_only_when_its_parts_are_added_is_exit_three(self, tmp_path, capsys):
+        # each half of the pulse's pairs sums to about 1.42e308; the probe
+        # block_sum_overflow spreads them over two blocks
         body = small_benchmark(params={"mass": 1.0, "omega": 1e-3},
                                profile={"type": "gaussian_pulse", "q0": 8e307, "tau": 2.0},
-                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": n_samples}, routes=["hb"])
+                               grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 48001}, routes=["hb"])
         assert main([str(write_config(tmp_path, body))]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -13,12 +13,11 @@ from casfric import (
     GaussianPulse,
     SymmetricRamp,
     TimeGrid,
-    coupling_from_separation,
     load_sampled_csv,
     sample,
-    with_amplitude,
 )
 from casfric.core import BLOCK_SAMPLES
+from casfric.coupling import _with_amplitude
 
 finite_times = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -71,30 +70,6 @@ class TestEvaluate:
         profile = Flyby(charge=1.0, d=1.0, v=1.0)
         ratio = profile.evaluate(t) / profile.evaluate(2.0 * t)
         assert abs(ratio - 8.0) / 8.0 < 0.01
-
-
-class TestCouplingFromSeparation:
-    def test_unit_values(self):
-        assert coupling_from_separation(1.0, 1.0) == 1.0
-
-    def test_quadratic_in_charge(self):
-        assert coupling_from_separation(2.0, 1.0) == 4.0
-
-    def test_inverse_cube_in_separation(self):
-        assert coupling_from_separation(1.0, 2.0) == 0.125
-
-    @pytest.mark.parametrize("s", [0.0, -1.0])
-    def test_rejects_nonpositive_separation(self, s):
-        with pytest.raises(ValueError):
-            coupling_from_separation(1.0, s)
-
-    def test_matches_flyby_at_closest_approach(self):
-        e, d = 1.3, 0.8
-        np.testing.assert_allclose(
-            coupling_from_separation(e, d),
-            Flyby(charge=e, d=d, v=2.0).evaluate(0.0),
-            rtol=1e-15,
-        )
 
 
 class TestSample:
@@ -229,20 +204,20 @@ class TestAmplitudeIsFinite:
 
     def test_with_amplitude_goes_through_the_same_check(self):
         with pytest.raises(ValueError, match="gamma must be finite"):
-            with_amplitude(SymmetricRamp(gamma=1.0, eta=1.0), np.inf)
+            _with_amplitude(SymmetricRamp(gamma=1.0, eta=1.0), np.inf)
 
 
 class TestAmplitudeKnob:
     def test_sets_ramp_gamma_and_pulse_q0(self):
-        assert with_amplitude(ExponentialRamp(gamma=1.0, eta=2.0), 0.3).gamma == 0.3
-        assert with_amplitude(SymmetricRamp(gamma=1.0, eta=2.0), 0.3).gamma == 0.3
-        assert with_amplitude(GaussianPulse(q0=1.0, tau=2.0), 0.3).q0 == 0.3
+        assert _with_amplitude(ExponentialRamp(gamma=1.0, eta=2.0), 0.3).gamma == 0.3
+        assert _with_amplitude(SymmetricRamp(gamma=1.0, eta=2.0), 0.3).gamma == 0.3
+        assert _with_amplitude(GaussianPulse(q0=1.0, tau=2.0), 0.3).q0 == 0.3
 
     def test_flyby_and_sampled_have_no_amplitude(self):
         with pytest.raises(TypeError):
-            with_amplitude(Flyby(charge=1.0, d=1.0, v=1.0), 0.3)
+            _with_amplitude(Flyby(charge=1.0, d=1.0, v=1.0), 0.3)
         with pytest.raises(TypeError):
-            with_amplitude(CouplingSignal(TimeGrid(0.0, 1.0, 2), np.zeros(2)), 0.3)
+            _with_amplitude(CouplingSignal(TimeGrid(0.0, 1.0, 2), np.zeros(2)), 0.3)
 
 
 @pytest.mark.parametrize(
