@@ -325,7 +325,12 @@ def compare_routes(
     (0, 1).  One route pass takes both first-order routes and the tail
     test over the signal's blocks, then the oracles.  A ``signal`` that is
     not a CouplingSignal raises TypeError; a float overflow inside a route
-    is raised as a NumericalFailure naming it.
+    is raised as a NumericalFailure naming it.  The oracles refuse what
+    RK4 cannot resolve: the mode oracle a step past RK4's stability limit
+    (a NumericalFailure, before it integrates), and each oracle a drift
+    of its invariant, the Bogoliubov normalization or the Fock norm,
+    above 1e-6 (NormDriftError).  More ``mode_substeps`` or
+    ``fock_substeps`` resolve them.
     """
     _require_signal(signal, "compare_routes")
     _check_routes(routes)
@@ -429,8 +434,12 @@ def adiabatic_scan(
     evaluates its ramp into the pass's tile buffers, so the first-order
     routes hold O(BLOCK_SAMPLES) whatever eta; with an oracle route the
     point then samples its grid once, for the oracles only.  The oracle
-    options and their defaults are those of compare_routes.  Unresolved
-    tails raise TailSpanError before any route's total is read.
+    options and their defaults are those of compare_routes, and so are
+    the oracles' refusals.  A point's grid widens as 1/eta and so does the
+    oracles' RK4 error: at the default dt, one mode substep leaves a
+    Bogoliubov defect of 4.3e-6 already at eta = 2 (symmetric ramp), which
+    raises NormDriftError, and two resolve eta = 0.5.  Unresolved tails
+    raise TailSpanError before any route's total is read.
     """
     if not isinstance(family, (SymmetricRamp, ExponentialRamp)):
         raise TypeError(f"adiabatic scans take a ramp family, got {type(family).__name__}")

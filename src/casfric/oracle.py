@@ -14,13 +14,17 @@ Two structurally independent oracles guard the perturbative routes:
 
 Both use a fixed-step classical 4th-order integrator (deterministic,
 testable convergence order); the step is grid dt / substeps with the
-sampled coupling interpolated linearly inside grid intervals.  Neither
+sampled coupling interpolated linearly inside grid intervals.  Both
+refuse a drift of their invariant (the Fock norm, the Bogoliubov
+normalization) above 1e-6 and name RK4's stability limit when the step
+is past it.  Neither
 oracle approximates the mode frequencies by w during the pulse, so small
 systematic offsets from first-order theory at finite coupling are
 expected and quantified rather than reconciled analytically.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -28,7 +32,7 @@ import numpy as np
 
 from .core import MAX_FOCK_TRUNCATION, PhysicalParams, _finite_delta_e, _require_integer, ladder_factor
 from .coupling import CouplingSignal, _finite_range, _require_signal
-from .errors import InvertedModeError, NormDriftError
+from .errors import InvertedModeError, NormDriftError, NumericalFailure
 
 __all__ = [
     "BogoliubovPair",
@@ -54,7 +58,14 @@ class BogoliubovPair:
 
     @property
     def normalization_defect(self) -> float:
-        """|alpha|^2 - |beta|^2 - 1; zero for exact evolution."""
+        """|alpha|^2 - |beta|^2 - 1; zero for exact evolution.
+
+        Absolute, so it grows with the mode's amplification: a healthy
+        parametrically pumped mode with |alpha| ~ 5e47 reads 8.9e79 here
+        with a relative defect of 1e-16, and for |alpha| above about
+        1.3e154 the Python float square raises OverflowError.  The mode
+        oracle refuses on the relative form, this over |alpha|^2 + |beta|^2.
+        """
         return abs(self.alpha) ** 2 - abs(self.beta) ** 2 - 1.0
 
 
@@ -69,12 +80,15 @@ _CHUNK_STEPS = 1 << 12
 # N = 10, 5 at N = 30, one from N = 52.
 _RUN_BYTES = 1 << 18
 
-# Largest final norm drift evolve_fock accepts: it never renormalizes.
+# Largest final norm drift evolve_fock accepts, and largest relative
+# Bogoliubov defect the mode oracle accepts: neither renormalizes.
 _NORM_TOL = 1e-6
 
-# RK4 is stable on the imaginary axis for |h*lambda| <= 2*sqrt(2); the free
+# RK4 is stable on the imaginary axis for |h*lambda| <= 2*sqrt(2).  The free
 # Fock Hamiltonian's largest rate is w*(2N+1), so h*w*(2N+1) above this
-# diverges whatever the coupling, and a larger truncation makes it worse.
+# diverges whatever the coupling, and a larger truncation makes it worse;
+# a normal mode's largest rate is Omega_max, its frequency at the coupling's
+# extreme, so h*Omega_max above this diverges.
 _RK4_IMAGINARY_LIMIT = 2.0 * 2.0**0.5
 
 
@@ -149,8 +163,14 @@ def evolve_mode(
     Raises InvertedModeError when the coupling drives Omega^2 <= 0
     anywhere on the grid (inverted oscillator; outside the model's
     operating regime and prone to masquerading exponential blowup).
-    This is decided before integrating, from the samples' range.  A
-    ``signal`` that is not a CouplingSignal raises TypeError.
+    This is decided before integrating, from the samples' range.  As
+    evolve_fock does for its state, it refuses what RK4 cannot resolve:
+    a NumericalFailure, also decided before integrating, when the step
+    h = dt/substeps has h*Omega_max above RK4's stability limit
+    2*sqrt(2); OverflowError when the propagator overflows; and
+    NormDriftError when |alpha|^2 - |beta|^2 - 1 exceeds 1e-6 of
+    |alpha|^2 + |beta|^2.  The last two come after the sweep, in that
+    order.  A ``signal`` that is not a CouplingSignal raises TypeError.
     """
     _require_signal(signal, "evolve_mode")
     try:
@@ -166,7 +186,9 @@ def _evolve_modes(signal: CouplingSignal, params: PhysicalParams, signs, substep
     """evolve_mode for each of ``signs`` in one sweep: each chunk's coupling is
     one interleaved array, and its Omega^2, steps and product are one array.
     Inversion is decided before the sweep, for each sign in turn, from the
-    samples' range, which the linear interpolant leaves only by rounding."""
+    samples' range, which the linear interpolant leaves only by rounding;
+    then stability, for each sign in turn.  After the sweep come the
+    propagators' overflow and each sign's relative defect."""
     h, n_steps = _substeps(signal, substeps)
     q_min, q_max = _finite_range(signal.values)
     if q_min == q_max == 0.0:
@@ -186,6 +208,13 @@ def _evolve_modes(signal: CouplingSignal, params: PhysicalParams, signs, substep
                     f"Omega^2 <= 0 for mode {sign:+d}: {end} = {q_end:g} "
                     f"reaches {bound} = {-sign * params.mass * w**2:g}"
                 )
+        for sign in signs:
+            stiffness = h * (w**2 + max(sign * q_min, sign * q_max) / params.mass) ** 0.5
+            if stiffness > _RK4_IMAGINARY_LIMIT:
+                raise NumericalFailure(
+                    f"mode {sign:+d}: h*Omega_max = {stiffness:.3g} is above RK4's stability limit "
+                    f"2*sqrt(2) = {_RK4_IMAGINARY_LIMIT:.3g}; raise mode_substeps"
+                )
         sign_column = np.array(signs, dtype=float)[:, None]
         # one product per chunk, folded again at the end: the same pairwise
         # tree as one fold over every step, so the same bits
@@ -204,12 +233,30 @@ def _evolve_modes(signal: CouplingSignal, params: PhysicalParams, signs, substep
     f0 = np.exp(-1j * w * t0)
     u0 = np.array([f0, -1j * w * f0])
     pairs = []
-    for propagator in propagators:
+    for sign, propagator in zip(signs, propagators):
         f, fdot = propagator @ u0
         alpha = 0.5 * (f + 1j * fdot / w) * np.exp(1j * w * t1)
         beta = 0.5 * (f - 1j * fdot / w) * np.exp(-1j * w * t1)
-        pairs.append(BogoliubovPair(complex(alpha), complex(beta)))
+        pair = BogoliubovPair(complex(alpha), complex(beta))
+        defect = _relative_defect(pair)
+        if not abs(defect) <= _NORM_TOL:  # NaN fails it too
+            raise NormDriftError(
+                f"mode {sign:+d}: |alpha|^2 - |beta|^2 drifted from 1 by {defect:.3e} of |alpha|^2 + |beta|^2 "
+                f"(> {_NORM_TOL:g}); raise mode_substeps"
+            )
+        pairs.append(pair)
     return pairs
+
+
+def _relative_defect(pair: BogoliubovPair) -> float:
+    """(|alpha|^2 - |beta|^2 - 1)/(|alpha|^2 + |beta|^2), from |alpha| and |beta|
+    over the larger of them: an amplified mode's |alpha| can be far above
+    1e154, where a float's square overflows."""
+    scale = max(abs(pair.alpha), abs(pair.beta))
+    if scale == 0.0:  # RK4 damped the mode to nothing
+        return -math.inf
+    a, b = abs(pair.alpha) / scale, abs(pair.beta) / scale
+    return (a * a - b * b - 1.0 / scale / scale) / (a * a + b * b)
 
 
 def delta_e_modes(pair_plus: BogoliubovPair, pair_minus: BogoliubovPair, params: PhysicalParams) -> float:

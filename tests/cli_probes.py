@@ -57,10 +57,16 @@ def sampled(name, csv, code, stderr):
 GRID_241 = {"t_start": -12.0, "t_end": 12.0, "n_samples": 241}
 OVERFLOW = "numerical failure: {}: float overflow\n"
 NOT_FINITE = "error: signal values must be finite\n"
+MODE_UNSTABLE = ("numerical failure: mode {}: h*Omega_max = {} is above RK4's stability limit 2*sqrt(2) = 2.83; "
+                 "raise mode_substeps\n")
+RAMP_3201 = pulse(profile={"type": "symmetric_ramp", "gamma": 0.05, "eta": 0.1},
+                  grid={"t_start": -400.0, "t_end": 400.0, "n_samples": 3201}, routes=["hb", "mode_oracle"])
 
 PROBES = {probe.name: probe for probe in [
     Probe("overflow", pulse(profile={"type": "gaussian_pulse", "q0": 1e308, "tau": 1.0}, routes=["barton", "hb"]),
           3, OVERFLOW.format("barton")),
+    # every sample is finite; the trapezoid's pair sums overflow in hb alone too
+    Probe("overflow_hb", pulse(profile={"type": "gaussian_pulse", "q0": 1e308, "tau": 1.0}), 3, OVERFLOW.format("hb")),
     # h*omega*(2N+1) = 0.12*81 = 9.72 > 2*sqrt(2): the Fock state diverges
     Probe("unstable_fock", pulse(grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 201}, routes=["fock_oracle"],
                                  fock_truncation=40, fock_substeps=1),
@@ -76,6 +82,7 @@ PROBES = {probe.name: probe for probe in [
              "got hbar=1.0, mass=5e-324, omega=1.0\n")),
     Probe("missing_out_dir", {}, 2, "error: --out {dir}/missing/report.csv: No such file or directory\n",
           shipped="flyby.json", args=("--out", "{dir}/missing/report.csv")),
+    Probe("out_is_dir", {}, 2, "error: --out {dir}: Is a directory\n", shipped="flyby.json", args=("--out", "{dir}")),
     # the trapezoid is finite; barton's -i/(2 hbar) scaling of it overflows
     Probe("barton_scaling", pulse(params={"mass": 1.0, "omega": 1.0e-20, "hbar": 8.7e-299},
                                   profile={"type": "exponential_ramp", "gamma": 1.16e115, "eta": 1.0},
@@ -102,13 +109,24 @@ PROBES = {probe.name: probe for probe in [
     # d**2 underflows to 0, so the flyby's peak charge^2/d^3 is infinite: refused at load time
     Probe("flyby_peak", pulse(profile={"type": "flyby", "charge": 1.0, "d": 2.1e-262, "v": 1.0}, grid=GRID_241),
           2, "error: profile: Flyby.d must give a finite peak coupling charge^2/d^3, got d=2.1e-262 with charge=1.0\n"),
-    # the mode oracle's transfer-matrix product overflows
-    Probe("mode_overflow", pulse(params={"mass": 1.0, "omega": 3.23e48},
+    # the mode oracle's transfer-matrix product would overflow, but h*Omega is
+    # far past RK4's stability limit: refused before the sweep begins
+    Probe("mode_unstable", pulse(params={"mass": 1.0, "omega": 3.23e48},
                                  profile={"type": "gaussian_pulse", "q0": 1.92, "tau": 0.376},
                                  grid=GRID_241, routes=["mode_oracle"]),
-          3, OVERFLOW.format("mode_oracle")),
-    # the + mode's propagator would overflow, but the - mode inverts: that is
-    # refused from the samples before the sweep begins, still with exit 3
+          3, MODE_UNSTABLE.format("+1", "3.23e+47")),
+    # three samples on +-12: the first-order routes print a number, the mode oracle refuses h = 12
+    Probe("mode_coarse_grid", pulse(profile={"type": "gaussian_pulse", "q0": 0.3, "tau": 1.0},
+                                    grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 3},
+                                    routes=["hb", "mode_oracle"]),
+          3, MODE_UNSTABLE.format("+1", "13.7")),
+    # every step is stable, but one substep's error over 3200 steps breaks |alpha|^2 - |beta|^2 = 1
+    Probe("mode_defect", RAMP_3201, 3,
+          ("numerical failure: mode +1: |alpha|^2 - |beta|^2 drifted from 1 by -1.087e-02 of |alpha|^2 + |beta|^2 "
+           "(> 1e-06); raise mode_substeps\n")),
+    Probe("mode_defect_resolved", {**RAMP_3201, "mode_substeps": 16}, 0),
+    # the + mode is past RK4's stability limit, but the - mode inverts: that is
+    # refused from the samples first, still with exit 3
     Probe("mode_inversion_before_overflow",
           pulse(profile={"type": "gaussian_pulse", "q0": 1e10, "tau": 1.0}, routes=["mode_oracle"]),
           3, "numerical failure: Omega^2 <= 0 for mode -1: max q = 1e+10 reaches m*w^2 = 1\n"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from casfric import (
     CouplingSignal,
     NumericalFailure,
+    NormDriftError,
     ExponentialRamp,
     Flyby,
     GaussianPulse,
@@ -395,11 +396,20 @@ class TestStreamedScan:
     )
     def test_oracle_scan_equals_sampling_then_comparing(self, routes):
         family = SymmetricRamp(gamma=0.05, eta=1.0)
-        options = dict(mode_substeps=2, fock_truncation=6, fock_substeps=4)
+        # at 2 mode substeps the eta = 0.2 point's Bogoliubov defect, 1.4e-6, is refused
+        options = dict(mode_substeps=4, fock_truncation=6, fock_substeps=4)
         scan = adiabatic_scan(family, [0.5, 0.2], PARAMS, routes=routes, **options)
         want = sampled_scan_reports(family, [0.5, 0.2], PARAMS, routes, **options)
         assert list(scan.reports) == want
         assert all(set(report.populated()) == set(routes) for report in scan.reports)
+
+    def test_an_oracle_point_that_one_mode_substep_cannot_resolve_is_refused(self):
+        # the eta = 0.5 grid: one substep leaves a Bogoliubov defect of 1.7e-5, two leave 5.4e-7
+        family = SymmetricRamp(gamma=0.05, eta=1.0)
+        with pytest.raises(NormDriftError, match=r"^mode \+1: .* \(> 1e-06\); raise mode_substeps$"):
+            adiabatic_scan(family, [0.5], PARAMS, routes=("hb", "mode_oracle"))
+        scan = adiabatic_scan(family, [0.5], PARAMS, routes=("hb", "mode_oracle"), mode_substeps=2)
+        assert set(scan.reports[0].populated()) == {"hb", "mode_oracle"}
 
     @pytest.mark.parametrize("routes, oracle", [(("hb", "mode_oracle"), True), (("barton", "hb"), False)])
     def test_every_point_walks_its_ramp_and_samples_only_for_the_oracles(self, monkeypatch, routes, oracle):
@@ -415,7 +425,7 @@ class TestStreamedScan:
 
         monkeypatch.setattr(dissipation, "_walk", walk)
         monkeypatch.setattr(dissipation, "sample", sample_once)
-        adiabatic_scan(SymmetricRamp(gamma=0.05, eta=1.0), [0.5, 0.2], PARAMS, routes=routes)
+        adiabatic_scan(SymmetricRamp(gamma=0.05, eta=1.0), [0.5, 0.2], PARAMS, routes=routes, mode_substeps=4)
         steps = ("walk", "sample") if oracle else ("walk",)
         assert calls == [(step, "SymmetricRamp", eta) for eta in (0.5, 0.2) for step in steps]
 

@@ -21,6 +21,7 @@ from casfric import (
     GaussianPulse,
     InvertedModeError,
     NormDriftError,
+    NumericalFailure,
     PhysicalParams,
     SymmetricRamp,
     TimeGrid,
@@ -60,6 +61,14 @@ def gauss_signal(q0=0.01, n=24001, span=12.0):
 
 def zero_signal(n=201, span=10.0):
     return CouplingSignal(TimeGrid(-span, span, n), np.zeros(n))
+
+
+def parametric_pump(span):
+    """q = 0.9 sin(2t) sin^2(pi t/span) on [0, span] at dt = 0.1: at twice
+    the mode frequency, so the modes grow by parametric resonance."""
+    grid = TimeGrid(0.0, span, int(round(span / 0.1)) + 1)
+    t = grid.times()
+    return CouplingSignal(grid, 0.9 * np.sin(2.0 * t) * np.sin(np.pi * t / span) ** 2)
 
 
 def free_mode_state(pair, t):
@@ -140,6 +149,55 @@ class TestEvolveMode:
         pair = evolve_mode(signal, PARAMS, +1)
         assert abs(pair.normalization_defect) < 1e-9
 
+    def test_a_step_past_rk4s_stability_limit_is_refused_before_any_step_is_built(self, monkeypatch):
+        # three samples on +-12: h*Omega_max = 12*sqrt(1 + 0.3) for the + mode, 12 for the - mode
+        signal = gauss_signal(q0=0.3, n=3)
+        builds = []
+        monkeypatch.setattr("casfric.oracle._rk4_transfer_matrices", lambda *args: builds.append(args))
+        for sign, stiffness in ((+1, "13.7"), (-1, "12")):
+            message = (f"mode {sign:+d}: h*Omega_max = {stiffness} is above RK4's stability limit "
+                       "2*sqrt(2) = 2.83; raise mode_substeps")
+            with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$") as raised:
+                evolve_mode(signal, PARAMS, sign)
+            assert type(raised.value) is NumericalFailure
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "stiffness, steps, error, message",
+        [(2.83, 1, NumericalFailure, r"h\*Omega_max = 2\.83 is above RK4's stability limit"),
+         # stable, but RK4's step shrinks |alpha|^2 - |beta|^2 by about 4 %
+         (2.82, 1, NormDriftError, r"\|alpha\|\^2 - \|beta\|\^2 drifted from 1 by -4\."),
+         # ... until alpha and beta underflow to 0
+         (2.82, 40000, NormDriftError, r"\|alpha\|\^2 - \|beta\|\^2 drifted from 1 by -inf ")],
+    )
+    def test_the_stability_limit_is_rk4s_on_the_imaginary_axis(self, stiffness, steps, error, message):
+        # constant q = 1e-3, so Omega_max^2 = 1.001 for the + mode
+        h = stiffness / 1.001**0.5
+        signal = CouplingSignal(TimeGrid(0.0, h * steps, steps + 1), np.full(steps + 1, 1e-3))
+        with pytest.raises(error, match=f"^mode \\+1: {message}") as raised:
+            evolve_mode(signal, PARAMS, +1)
+        assert type(raised.value) is error
+
+    def test_a_bogoliubov_defect_above_the_norm_tolerance_is_refused(self):
+        # every step is stable, but one substep's error adds up over 3200 steps
+        signal = sample(SymmetricRamp(gamma=0.05, eta=0.1), TimeGrid(-400.0, 400.0, 3201))
+        message = (r"^mode \+1: \|alpha\|\^2 - \|beta\|\^2 drifted from 1 by -1\.087e-02 "
+                   r".* \(> 1e-06\); raise mode_substeps$")
+        with pytest.raises(NormDriftError, match=message):
+            evolve_mode(signal, PARAMS, +1)
+        pair = evolve_mode(signal, PARAMS, +1, substeps=16)
+        assert abs(pair.normalization_defect) < 1e-6
+
+    def test_an_amplified_mode_is_returned_until_its_propagator_overflows(self):
+        # h*Omega_max = 0.1*sqrt(1.9) = 0.138; both modes grow by parametric resonance
+        pairs = _evolve_modes(parametric_pump(4000.0), PARAMS, (+1, -1), 1)
+        for pair in pairs:
+            # |alpha|^2 would overflow a float; |alpha|^2 - |beta|^2 = 1 leaves |alpha| = |beta| in floats
+            assert abs(pair.alpha) > 1e191
+            assert abs(pair.beta) / abs(pair.alpha) == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(OverflowError, match="^the mode propagator overflowed$"):
+            _evolve_modes(parametric_pump(7000.0), PARAMS, (+1, -1), 1)
+
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_a_nan_sample_is_named(self, sign):
         # values is a mutable array, so a finite signal can be spoiled after construction
@@ -167,7 +225,8 @@ class TestEvolveMode:
         """Halving the substep shrinks the dE increment ~16x on a fixed grid."""
         signal = gauss_signal(q0=0.5, n=161, span=8.0)
         des = []
-        for substeps in (1, 2, 4):
+        # one substep leaves a Bogoliubov defect of 2.7e-6, which is refused
+        for substeps in (2, 4, 8):
             plus = evolve_mode(signal, PARAMS, +1, substeps=substeps)
             minus = evolve_mode(signal, PARAMS, -1, substeps=substeps)
             des.append(delta_e_modes(plus, minus, PARAMS))
@@ -428,7 +487,8 @@ class TestChunkedModeSweep:
     @pytest.mark.parametrize("substeps", [1, 3])
     @pytest.mark.parametrize("intervals", [1, 2, 4095, 4096, 4097, 8192, 100000])
     def test_chunked_sweep_is_one_whole_array_fold(self, intervals, substeps):
-        signal = gauss_signal(q0=0.3, n=intervals + 1)
+        # dt <= 0.1: one or two intervals on +-12 are past RK4's stability limit
+        signal = gauss_signal(q0=0.3, n=intervals + 1, span=min(12.0, 0.05 * intervals))
         swept = _evolve_modes(signal, PARAMS, (+1, -1), substeps)
         for sign, both in zip((+1, -1), swept):
             alone = evolve_mode(signal, PARAMS, sign, substeps=substeps)
@@ -486,11 +546,11 @@ class TestChunkedModeSweep:
         with pytest.raises(error, match=re.escape(message)):
             _evolve_modes(signal, PARAMS, (+1, -1), 1)
 
-    def test_the_minus_inversion_is_refused_before_the_plus_overflow(self):
-        # + stiffens until its propagator overflows; - inverts, and that is
-        # decided from the samples before the sweep begins
+    def test_the_minus_inversion_is_refused_before_the_plus_instability(self):
+        # + stiffens past RK4's stability limit; - inverts, and each sign's
+        # inversion is decided before any sign's stability
         signal = gauss_signal(q0=1e10, n=481)
-        with pytest.raises(OverflowError, match="the mode propagator overflowed"):
+        with pytest.raises(NumericalFailure, match=r"^mode \+1: h\*Omega_max = 5e\+03 is above"):
             evolve_mode(signal, PARAMS, +1)
         message = "Omega^2 <= 0 for mode -1: max q = 1e+10 reaches m*w^2 = 1"
         with pytest.raises(InvertedModeError, match=re.escape(message)):
