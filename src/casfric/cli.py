@@ -13,7 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import MAX_FOCK_TRUNCATION, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
+from .core import MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
 from .coupling import (
     CouplingProfile,
     CouplingSignal,
@@ -157,12 +157,10 @@ def _build(cls, cfg, path, extra=()):
     return _construct(cls, path, **kwargs)
 
 
-def _int_in_range(cfg, key, default, low, high=None, path="config") -> int:
-    value = _expect(cfg, key, path, int, required=False, default=default)
+def _int_in_range(cfg, key, default, low) -> int:
+    value = _expect(cfg, key, "config", int, required=False, default=default)
     if value < low:
-        raise ConfigError(f"{path}.{key}: must be >= {low}, got {value}")
-    if high is not None and value > high:
-        raise ConfigError(f"{path}.{key}: {value} is above the budget of {high}")
+        raise ConfigError(f"config.{key}: must be >= {low}, got {value}")
     return value
 
 
@@ -271,7 +269,7 @@ def load_config(path) -> Scenario:
         grid=grid,
         routes=tuple(routes),
         # checked whether or not their route runs
-        fock_truncation=_int_in_range(raw, "fock_truncation", default=10, low=2, high=MAX_FOCK_TRUNCATION),
+        fock_truncation=_int_in_range(raw, "fock_truncation", default=10, low=2),
         fock_substeps=_int_in_range(raw, "fock_substeps", default=4, low=1),
         mode_substeps=_int_in_range(raw, "mode_substeps", default=1, low=1),
         tail_rel=_tail_rel(raw, "config", default=TAIL_REL_DEFAULT),

@@ -19,7 +19,6 @@ __all__ = [
     "ladder_factor",
     "BLOCK_SAMPLES",
     "MAX_GRID_SAMPLES",
-    "MAX_FOCK_TRUNCATION",
 ]
 
 # Samples per block of the streamed passes over a grid (sampling, the two
@@ -31,13 +30,6 @@ BLOCK_SAMPLES = 1 << 16
 # takes 8 bytes per sample, so this caps it at 0.8 GB.  A first-order scan
 # point holds no signal, so there the cap bounds work, not memory.
 MAX_GRID_SAMPLES = 100_000_000
-
-# Largest Fock truncation N a config may declare or evolve_fock accepts.
-# It was derived from a dense (N+1)^2 x (N+1)^2 complex coupling operator,
-# 16*(N+1)^4 bytes, held to the same 0.8 GB as the largest grid (N = 83).
-# evolve_fock now holds O((N+1)^2) numbers; the cap stays until a load-time
-# bound on the work per run (steps times per-step cost) replaces it.
-MAX_FOCK_TRUNCATION = math.isqrt(math.isqrt(8 * MAX_GRID_SAMPLES // 16)) - 1
 
 
 def _blocks(n_samples: int, size: int = BLOCK_SAMPLES):

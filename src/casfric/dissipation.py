@@ -19,6 +19,7 @@ oscillator) with energy gap exactly 2 hbar w.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from contextlib import contextmanager
@@ -217,14 +218,8 @@ class DissipationReport:
 
 
 def _relative_spread(values: Sequence[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    spread = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            scale = max(abs(values[i]), abs(values[j]), _SPREAD_FLOOR)
-            spread = max(spread, abs(values[i] - values[j]) / scale)
-    return spread
+    pairs = itertools.combinations(values, 2)
+    return max((abs(a - b) / max(abs(a), abs(b), _SPREAD_FLOOR) for a, b in pairs), default=0.0)
 
 
 def _check_routes(routes: Sequence[str]) -> None:
@@ -251,13 +246,17 @@ class _RoutePass:
 
     The sums' workspaces and the walk's tile buffers for a profile
     (untouched for a signal) share one allocation, made once for grids of
-    up to ``n_samples``.
+    up to ``largest``'s samples if each selected oracle's run fits the budget.
     """
 
-    def __init__(self, params, routes, n_samples, fock_truncation, fock_substeps, mode_substeps):
+    def __init__(self, params, routes, largest, fock_truncation, fock_substeps, mode_substeps):
+        if "mode_oracle" in routes:
+            _oracle._substeps(largest, mode_substeps)
+        if "fock_oracle" in routes:
+            _oracle._substeps(largest, fock_substeps, fock_truncation)
         self.params, self.routes = params, routes
         self.fock_truncation, self.fock_substeps, self.mode_substeps = fock_truncation, fock_substeps, mode_substeps
-        size, tile = _block_and_tile(n_samples)
+        size, tile = _block_and_tile(largest.n_samples)
         stride = 3 * tile + 2 * size - 2
         sums = 2 if "barton" in routes else 1
         work = np.empty(sums * stride + 2 * tile)
@@ -325,17 +324,18 @@ def compare_routes(
     (0, 1).  One route pass takes both first-order routes and the tail
     test over the signal's blocks, then the oracles.  A ``signal`` that is
     not a CouplingSignal raises TypeError; a float overflow inside a route
-    is raised as a NumericalFailure naming it.  The oracles refuse what
-    RK4 cannot resolve: the mode oracle a step past RK4's stability limit
-    (a NumericalFailure, before it integrates), and each oracle a drift
-    of its invariant, the Bogoliubov normalization or the Fock norm,
-    above 1e-6 (NormDriftError).  More ``mode_substeps`` or
-    ``fock_substeps`` resolve them.
+    is raised as a NumericalFailure naming it.  A selected oracle whose
+    run is over the work budget, about a minute of steps, is a ValueError
+    before any route runs.  The oracles refuse what RK4 cannot resolve:
+    the mode oracle a step past RK4's stability limit (a NumericalFailure,
+    before it integrates), and each oracle a drift of its invariant, the
+    Bogoliubov normalization or the Fock norm, above 1e-6 (NormDriftError);
+    more ``mode_substeps`` or ``fock_substeps`` resolve them.
     """
     _require_signal(signal, "compare_routes")
     _check_routes(routes)
     _check_tail_rel(tail_rel)
-    route_pass = _RoutePass(params, routes, signal.grid.n_samples, fock_truncation, fock_substeps, mode_substeps)
+    route_pass = _RoutePass(params, routes, signal.grid, fock_truncation, fock_substeps, mode_substeps)
     resolved = route_pass.run(signal.grid, signal, tail_rel)
     return route_pass.report(signal.grid, signal, tail_warning=not resolved)
 
@@ -427,19 +427,20 @@ def adiabatic_scan(
     per scan point; each point gets its own grid, widened as 1/eta so the
     ramp tails decay below ``tail_rel`` of the peak coupling.  ``dt``
     defaults to 32 samples per cycle of the 2*omega transition line.
-    Every grid is sized before any point runs, so a scan point above
-    MAX_GRID_SAMPLES is refused before the scan runs.  Each point's
-    reports are those of compare_routes on the sampled grid, bit for bit,
-    from one route pass allocated for the whole scan.  Every point's walk
-    evaluates its ramp into the pass's tile buffers, so the first-order
-    routes hold O(BLOCK_SAMPLES) whatever eta; with an oracle route the
-    point then samples its grid once, for the oracles only.  The oracle
-    options and their defaults are those of compare_routes, and so are
-    the oracles' refusals.  A point's grid widens as 1/eta and so does the
-    oracles' RK4 error: at the default dt, one mode substep leaves a
-    Bogoliubov defect of 4.3e-6 already at eta = 2 (symmetric ramp), which
-    raises NormDriftError, and two resolve eta = 0.5.  Unresolved tails
-    raise TailSpanError before any route's total is read.
+    Every grid is sized before any point runs, so a point above
+    MAX_GRID_SAMPLES, or whose oracle run is over the work budget, is
+    refused first.  Each point's reports are those of compare_routes on
+    the sampled grid, bit for bit, from one route pass allocated for the
+    whole scan.  Every point's walk evaluates its ramp into the pass's
+    tile buffers, so the first-order routes hold O(BLOCK_SAMPLES)
+    whatever eta; with an oracle route the point then samples its grid
+    once, for the oracles only.  The oracle options and their defaults
+    are those of compare_routes, and so are the oracles' refusals.  A
+    point's grid widens as 1/eta and so does the oracles' RK4 error: at
+    the default dt, one mode substep leaves a Bogoliubov defect of 4.3e-6
+    already at eta = 2 (symmetric ramp), which raises NormDriftError, and
+    two resolve eta = 0.5.  Unresolved tails raise TailSpanError before
+    any route's total is read.
     """
     if not isinstance(family, (SymmetricRamp, ExponentialRamp)):
         raise TypeError(f"adiabatic scans take a ramp family, got {type(family).__name__}")
@@ -456,8 +457,8 @@ def adiabatic_scan(
 
     profiles = [replace(family, eta=float(eta)) for eta in etas]
     grids = [_ramp_grid(profile, profile.eta, dt, tail_rel) for profile in profiles]
-    n_samples = max(grid.n_samples for grid in grids)
-    route_pass = _RoutePass(params, routes, n_samples, fock_truncation, fock_substeps, mode_substeps)
+    largest = max(grids, key=lambda grid: grid.n_samples)
+    route_pass = _RoutePass(params, routes, largest, fock_truncation, fock_substeps, mode_substeps)
     reports = []
     for profile, grid in zip(profiles, grids):
         if not route_pass.run(grid, profile, tail_rel):

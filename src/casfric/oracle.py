@@ -15,10 +15,10 @@ Two structurally independent oracles guard the perturbative routes:
 Both use a fixed-step classical 4th-order integrator (deterministic,
 testable convergence order); the step is grid dt / substeps with the
 sampled coupling interpolated linearly inside grid intervals.  Both
-refuse a drift of their invariant (the Fock norm, the Bogoliubov
-normalization) above 1e-6 and name RK4's stability limit when the step
-is past it.  Neither
-oracle approximates the mode frequencies by w during the pulse, so small
+refuse a run whose predicted work is above one budget, a drift of their
+invariant (the Fock norm, the Bogoliubov normalization) above 1e-6, and
+name RK4's stability limit when the step is past it.  Neither oracle
+approximates the mode frequencies by w during the pulse, so small
 systematic offsets from first-order theory at finite coupling are
 expected and quantified rather than reconciled analytically.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_FOCK_TRUNCATION, PhysicalParams, _finite_delta_e, _require_integer, ladder_factor
+from .core import PhysicalParams, TimeGrid, _finite_delta_e, _require_integer, ladder_factor
 from .coupling import CouplingSignal, _finite_range, _require_signal
 from .errors import InvertedModeError, NormDriftError, NumericalFailure
 
@@ -58,15 +58,19 @@ class BogoliubovPair:
 
     @property
     def normalization_defect(self) -> float:
-        """|alpha|^2 - |beta|^2 - 1; zero for exact evolution.
+        """(|alpha|^2 - |beta|^2 - 1)/(|alpha|^2 + |beta|^2); zero for exact
+        evolution, and what the mode oracle refuses above 1e-6.
 
-        Absolute, so it grows with the mode's amplification: a healthy
-        parametrically pumped mode with |alpha| ~ 5e47 reads 8.9e79 here
-        with a relative defect of 1e-16, and for |alpha| above about
-        1.3e154 the Python float square raises OverflowError.  The mode
-        oracle refuses on the relative form, this over |alpha|^2 + |beta|^2.
+        Relative, so a healthy amplified mode reads its rounding, not its
+        amplification; from |alpha| and |beta| over the larger of them, as
+        an amplified mode's |alpha| can be far above 1e154, where a float's
+        square overflows.  -inf for a mode damped to nothing.
         """
-        return abs(self.alpha) ** 2 - abs(self.beta) ** 2 - 1.0
+        scale = max(abs(self.alpha), abs(self.beta))
+        if scale == 0.0:
+            return -math.inf
+        a, b = abs(self.alpha) / scale, abs(self.beta) / scale
+        return (a * a - b * b - 1.0 / scale / scale) / (a * a + b * b)
 
 
 # Steps per chunk of both oracles' sweeps: each chunk's coupling, step
@@ -92,10 +96,30 @@ _NORM_TOL = 1e-6
 _RK4_IMAGINARY_LIMIT = 2.0 * 2.0**0.5
 
 
-def _substeps(signal: CouplingSignal, substeps: int):
-    """Substep h = dt/substeps and the number of substeps across the grid."""
+# Most work one oracle run may take: a minute, in nanoseconds.  On one CPU
+# with one BLAS thread a Fock step takes about 10 us + 3 ns*(N+1)^3 (10.1 us
+# at N = 2, 1.86 ms at N = 83), a two-sign mode step about 147 ns.
+_WORK_BUDGET_NS = 60 * 10**9
+
+
+def _substeps(grid: TimeGrid, substeps: int, truncation=None):
+    """Substep h = dt/substeps and the (n_samples - 1)*substeps steps of an
+    oracle run on ``grid``: evolve_fock's at ``truncation``, else the mode
+    oracle's.  ValueError, before the run allocates anything, for a count
+    that is not an integer or steps that cost above _WORK_BUDGET_NS, in
+    Python integers so that nothing wraps."""
+    if truncation is None:
+        step_ns, run, knobs = 147, "mode", "mode_substeps"
+    else:
+        _require_integer(truncation, "truncation", 2)
+        step_ns = 10_000 + 3 * (operator.index(truncation) + 1) ** 3
+        run, knobs = f"Fock (N = {truncation})", "fock_truncation, fock_substeps"
     _require_integer(substeps, "substeps", 1)
-    return signal.grid.dt / substeps, (signal.grid.n_samples - 1) * substeps
+    steps = (operator.index(grid.n_samples) - 1) * operator.index(substeps)
+    if steps * step_ns > _WORK_BUDGET_NS:
+        raise ValueError(f"the {run} oracle's {steps} steps would take about {steps * step_ns / 1e9:.3g} s, above "
+                         f"the work budget of {_WORK_BUDGET_NS / 1e9:g} s; lower {knobs} or n_samples")
+    return grid.dt / substeps, steps
 
 
 def _substep_coupling(signal: CouplingSignal, h: float, lo: int, hi: int) -> np.ndarray:
@@ -168,9 +192,10 @@ def evolve_mode(
     a NumericalFailure, also decided before integrating, when the step
     h = dt/substeps has h*Omega_max above RK4's stability limit
     2*sqrt(2); OverflowError when the propagator overflows; and
-    NormDriftError when |alpha|^2 - |beta|^2 - 1 exceeds 1e-6 of
-    |alpha|^2 + |beta|^2.  The last two come after the sweep, in that
-    order.  A ``signal`` that is not a CouplingSignal raises TypeError.
+    NormDriftError when the pair's normalization_defect is above 1e-6.
+    The last two come after the sweep, in that order.  A ``signal`` that
+    is not a CouplingSignal raises TypeError, a run over the work budget
+    ValueError before the samples are read.
     """
     _require_signal(signal, "evolve_mode")
     try:
@@ -188,8 +213,8 @@ def _evolve_modes(signal: CouplingSignal, params: PhysicalParams, signs, substep
     Inversion is decided before the sweep, for each sign in turn, from the
     samples' range, which the linear interpolant leaves only by rounding;
     then stability, for each sign in turn.  After the sweep come the
-    propagators' overflow and each sign's relative defect."""
-    h, n_steps = _substeps(signal, substeps)
+    propagators' overflow and each sign's normalization defect."""
+    h, n_steps = _substeps(signal.grid, substeps)
     q_min, q_max = _finite_range(signal.values)
     if q_min == q_max == 0.0:
         # zero coupling is exactly free evolution; nothing to integrate
@@ -238,7 +263,7 @@ def _evolve_modes(signal: CouplingSignal, params: PhysicalParams, signs, substep
         alpha = 0.5 * (f + 1j * fdot / w) * np.exp(1j * w * t1)
         beta = 0.5 * (f - 1j * fdot / w) * np.exp(-1j * w * t1)
         pair = BogoliubovPair(complex(alpha), complex(beta))
-        defect = _relative_defect(pair)
+        defect = pair.normalization_defect
         if not abs(defect) <= _NORM_TOL:  # NaN fails it too
             raise NormDriftError(
                 f"mode {sign:+d}: |alpha|^2 - |beta|^2 drifted from 1 by {defect:.3e} of |alpha|^2 + |beta|^2 "
@@ -246,17 +271,6 @@ def _evolve_modes(signal: CouplingSignal, params: PhysicalParams, signs, substep
             )
         pairs.append(pair)
     return pairs
-
-
-def _relative_defect(pair: BogoliubovPair) -> float:
-    """(|alpha|^2 - |beta|^2 - 1)/(|alpha|^2 + |beta|^2), from |alpha| and |beta|
-    over the larger of them: an amplified mode's |alpha| can be far above
-    1e154, where a float's square overflows."""
-    scale = max(abs(pair.alpha), abs(pair.beta))
-    if scale == 0.0:  # RK4 damped the mode to nothing
-        return -math.inf
-    a, b = abs(pair.alpha) / scale, abs(pair.beta) / scale
-    return (a * a - b * b - 1.0 / scale / scale) / (a * a + b * b)
 
 
 def delta_e_modes(pair_plus: BogoliubovPair, pair_minus: BogoliubovPair, params: PhysicalParams) -> float:
@@ -304,17 +318,11 @@ def evolve_fock(
     NormDriftError as a signal to refine the step or raise the
     truncation, or, when h*w*(2N+1) is above RK4's stability limit
     2*sqrt(2), to refine the step alone.  A ``signal`` that is not a
-    CouplingSignal raises TypeError.
+    CouplingSignal raises TypeError, a run over the work budget ValueError.
     """
     _require_signal(signal, "evolve_fock")
-    _require_integer(truncation, "truncation", 2)
-    if truncation > MAX_FOCK_TRUNCATION:
-        raise ValueError(
-            f"truncation {truncation} is above the budget of {MAX_FOCK_TRUNCATION}: "
-            "the cap on the number basis, kept until a bound on the work per run replaces it"
-        )
+    h, n_steps = _substeps(signal.grid, dt_substeps, truncation)
     n_levels = truncation + 1
-    h, n_steps = _substeps(signal, dt_substeps)
     _finite_range(signal.values)
 
     # The state is the amplitude matrix Y[n1, n2], x = a + a' truncated, and

@@ -59,6 +59,8 @@ OVERFLOW = "numerical failure: {}: float overflow\n"
 NOT_FINITE = "error: signal values must be finite\n"
 MODE_UNSTABLE = ("numerical failure: mode {}: h*Omega_max = {} is above RK4's stability limit 2*sqrt(2) = 2.83; "
                  "raise mode_substeps\n")
+FOCK_OVER_BUDGET = ("error: the Fock (N = 10) oracle's {} steps would take about {} s, above the work budget "
+                    "of 60 s; lower fock_truncation, fock_substeps or n_samples\n")
 RAMP_3201 = pulse(profile={"type": "symmetric_ramp", "gamma": 0.05, "eta": 0.1},
                   grid={"t_start": -400.0, "t_end": 400.0, "n_samples": 3201}, routes=["hb", "mode_oracle"])
 
@@ -163,6 +165,24 @@ PROBES = {probe.name: probe for probe in [
     Probe("eta_grid_null", {"grid": None}, 0, shipped="adiabatic_scan.json"),
     Probe("eta_tail_rel_null", {"tail_rel": None}, 2, "error: config.tail_rel: expected a number, got None\n",
           shipped="adiabatic_scan.json"),
+    # a run the work budget refuses exits 2 before any route runs: 4.8e12
+    # mode steps would take days and ask for 70 GB of chunk products
+    Probe("mode_over_budget", {"mode_substeps": 10**9, "routes": ["hb", "mode_oracle"]}, 2,
+          ("error: the mode oracle's 4800000000000 steps would take about 7.06e+05 s, above the work budget "
+           "of 60 s; lower mode_substeps or n_samples\n"), shipped="gaussian_benchmark.json"),
+    Probe("fock_over_budget", {"fock_substeps": 100000}, 2, FOCK_OVER_BUDGET.format(480000000, "6.72e+03"),
+          shipped="gaussian_benchmark.json"),
+    # the eta = 1e-4 grid's Fock run is over the budget; the eta = 2 point
+    # alone is exit 3 (its one mode substep leaves a defect of 4.3e-6), so
+    # the scan is refused before any point runs
+    Probe("eta_scan_over_budget", {"routes": ["hb", "mode_oracle", "fock_oracle"],
+                                   "scan": {"kind": "eta", "values": [2.0, 1e-4]}},
+          2, FOCK_OVER_BUDGET.format(28091788, "393"), shipped="adiabatic_scan.json"),
+    # the cap of N = 83 is gone: N = 84 runs 20 steps in about 40 ms
+    Probe("truncation_84", pulse(profile={"type": "gaussian_pulse", "q0": 0.01, "tau": 0.01},
+                                 grid={"t_start": -0.1, "t_end": 0.1, "n_samples": 21},
+                                 routes=["hb", "fock_oracle"], fock_truncation=84, fock_substeps=1),
+          0),
 ]}
 
 

@@ -411,6 +411,17 @@ class TestStreamedScan:
         scan = adiabatic_scan(family, [0.5], PARAMS, routes=("hb", "mode_oracle"), mode_substeps=2)
         assert set(scan.reports[0].populated()) == {"hb", "mode_oracle"}
 
+    def test_an_oracle_scan_over_the_work_budget_is_refused_before_any_point_runs(self, monkeypatch):
+        def no_point(*args):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(dissipation, "_walk", no_point)
+        monkeypatch.setattr(dissipation, "sample", no_point)
+        # the eta = 1e-4 grid holds about 7 M samples: four Fock substeps each is 6.6 min of work
+        message = r"^the Fock \(N = 10\) oracle's \d+ steps would take about 393 s, above the work budget"
+        with pytest.raises(ValueError, match=message):
+            adiabatic_scan(SymmetricRamp(gamma=0.05, eta=1.0), [0.5, 1e-4], PARAMS, routes=("hb", "fock_oracle"))
+
     @pytest.mark.parametrize("routes, oracle", [(("hb", "mode_oracle"), True), (("barton", "hb"), False)])
     def test_every_point_walks_its_ramp_and_samples_only_for_the_oracles(self, monkeypatch, routes, oracle):
         calls = []
@@ -522,7 +533,7 @@ class TestOneFormulaPerProfile:
         for time, value in zip(times, want):
             assert_same_bits(np.array([profile.evaluate(time)]), np.array([value]))
         # the scan's buffers hold the previous point's values: all of them must be overwritten
-        values, scratch = _RoutePass(PARAMS, ("barton", "hb"), len(t) + 3, 10, 4, 1).buffers
+        values, scratch = _RoutePass(PARAMS, ("barton", "hb"), TimeGrid(0.0, 1.0, len(t) + 3), 10, 4, 1).buffers
         values.fill(np.nan)
         scratch.fill(np.nan)
         profile._eval_array(t, values[: len(t)], scratch[: len(t)])

@@ -19,7 +19,7 @@ from casfric.cli import (
     run_scenario,
 )
 from casfric import adiabatic_scan
-from casfric.core import MAX_FOCK_TRUNCATION, MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
+from casfric.core import MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
 from casfric.dissipation import SCAN_TAIL_REL_DEFAULT
 from cli_probes import PROBES, run_all, stderr_matches, write_probe
 
@@ -493,19 +493,38 @@ class TestRangesAndSampleBudget:
 
 
 class TestFockAndSubstepLimits:
-    @pytest.mark.parametrize("truncation", [MAX_FOCK_TRUNCATION + 1, 200])
-    def test_truncation_over_the_budget_is_exit_two_before_running(self, tmp_path, capsys, monkeypatch, truncation):
-        def no_evolution(*args):
-            raise AssertionError("an evolution ran")
+    # small_benchmark runs 1200 intervals: at its fock_substeps of 2, N = 202
+    # is the first truncation over the work budget
+    @pytest.mark.parametrize("key, value, run", [
+        ("fock_truncation", 202, "Fock (N = 202) oracle's 2400 steps"),
+        ("fock_truncation", 10**6, "Fock (N = 1000000) oracle's 2400 steps"),
+        ("fock_substeps", 100000, "Fock (N = 6) oracle's 120000000 steps"),
+        ("mode_substeps", 10**9, "mode oracle's 1200000000000 steps"),
+    ])
+    def test_a_run_over_the_work_budget_is_exit_two_before_any_route_runs(self, tmp_path, capsys, monkeypatch,
+                                                                           key, value, run):
+        def no_route(*args):
+            raise AssertionError("a route ran")
 
-        monkeypatch.setattr("casfric.cli.compare_routes", no_evolution)
-        assert main([str(write_config(tmp_path, small_benchmark(fock_truncation=truncation)))]) == 2
+        monkeypatch.setattr("casfric.dissipation._walk", no_route)
+        assert main([str(write_config(tmp_path, small_benchmark(**{key: value})))]) == 2
         err = capsys.readouterr().err
-        assert "config.fock_truncation" in err and str(truncation) in err, err
+        assert err.startswith(f"error: the {run} would take about ") and key in err, err
 
-    def test_truncation_at_the_budget_loads(self, tmp_path):
-        scenario = load_config(write_config(tmp_path, small_benchmark(fock_truncation=MAX_FOCK_TRUNCATION)))
-        assert scenario.fock_truncation == MAX_FOCK_TRUNCATION
+    def test_the_last_truncation_in_the_budget_reaches_the_routes(self, tmp_path, monkeypatch):
+        class Walked(Exception):
+            pass
+
+        def walked(*args):
+            raise Walked
+
+        monkeypatch.setattr("casfric.dissipation._walk", walked)
+        with pytest.raises(Walked):
+            main([str(write_config(tmp_path, small_benchmark(fock_truncation=201)))])
+
+    def test_truncation_loads_uncapped(self, tmp_path):
+        scenario = load_config(write_config(tmp_path, small_benchmark(fock_truncation=10**6)))
+        assert scenario.fock_truncation == 10**6
 
     @pytest.mark.parametrize("key", ["fock_substeps", "mode_substeps"])
     @pytest.mark.parametrize("value", [0, -1])

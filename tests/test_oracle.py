@@ -33,7 +33,8 @@ from casfric import (
     fourier_analytic,
     sample,
 )
-from casfric.core import MAX_FOCK_TRUNCATION, ladder_factor
+from casfric.cli import load_config
+from casfric.core import ladder_factor
 from casfric.coupling import CouplingSignal
 from casfric.oracle import (
     _CHUNK_STEPS,
@@ -45,6 +46,7 @@ from casfric.oracle import (
     _substep_coupling,
     _substeps,
 )
+from cli_probes import CONFIG_DIR
 
 PARAMS = PhysicalParams(mass=1.0, omega=1.0)
 
@@ -339,14 +341,17 @@ class TestEvolveFock:
         state = evolve_fock(signal, PARAMS, truncation=np.int64(4), dt_substeps=np.int32(2))
         assert np.array_equal(state.amplitudes, evolve_fock(signal, PARAMS, 4, 2).amplitudes)
 
-    def test_truncation_over_the_budget_is_refused_before_any_allocation(self, monkeypatch):
+    @pytest.mark.parametrize("truncation, dt_substeps", [(500, 1), (10, 30000)])
+    def test_truncation_over_the_budget_is_refused_before_any_allocation(self, monkeypatch, truncation, dt_substeps):
         def no_allocation(*args):
             raise AssertionError("an array was built")
 
         monkeypatch.setattr("casfric.oracle._substep_coupling", no_allocation)
         monkeypatch.setattr("casfric.oracle._ladder_position", no_allocation)
-        with pytest.raises(ValueError, match=rf"truncation {MAX_FOCK_TRUNCATION + 1} is above the budget"):
-            evolve_fock(zero_signal(), PARAMS, truncation=MAX_FOCK_TRUNCATION + 1)
+        message = (rf"^the Fock \(N = {truncation}\) oracle's {200 * dt_substeps} steps would take about .* s, "
+                   r"above the work budget of 60 s; lower fock_truncation, fock_substeps or n_samples$")
+        with pytest.raises(ValueError, match=message):
+            evolve_fock(zero_signal(), PARAMS, truncation=truncation, dt_substeps=dt_substeps)
 
     def test_working_set_is_a_few_amplitude_matrices(self):
         """At N=30 the dense coupling operator alone would take 14.8 MB."""
@@ -373,8 +378,50 @@ class TestEvolveFock:
         assert all(a > b for a, b in zip(edges, edges[1:])), edges
         assert errors[0] > 1e-3 and edges[0] > 1e-4  # N = 3 is visibly truncated
 
-    def test_truncation_budget_is_the_largest_operator_within_0_8_gb(self):
-        assert 16 * (MAX_FOCK_TRUNCATION + 1) ** 4 <= 8e8 < 16 * (MAX_FOCK_TRUNCATION + 2) ** 4
+    def test_a_truncation_above_83_runs_when_its_work_is_in_the_budget(self):
+        # the old cap of N = 83 came from a dense operator the oracle no longer builds
+        signal = sample(GaussianPulse(q0=0.01, tau=0.01), TimeGrid(-0.1, 0.1, 21))
+        assert evolve_fock(signal, PARAMS, truncation=84).norm_drift < 1e-12
+
+
+class TestWorkBudget:
+    def test_every_shipped_oracle_run_is_at_least_50_times_under_the_budget(self):
+        """The work is linear in the substeps, so 50 times the substeps must pass."""
+        runs = [(48001, 1, 10)]  # criterion 3's Fock run
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            scenario = load_config(path)
+            if "mode_oracle" in scenario.routes:
+                runs.append((scenario.grid.n_samples, scenario.mode_substeps, None))
+            if "fock_oracle" in scenario.routes:
+                runs.append((scenario.grid.n_samples, scenario.fock_substeps, scenario.fock_truncation))
+        assert len(runs) == 5
+        for n_samples, substeps, truncation in runs:
+            _substeps(TimeGrid(0.0, 1.0, n_samples), 50 * substeps, truncation)
+
+    @pytest.mark.parametrize("truncation", [None, 2, 83])
+    def test_the_budget_is_a_minute_of_steps(self, truncation):
+        step_ns = 147 if truncation is None else 10_000 + 3 * (truncation + 1) ** 3
+        steps = 60 * 10**9 // step_ns
+        assert _substeps(TimeGrid(0.0, 1.0, steps + 1), 1, truncation)[1] == steps
+        with pytest.raises(ValueError, match=rf" {steps + 1} steps would take about 60 s, above the work budget"):
+            _substeps(TimeGrid(0.0, 1.0, steps + 2), 1, truncation)
+
+    def test_numpy_counts_cannot_wrap(self):
+        # (2^40 - 1) * 2^30 wraps to a negative int64
+        with pytest.raises(ValueError, match="above the work budget"):
+            _substeps(TimeGrid(0.0, 1.0, np.int64(2**40)), np.int64(2**30))
+
+    def test_the_mode_oracle_refuses_before_any_allocation(self, monkeypatch):
+        def no_allocation(*args):
+            raise AssertionError("the samples were read")
+
+        monkeypatch.setattr("casfric.oracle._finite_range", no_allocation)
+        monkeypatch.setattr("casfric.oracle._substep_coupling", no_allocation)
+        message = (r"^the mode oracle's 2000000000000 steps would take about 2.94e\+05 s, "
+                   r"above the work budget of 60 s; lower mode_substeps or n_samples$")
+        for sign in (+1, -1):
+            with pytest.raises(ValueError, match=message):
+                evolve_mode(zero_signal(), PARAMS, sign, substeps=10**10)
 
 
 class TestDeltaEFock:
@@ -509,7 +556,7 @@ class TestChunkedModeSweep:
     def test_chunked_interpolant_is_the_full_array_interp(self, grid, substeps):
         signal = CouplingSignal(grid, np.random.default_rng(3).standard_normal(grid.n_samples))
         h, q_nodes, q_mid = whole_array_substep_coupling(signal, substeps)
-        h_chunked, n_steps = _substeps(signal, substeps)
+        h_chunked, n_steps = _substeps(signal.grid, substeps)
         assert h_chunked == h and n_steps == len(q_mid)
         for lo in range(0, n_steps, _CHUNK_STEPS):
             hi = min(lo + _CHUNK_STEPS, n_steps)
@@ -576,7 +623,7 @@ class TestChunkedModeSweep:
         # interpolant at that sample's substep node up to 1.0, so Omega^2 = 0 there
         values = np.array([-378.3757593880971, 0.9999999999999999, -529.2781532559253, -1267.3195524133898])
         signal = CouplingSignal(TimeGrid(5.3013059651194, 781551.563803988, 4), values)
-        h, n_steps = _substeps(signal, 3)
+        h, n_steps = _substeps(signal.grid, 3)
         assert _substep_coupling(signal, h, 0, n_steps)[2 * 3] == 1.0 > values.max()
         # the message quotes the end of q that inverts the mode, not max|q| = 1267.32
         message = "Omega^2 <= 0 for mode -1: max q = 1 reaches m*w^2 = 1"
@@ -604,7 +651,7 @@ class TestChunkedModeSweep:
         values = np.cumsum(rises)
         signal = CouplingSignal(TimeGrid(t_start, t_start + span, len(values)), values)
         reach = np.spacing(np.max(np.abs(values)))
-        h, n_steps = _substeps(signal, substeps)
+        h, n_steps = _substeps(signal.grid, substeps)
         lo = int(split * n_steps)
         for first, last in [(0, n_steps), (0, max(lo, 1)), (min(lo, n_steps - 1), n_steps)]:
             q = _substep_coupling(signal, h, first, last)
@@ -783,7 +830,7 @@ def test_fock_step_loop_makes_no_per_step_write(monkeypatch, run_steps):
     run of steps (its q x columns), none per step."""
     signal = gauss_signal(n=4801)  # 9600 substeps at dt_substeps = 2
     chunks = [4096, 4096, 1408]
-    assert sum(chunks) == _substeps(signal, 2)[1] and max(chunks) == _CHUNK_STEPS
+    assert sum(chunks) == _substeps(signal.grid, 2)[1] and max(chunks) == _CHUNK_STEPS
     if run_steps is None:
         run_steps = _RUN_BYTES // run_bytes(10, 1)
     else:
