@@ -26,11 +26,13 @@ from .coupling import (
     sample,
 )
 from .dissipation import (
+    _ORACLE_DEFAULTS,
     _SCAN_TAIL_FACTOR,
-    ROUTES,
     SCAN_TAIL_REL_DEFAULT,
     TAIL_REL_DEFAULT,
     AdiabaticScanResult,
+    _check_routes,
+    _check_scan,
     _check_tail_rel,
     adiabatic_scan,
     compare_routes,
@@ -115,6 +117,11 @@ def _finite_number(value, path) -> float:
     return float(value)
 
 
+def _finite_numbers(cfg, key, path) -> list:
+    """The list at ``path.key``, each item a finite number checked at ``path.key[i]``."""
+    return [_finite_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(_expect(cfg, key, path, list))]
+
+
 def _expect(mapping, key, path, kind, required=True, default=None):
     if key not in mapping:
         if required:
@@ -136,7 +143,7 @@ def _construct(make, path, *args, **kwargs):
     """make(*args, **kwargs), with a refusal reported as a ConfigError at ``path``."""
     try:
         return make(*args, **kwargs)
-    except (ValueError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -157,8 +164,9 @@ def _build(cls, cfg, path, extra=()):
     return _construct(cls, path, **kwargs)
 
 
-def _int_in_range(cfg, key, default, low) -> int:
-    value = _expect(cfg, key, "config", int, required=False, default=default)
+def _oracle_option(cfg, key, low) -> int:
+    """Option ``key`` or the library's default; below ``low`` it is refused even with its route off."""
+    value = _expect(cfg, key, "config", int, required=False, default=_ORACLE_DEFAULTS[key])
     if value < low:
         raise ConfigError(f"config.{key}: must be >= {low}, got {value}")
     return value
@@ -191,7 +199,7 @@ def _build_profile(cfg, config_dir: Path, path="profile") -> CouplingProfile:
         # an absolute csv path replaces config_dir
         return _construct(load_sampled_csv, path, config_dir / _expect(cfg, "csv", path, str))
     grid = _build_grid(_expect(cfg, "grid", path, dict), f"{path}.grid")
-    return _construct(CouplingSignal, path, grid, _expect(cfg, "values", path, list))
+    return _construct(CouplingSignal, path, grid, _finite_numbers(cfg, "values", path))
 
 
 def _build_scan(cfg, path="scan") -> ScanSpec:
@@ -199,20 +207,12 @@ def _build_scan(cfg, path="scan") -> ScanSpec:
     if kind not in _SCAN_KEYS:
         raise ConfigError(f"{path}.kind: expected 'eta' or 'amplitude', got {kind!r}")
     _reject_unknown_keys(cfg, _SCAN_KEYS[kind], path)
-    values = _expect(cfg, "values", path, list)
+    values = _finite_numbers(cfg, "values", path)
     if not values:
         raise ConfigError(f"{path}.values: scan list must be nonempty")
-    cleaned = []
-    for i, v in enumerate(values):
-        v = _finite_number(v, f"{path}.values[{i}]")
-        if kind == "eta" and v <= 0:
-            raise ConfigError(f"{path}.values[{i}]: eta must be positive, got {v!r}")
-        cleaned.append(v)
     dt = _expect(cfg, "dt", path, float, required=False)
-    if dt is not None and dt <= 0.0:
-        raise ConfigError(f"{path}.dt: must be positive, got {dt!r}")
     tail_rel = _tail_rel(cfg, path, SCAN_TAIL_REL_DEFAULT, _SCAN_TAIL_FACTOR)
-    return ScanSpec(kind=kind, values=tuple(cleaned), dt=dt, tail_rel=tail_rel)
+    return ScanSpec(kind=kind, values=tuple(values), dt=dt, tail_rel=tail_rel)
 
 
 def load_config(path) -> Scenario:
@@ -237,8 +237,10 @@ def load_config(path) -> Scenario:
     scan = _build_scan(_expect(raw, "scan", "config", dict)) if raw.get("scan") is not None else None
 
     eta_scan = scan is not None and scan.kind == "eta"
-    if eta_scan and not isinstance(profile, (ExponentialRamp, SymmetricRamp)):
-        raise ConfigError("config.scan: eta scans need an exponential_ramp or symmetric_ramp profile")
+    if eta_scan:
+        _construct(_check_scan, "config.scan", profile, scan.values, scan.dt)
+    elif scan is not None:
+        _construct(_with_amplitude, "config.scan", profile, scan.values[0])
     for key, instead in (("grid", "scan.dt"), ("tail_rel", "scan.tail_rel")):
         if eta_scan and raw.get(key) is not None:  # it sizes its own grids and tests their tails
             raise ConfigError(f"config.{key}: an eta scan builds its own grids; set {instead} instead")
@@ -249,17 +251,7 @@ def load_config(path) -> Scenario:
         raise ConfigError("config.grid: required unless the scenario is an eta scan")
 
     routes = _expect(raw, "routes", "config", list)
-    if not routes:
-        raise ConfigError("config.routes: at least one route must be selected")
-    for i, route in enumerate(routes):
-        if route not in ROUTES:
-            raise ConfigError(f"config.routes[{i}]: unknown route {route!r}; valid routes are {list(ROUTES)}")
-
-    if scan is not None and scan.kind == "amplitude":
-        try:
-            _with_amplitude(profile, scan.values[0])
-        except TypeError as exc:
-            raise ConfigError("config.scan: amplitude scans need a profile with an amplitude parameter") from exc
+    _construct(_check_routes, "config.routes", routes)
 
     return Scenario(
         scenario_id=scenario_id,
@@ -268,10 +260,9 @@ def load_config(path) -> Scenario:
         profile_config=dict(profile_config),
         grid=grid,
         routes=tuple(routes),
-        # checked whether or not their route runs
-        fock_truncation=_int_in_range(raw, "fock_truncation", default=10, low=2),
-        fock_substeps=_int_in_range(raw, "fock_substeps", default=4, low=1),
-        mode_substeps=_int_in_range(raw, "mode_substeps", default=1, low=1),
+        fock_truncation=_oracle_option(raw, "fock_truncation", low=2),
+        fock_substeps=_oracle_option(raw, "fock_substeps", low=1),
+        mode_substeps=_oracle_option(raw, "mode_substeps", low=1),
         tail_rel=_tail_rel(raw, "config", default=TAIL_REL_DEFAULT),
         scan=scan,
     )

@@ -74,6 +74,9 @@ _SPREAD_FLOOR = 1e-300
 # |q| at a grid endpoint, relative to max|q|, above which a report has tail_warning.
 TAIL_REL_DEFAULT = 1e-10
 
+# The oracle options' defaults, in compare_routes, adiabatic_scan and the CLI.
+_ORACLE_DEFAULTS = {"fock_truncation": 10, "fock_substeps": 4, "mode_substeps": 1}
+
 # The default tail_rel of an eta scan, which builds grids wide enough for it.
 SCAN_TAIL_REL_DEFAULT = 1e-12
 
@@ -223,11 +226,11 @@ def _relative_spread(values: Sequence[float]) -> float:
 
 
 def _check_routes(routes: Sequence[str]) -> None:
-    unknown = [r for r in routes if r not in ROUTES]
-    if unknown:
-        raise ValueError(f"unknown routes {unknown}; valid tokens are {list(ROUTES)}")
     if not routes:
         raise ValueError("at least one route must be selected")
+    for i, route in enumerate(routes):
+        if route not in ROUTES:
+            raise ValueError(f"unknown route {route!r} at routes[{i}]; valid tokens are {list(ROUTES)}")
 
 
 @contextmanager
@@ -308,9 +311,9 @@ def compare_routes(
     signal: CouplingSignal,
     params: PhysicalParams,
     routes: Sequence[str] = ("barton", "hb"),
-    fock_truncation: int = 10,
-    fock_substeps: int = 4,
-    mode_substeps: int = 1,
+    fock_truncation: int = _ORACLE_DEFAULTS["fock_truncation"],
+    fock_substeps: int = _ORACLE_DEFAULTS["fock_substeps"],
+    mode_substeps: int = _ORACLE_DEFAULTS["mode_substeps"],
     tail_rel: float = TAIL_REL_DEFAULT,
 ) -> DissipationReport:
     """Run the selected routes on one shared signal and collect a report.
@@ -379,16 +382,30 @@ def ramp_tail_span(eta: float, tail_rel: float) -> float:
     raise NumericalFailure(f"the W_-1 iteration did not converge for tail_rel={tail_rel!r}")
 
 
+def _check_scan(family: CouplingProfile, etas: Sequence[float], dt: Optional[float]) -> None:
+    """Refuse a family that is not a ramp (TypeError), no etas, an eta that is not positive or
+    repeats one (a slope needs distinct etas), and a ``dt`` given but not finite and positive."""
+    if not isinstance(family, (SymmetricRamp, ExponentialRamp)):
+        raise TypeError(f"adiabatic scans take a ramp family, got {type(family).__name__}")
+    if len(etas) == 0:
+        raise ValueError("etas must be a nonempty sequence of positive rates")
+    for i, eta in enumerate(etas):
+        if not eta > 0.0:
+            raise ValueError(f"etas[{i}] must be positive, got {eta!r}")
+        if eta in etas[:i]:
+            raise ValueError(f"etas[{i}] repeats {eta!r}; a slope needs distinct etas")
+    if dt is not None and not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+
+
 def _ramp_grid(profile, eta: float, dt: float, tail_rel: float) -> TimeGrid:
     span = ramp_tail_span(eta, _SCAN_TAIL_FACTOR * tail_rel)
     t_start = -span if isinstance(profile, SymmetricRamp) else 0.0
-    n = int(np.ceil((span - t_start) / dt)) + 1
-    if n > MAX_GRID_SAMPLES:
-        raise ValueError(
-            f"eta={eta:g} needs a grid of {n} samples, above the budget of "
-            f"{MAX_GRID_SAMPLES}; raise eta or dt"
-        )
-    return TimeGrid(t_start, span, n)
+    intervals = np.ceil((span - t_start) / dt)  # inf for a tiny eta or dt
+    if not intervals < MAX_GRID_SAMPLES:
+        raise ValueError(f"eta={eta:g} needs a grid of {intervals + 1:.0f} samples, above the budget of "
+                         f"{MAX_GRID_SAMPLES}; raise eta or dt")
+    return TimeGrid(t_start, span, int(intervals) + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,9 +434,9 @@ def adiabatic_scan(
     routes: Sequence[str] = ("barton", "hb"),
     dt: Optional[float] = None,
     tail_rel: float = SCAN_TAIL_REL_DEFAULT,
-    fock_truncation: int = 10,
-    fock_substeps: int = 4,
-    mode_substeps: int = 1,
+    fock_truncation: int = _ORACLE_DEFAULTS["fock_truncation"],
+    fock_substeps: int = _ORACLE_DEFAULTS["fock_substeps"],
+    mode_substeps: int = _ORACLE_DEFAULTS["mode_substeps"],
 ) -> AdiabaticScanResult:
     """Scan dE over switching rates for a ramp family with gamma fixed.
 
@@ -442,17 +459,11 @@ def adiabatic_scan(
     two resolve eta = 0.5.  Unresolved tails raise TailSpanError before
     any route's total is read.
     """
-    if not isinstance(family, (SymmetricRamp, ExponentialRamp)):
-        raise TypeError(f"adiabatic scans take a ramp family, got {type(family).__name__}")
     etas = np.asarray(list(etas), dtype=float)
-    if len(etas) == 0 or np.any(etas <= 0.0):
-        raise ValueError("etas must be a nonempty sequence of positive rates")
+    _check_scan(family, etas.tolist(), dt)
     _check_tail_rel(tail_rel, _SCAN_TAIL_FACTOR)
     if dt is None:
         dt = np.pi / (32.0 * params.omega)
-    elif not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-
     _check_routes(routes)
 
     profiles = [replace(family, eta=float(eta)) for eta in etas]
@@ -472,16 +483,18 @@ def adiabatic_scan(
     token = next(token for token in ("hb", "barton", "mode_oracle", "fock_oracle") if token in routes)
     delta_e = np.array([report.populated()[token] for report in reports])
     delta_e_times_eta = delta_e * etas
-    if len(etas) >= 2:
-        slope = float(np.polyfit(np.log(etas), np.log(delta_e), 1)[0])
-        slope_times_eta = float(np.polyfit(np.log(etas), np.log(delta_e_times_eta), 1)[0])
-    else:
-        slope = slope_times_eta = float("nan")  # a slope needs >= 2 scan points
     return AdiabaticScanResult(
         etas=etas,
         delta_e=delta_e,
         delta_e_times_eta=delta_e_times_eta,
-        slope_delta_e=slope,
-        slope_delta_e_times_eta=slope_times_eta,
+        slope_delta_e=_log_log_slope(etas, delta_e),
+        slope_delta_e_times_eta=_log_log_slope(etas, delta_e_times_eta),
         reports=tuple(reports),
     )
+
+
+def _log_log_slope(etas: np.ndarray, values: np.ndarray) -> float:
+    """Slope of log(values) on log(etas); NaN, without a warning, for one point or a value <= 0."""
+    if len(etas) < 2 or not np.all(values > 0.0):
+        return float("nan")
+    return float(np.polyfit(np.log(etas), np.log(values), 1)[0])

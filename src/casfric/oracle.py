@@ -116,9 +116,9 @@ def _substeps(grid: TimeGrid, substeps: int, truncation=None):
         run, knobs = f"Fock (N = {truncation})", "fock_truncation, fock_substeps"
     _require_integer(substeps, "substeps", 1)
     steps = (operator.index(grid.n_samples) - 1) * operator.index(substeps)
-    if steps * step_ns > _WORK_BUDGET_NS:
-        raise ValueError(f"the {run} oracle's {steps} steps would take about {steps * step_ns / 1e9:.3g} s, above "
-                         f"the work budget of {_WORK_BUDGET_NS / 1e9:g} s; lower {knobs} or n_samples")
+    if steps * step_ns > _WORK_BUDGET_NS:  # in whole seconds: a count beyond the float range still formats
+        raise ValueError(f"the {run} oracle's {steps} steps would take about {steps * step_ns // 10**9} s, above "
+                         f"the work budget of {_WORK_BUDGET_NS // 10**9} s; lower {knobs} or the grid's sample count")
     return grid.dt / substeps, steps
 
 

@@ -48,6 +48,12 @@ def ramp(kind, t_start, **rates):
     return pulse(profile={"type": kind, **rates}, grid={"t_start": t_start, "t_end": 1e10, "n_samples": 101})
 
 
+def inline(value):
+    """A pulse whose inline sampled values hold ``value`` at index 1."""
+    return pulse(profile={"type": "sampled", "grid": {"t_start": -12.0, "t_end": 12.0, "n_samples": 5},
+                          "values": [0.0, value, 0.01, 0.005, 0.0]})
+
+
 def sampled(name, csv, code, stderr):
     """The shipped sampled config, reading <name>.csv made by ``csv`` from the shipped CSV."""
     config = {"profile": {"type": "sampled", "csv": f"{name}.csv"}}
@@ -60,7 +66,7 @@ NOT_FINITE = "error: signal values must be finite\n"
 MODE_UNSTABLE = ("numerical failure: mode {}: h*Omega_max = {} is above RK4's stability limit 2*sqrt(2) = 2.83; "
                  "raise mode_substeps\n")
 FOCK_OVER_BUDGET = ("error: the Fock (N = 10) oracle's {} steps would take about {} s, above the work budget "
-                    "of 60 s; lower fock_truncation, fock_substeps or n_samples\n")
+                    "of 60 s; lower fock_truncation, fock_substeps or the grid's sample count\n")
 RAMP_3201 = pulse(profile={"type": "symmetric_ramp", "gamma": 0.05, "eta": 0.1},
                   grid={"t_start": -400.0, "t_end": 400.0, "n_samples": 3201}, routes=["hb", "mode_oracle"])
 
@@ -168,16 +174,39 @@ PROBES = {probe.name: probe for probe in [
     # a run the work budget refuses exits 2 before any route runs: 4.8e12
     # mode steps would take days and ask for 70 GB of chunk products
     Probe("mode_over_budget", {"mode_substeps": 10**9, "routes": ["hb", "mode_oracle"]}, 2,
-          ("error: the mode oracle's 4800000000000 steps would take about 7.06e+05 s, above the work budget "
-           "of 60 s; lower mode_substeps or n_samples\n"), shipped="gaussian_benchmark.json"),
-    Probe("fock_over_budget", {"fock_substeps": 100000}, 2, FOCK_OVER_BUDGET.format(480000000, "6.72e+03"),
+          ("error: the mode oracle's 4800000000000 steps would take about 705600 s, above the work budget "
+           "of 60 s; lower mode_substeps or the grid's sample count\n"), shipped="gaussian_benchmark.json"),
+    Probe("fock_over_budget", {"fock_substeps": 100000}, 2, FOCK_OVER_BUDGET.format(480000000, 6716),
           shipped="gaussian_benchmark.json"),
     # the eta = 1e-4 grid's Fock run is over the budget; the eta = 2 point
     # alone is exit 3 (its one mode substep leaves a defect of 4.3e-6), so
     # the scan is refused before any point runs
     Probe("eta_scan_over_budget", {"routes": ["hb", "mode_oracle", "fock_oracle"],
                                    "scan": {"kind": "eta", "values": [2.0, 1e-4]}},
-          2, FOCK_OVER_BUDGET.format(28091788, "393"), shipped="adiabatic_scan.json"),
+          2, FOCK_OVER_BUDGET.format(28091788, 393), shipped="adiabatic_scan.json"),
+    # inline sampled values are numbers, checked at their index as scan values are
+    Probe("inline_object", inline({}), 2, "error: profile.values[1]: expected a number, got {}\n"),
+    Probe("inline_string", inline("0.001"), 2, "error: profile.values[1]: expected a number, got '0.001'\n"),
+    Probe("inline_bool", inline(True), 2, "error: profile.values[1]: expected a number, got True\n"),
+    Probe("inline_huge", inline(10**400), 2, f"error: profile.values[1]: must be a finite number, got {10**400}\n"),
+    # the budget's message is built from integers, so a count beyond the float range still reads
+    Probe("truncation_huge", {"fock_truncation": 10**400}, 2,
+          (f"error: the Fock (N = {10**400}) oracle's 19200 steps would take about 576... s, above the work budget "
+           "of 60 s; lower fock_truncation, fock_substeps or the grid's sample count\n"),
+          shipped="gaussian_benchmark.json"),
+    # a tiny eta or dt asks for an infinite grid, refused before it is converted to a count
+    Probe("eta_tiny", {"scan": {"kind": "eta", "values": [0.01, 5e-324]}}, 2,
+          "error: eta=4.94066e-324 needs a grid of inf samples, above the budget of 100000000; raise eta or dt\n",
+          shipped="adiabatic_scan.json"),
+    Probe("dt_tiny", {"scan": {"kind": "eta", "values": [0.01], "dt": 5e-324}}, 2,
+          "error: eta=0.01 needs a grid of inf samples, above the budget of 100000000; raise eta or dt\n",
+          shipped="adiabatic_scan.json"),
+    # dE = 0 has no logarithm: the slopes are NaN, without a warning
+    Probe("eta_scan_zero_gamma", {"profile": {"type": "symmetric_ramp", "gamma": 0.0, "eta": 1.0},
+                                  "scan": {"kind": "eta", "values": [0.01, 0.1]}}, 0, shipped="adiabatic_scan.json"),
+    # repeated etas have no slope: refused by the library's scan rule at config.scan
+    Probe("eta_repeated", {"scan": {"kind": "eta", "values": [0.01, 0.1, 0.01]}}, 2,
+          "error: config.scan: etas[2] repeats 0.01; a slope needs distinct etas\n", shipped="adiabatic_scan.json"),
     # the cap of N = 83 is gone: N = 84 runs 20 steps in about 40 ms
     Probe("truncation_84", pulse(profile={"type": "gaussian_pulse", "q0": 0.01, "tau": 0.01},
                                  grid={"t_start": -0.1, "t_end": 0.1, "n_samples": 21},

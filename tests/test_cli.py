@@ -414,8 +414,8 @@ class TestRangesAndSampleBudget:
             (eta_scan_config(tail_rel=-1.0), r"scan\.tail_rel"),
             (small_benchmark(tail_rel=2.0), r"config\.tail_rel"),
             (small_benchmark(tail_rel=0.0), r"config\.tail_rel"),
-            (eta_scan_config(dt=0.0), r"scan\.dt"),
-            (eta_scan_config(dt=-0.1), r"scan\.dt"),
+            (eta_scan_config(dt=0.0), r"^error: config\.scan: dt must be finite and positive, got 0\.0\n$"),
+            (eta_scan_config(dt=-0.1), r"^error: config\.scan: dt must be finite and positive, got -0\.1\n$"),
             # json.loads accepts NaN and Infinity; they are refused at load time
             (small_benchmark(profile={"type": "gaussian_pulse", "q0": float("nan"), "tau": 1.0}),
              r"profile\.q0: must be a finite number"),
@@ -440,7 +440,7 @@ class TestRangesAndSampleBudget:
             (small_benchmark(grid="x"), r"^error: config\.grid: expected dict, got str\n$"),
             (small_benchmark(scan={"kind": "bogus", "values": [0.1]}),
              r"^error: scan\.kind: expected 'eta' or 'amplitude', got 'bogus'\n$"),
-            (eta_scan_config(values=[0.1, -1.0]), r"^error: scan\.values\[1\]: eta must be positive, got -1\.0\n$"),
+            (eta_scan_config(values=[0.1, -1.0]), r"^error: config\.scan: etas\[1\] must be positive, got -1\.0\n$"),
             ("[1, 2]", r"^error: scenario\.json: top level must be a JSON object\n$"),
         ],
     )

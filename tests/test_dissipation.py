@@ -222,7 +222,7 @@ class TestCompareRoutes:
         assert report.validity_flag
 
     def test_unknown_route_rejected(self):
-        with pytest.raises(ValueError, match="unknown routes"):
+        with pytest.raises(ValueError, match=r"^unknown route 'kubo' at routes\[1\]; valid tokens are \['barton', "):
             compare_routes(zero_signal(), PARAMS, routes=("barton", "kubo"))
         with pytest.raises(ValueError, match="at least one"):
             compare_routes(zero_signal(), PARAMS, routes=())
@@ -301,12 +301,20 @@ class TestAdiabaticScan:
         with pytest.raises(TypeError, match="ramp"):
             adiabatic_scan(GaussianPulse(q0=1.0, tau=1.0), [0.01], PARAMS)
 
-    def test_rejects_empty_or_nonpositive_etas(self):
+    def test_rejects_empty_nonpositive_or_repeated_etas(self):
         ramp = SymmetricRamp(gamma=1.0, eta=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^etas must be a nonempty sequence"):
             adiabatic_scan(ramp, [], PARAMS)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^etas\[1\] must be positive, got -0\.2$"):
             adiabatic_scan(ramp, [0.1, -0.2], PARAMS)
+        # two equal etas leave the log-log fit without a slope
+        with pytest.raises(ValueError, match=r"^etas\[2\] repeats 0\.1; a slope needs distinct etas$"):
+            adiabatic_scan(ramp, [0.1, 0.05, 0.1], PARAMS)
+
+    def test_a_zero_delta_e_has_nan_slopes_and_no_warning(self):
+        result = adiabatic_scan(SymmetricRamp(gamma=0.0, eta=1.0), [0.1, 0.2], PARAMS, routes=("hb",))
+        assert list(result.delta_e) == [0.0, 0.0]
+        assert np.isnan(result.slope_delta_e) and np.isnan(result.slope_delta_e_times_eta)
 
     def test_huge_dt_cannot_resolve_the_tails(self):
         with pytest.raises(TailSpanError):
@@ -338,6 +346,12 @@ class TestScanPreflight:
     def test_bad_dt_is_refused_with_its_value(self, dt):
         with pytest.raises(ValueError, match=rf"dt must be finite and positive, got {dt!r}"):
             adiabatic_scan(SymmetricRamp(gamma=1.0, eta=1.0), [0.1], PARAMS, dt=dt)
+
+    @pytest.mark.parametrize("etas, dt", [([0.1, 5e-324], None), ([0.1], 5e-324)])
+    def test_a_tiny_eta_or_dt_is_refused_as_a_grid_over_the_budget(self, etas, dt):
+        # the span over dt is inf: refused before it is converted to a sample count
+        with pytest.raises(ValueError, match=r"needs a grid of inf samples, above the budget of 100000000; raise eta"):
+            adiabatic_scan(SymmetricRamp(gamma=1.0, eta=1.0), etas, PARAMS, dt=dt)
 
     def test_tail_rel_out_of_range_names_the_value_given(self):
         with pytest.raises(ValueError, match=r"got -1\.0"):

@@ -349,7 +349,7 @@ class TestEvolveFock:
         monkeypatch.setattr("casfric.oracle._substep_coupling", no_allocation)
         monkeypatch.setattr("casfric.oracle._ladder_position", no_allocation)
         message = (rf"^the Fock \(N = {truncation}\) oracle's {200 * dt_substeps} steps would take about .* s, "
-                   r"above the work budget of 60 s; lower fock_truncation, fock_substeps or n_samples$")
+                   r"above the work budget of 60 s; lower fock_truncation, fock_substeps or the grid's sample count$")
         with pytest.raises(ValueError, match=message):
             evolve_fock(zero_signal(), PARAMS, truncation=truncation, dt_substeps=dt_substeps)
 
@@ -406,6 +406,14 @@ class TestWorkBudget:
         with pytest.raises(ValueError, match=rf" {steps + 1} steps would take about 60 s, above the work budget"):
             _substeps(TimeGrid(0.0, 1.0, steps + 2), 1, truncation)
 
+    @pytest.mark.parametrize("substeps, truncation, run", [
+        (1, 10**400, rf"Fock \(N = {10**400}\) oracle's 10 steps"),
+        (10**400, None, rf"mode oracle's {10**401} steps"),
+    ], ids=["fock", "mode"])
+    def test_counts_beyond_the_float_range_are_refused_in_integers(self, substeps, truncation, run):
+        with pytest.raises(ValueError, match=rf"^the {run} would take about \d+ s, above the work budget of 60 s"):
+            _substeps(TimeGrid(0.0, 1.0, 11), substeps, truncation)
+
     def test_numpy_counts_cannot_wrap(self):
         # (2^40 - 1) * 2^30 wraps to a negative int64
         with pytest.raises(ValueError, match="above the work budget"):
@@ -417,8 +425,8 @@ class TestWorkBudget:
 
         monkeypatch.setattr("casfric.oracle._finite_range", no_allocation)
         monkeypatch.setattr("casfric.oracle._substep_coupling", no_allocation)
-        message = (r"^the mode oracle's 2000000000000 steps would take about 2.94e\+05 s, "
-                   r"above the work budget of 60 s; lower mode_substeps or n_samples$")
+        message = (r"^the mode oracle's 2000000000000 steps would take about 294000 s, "
+                   r"above the work budget of 60 s; lower mode_substeps or the grid's sample count$")
         for sign in (+1, -1):
             with pytest.raises(ValueError, match=message):
                 evolve_mode(zero_signal(), PARAMS, sign, substeps=10**10)
