@@ -247,6 +247,8 @@ def load_config(path) -> Scenario:
     grid = None
     if raw.get("grid") is not None:
         grid = _build_grid(_expect(raw, "grid", "config", dict))
+        if isinstance(profile, CouplingSignal):  # the signal's own rule: no query outside its span
+            _construct(profile.evaluate, "config.grid", [grid.t_start, grid.t_end])
     elif not eta_scan:
         raise ConfigError("config.grid: required unless the scenario is an eta scan")
 

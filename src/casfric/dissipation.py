@@ -494,7 +494,10 @@ def adiabatic_scan(
 
 
 def _log_log_slope(etas: np.ndarray, values: np.ndarray) -> float:
-    """Slope of log(values) on log(etas); NaN, without a warning, for one point or a value <= 0."""
+    """Slope of log(values) on log(etas); NaN, without a warning, for one point,
+    a value <= 0, or etas too close for the fit to have rank 2."""
     if len(etas) < 2 or not np.all(values > 0.0):
         return float("nan")
-    return float(np.polyfit(np.log(etas), np.log(values), 1)[0])
+    # full=True returns the rank instead of warning on a rank-deficient fit
+    (slope, _), _, rank, _, _ = np.polyfit(np.log(etas), np.log(values), 1, full=True)
+    return float("nan") if rank < 2 else float(slope)

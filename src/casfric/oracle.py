@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, TimeGrid, _finite_delta_e, _require_integer, ladder_factor
+from .core import MAX_GRID_SAMPLES, PhysicalParams, TimeGrid, _finite_delta_e, _require_integer, ladder_factor
 from .coupling import CouplingSignal, _finite_range, _require_signal
 from .errors import InvertedModeError, NormDriftError, NumericalFailure
 
@@ -101,24 +101,38 @@ _RK4_IMAGINARY_LIMIT = 2.0 * 2.0**0.5
 # at N = 2, 1.86 ms at N = 83), a two-sign mode step about 147 ns.
 _WORK_BUDGET_NS = 60 * 10**9
 
+# Most memory one Fock run may hold: the 0.8 GB MAX_GRID_SAMPLES allows a
+# signal.  Once lefts holds one step (from N = 52) evolve_fock peaks at 56
+# floats per (N+1)^2: x 1, right 12, left 3, lefts 9, products 6, the two
+# RK4 stacks 20 and stage_input 2, then the returned amplitudes 2 and
+# norm_drift's |amplitudes| 1 (tracemalloc reads 56.0 at N = 300).  So
+# N = 1335 is the largest truncation.
+_MEMORY_BUDGET_BYTES = 8 * MAX_GRID_SAMPLES
+_FOCK_BYTES_PER_LEVEL_PAIR = 8 * 56
+
 
 def _substeps(grid: TimeGrid, substeps: int, truncation=None):
     """Substep h = dt/substeps and the (n_samples - 1)*substeps steps of an
     oracle run on ``grid``: evolve_fock's at ``truncation``, else the mode
     oracle's.  ValueError, before the run allocates anything, for a count
-    that is not an integer or steps that cost above _WORK_BUDGET_NS, in
-    Python integers so that nothing wraps."""
+    that is not an integer, steps that cost above _WORK_BUDGET_NS, or a
+    Fock run whose arrays take above _MEMORY_BUDGET_BYTES, in Python
+    integers so that nothing wraps."""
     if truncation is None:
-        step_ns, run, knobs = 147, "mode", "mode_substeps"
+        step_ns, run, knobs, fock_bytes = 147, "mode", "mode_substeps", 0
     else:
         _require_integer(truncation, "truncation", 2)
-        step_ns = 10_000 + 3 * (operator.index(truncation) + 1) ** 3
+        levels = operator.index(truncation) + 1
+        step_ns, fock_bytes = 10_000 + 3 * levels**3, _FOCK_BYTES_PER_LEVEL_PAIR * levels**2
         run, knobs = f"Fock (N = {truncation})", "fock_truncation, fock_substeps"
     _require_integer(substeps, "substeps", 1)
     steps = (operator.index(grid.n_samples) - 1) * operator.index(substeps)
     if steps * step_ns > _WORK_BUDGET_NS:  # in whole seconds: a count beyond the float range still formats
         raise ValueError(f"the {run} oracle's {steps} steps would take about {steps * step_ns // 10**9} s, above "
                          f"the work budget of {_WORK_BUDGET_NS // 10**9} s; lower {knobs} or the grid's sample count")
+    if fock_bytes > _MEMORY_BUDGET_BYTES:
+        raise ValueError(f"the {run} oracle's arrays would take {fock_bytes} bytes, above the memory "
+                         f"budget of {_MEMORY_BUDGET_BYTES} bytes; lower fock_truncation")
     return grid.dt / substeps, steps
 
 

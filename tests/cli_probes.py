@@ -10,7 +10,9 @@ checked with the runtime dependencies only:
 
 Expected stderr is literal text in which ``{dir}`` stands for the
 directory the probe's files are written to and ``...`` for any text
-within a line; it must match the whole of stderr.
+within a line (a platform-dependent number); it must match the whole of
+stderr.  Each probe also states whether ``load_config`` refuses its
+config: then the refusal's ``error:`` line is the whole expected stderr.
 """
 import json
 import re
@@ -27,12 +29,13 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 @dataclass(frozen=True)
 class Probe:
     name: str
-    config: dict  # the config, or the top-level edits of ``shipped``
+    config: dict | str  # the config, the top-level edits of ``shipped``, or raw text
     code: int
     stderr: str = ""
     shipped: str | None = None  # a shipped config that ``config`` edits
     csv: Callable | None = None  # the shipped CSV's lines -> the lines of <name>.csv
     args: tuple = ()  # extra CLI arguments; {dir} as in stderr
+    loads: bool = True  # whether load_config accepts the config
 
 
 def pulse(**edits):
@@ -43,24 +46,50 @@ def pulse(**edits):
             "routes": ["hb"], **edits}
 
 
+def without(key):
+    """The pulse without its top-level ``key``."""
+    return {name: value for name, value in pulse().items() if name != key}
+
+
+def eta_scan(**scan):
+    """A symmetric ramp's eta scan through hb at eta = 0.1, with ``scan``'s keys replaced."""
+    return {"params": {"mass": 1.0, "omega": 1.0},
+            "profile": {"type": "symmetric_ramp", "gamma": 0.001, "eta": 1.0},
+            "routes": ["hb"], "scan": {"kind": "eta", "values": [0.1], **scan}}
+
+
 def ramp(kind, t_start, **rates):
     """A ramp through hb on 101 samples from ``t_start`` to 1e10."""
     return pulse(profile={"type": kind, **rates}, grid={"t_start": t_start, "t_end": 1e10, "n_samples": 101})
 
 
-def inline(value):
-    """A pulse whose inline sampled values hold ``value`` at index 1."""
-    return pulse(profile={"type": "sampled", "grid": {"t_start": -12.0, "t_end": 12.0, "n_samples": 5},
-                          "values": [0.0, value, 0.01, 0.005, 0.0]})
+def inline(value=0.005, **profile):
+    """A pulse whose inline sampled values hold ``value`` at index 1, with ``profile`` edits."""
+    return pulse(profile={"type": "sampled", "grid": INLINE_GRID, "values": [0.0, value, 0.01, 0.005, 0.0],
+                          **profile})
 
 
-def sampled(name, csv, code, stderr):
+def sampled(name, csv, code, stderr, **fields):
     """The shipped sampled config, reading <name>.csv made by ``csv`` from the shipped CSV."""
     config = {"profile": {"type": "sampled", "csv": f"{name}.csv"}}
-    return Probe(name, config, code, stderr, shipped="sampled_profile.json", csv=csv)
+    return Probe(name, config, code, stderr, shipped="sampled_profile.json", csv=csv, **fields)
+
+
+def table(probes):
+    """``probes`` by name; a name given twice is refused."""
+    by_name = {}
+    for probe in probes:
+        if probe.name in by_name:
+            raise ValueError(f"two probes are named {probe.name!r}")
+        by_name[probe.name] = probe
+    return by_name
 
 
 GRID_241 = {"t_start": -12.0, "t_end": 12.0, "n_samples": 241}
+GRID_41 = {"t_start": -2.0, "t_end": 2.0, "n_samples": 41}
+GRID_3201 = {"t_start": -40.0, "t_end": 40.0, "n_samples": 3201}
+INLINE_GRID = {"t_start": -12.0, "t_end": 12.0, "n_samples": 5}
+NAN, INF = float("nan"), float("inf")
 OVERFLOW = "numerical failure: {}: float overflow\n"
 NOT_FINITE = "error: signal values must be finite\n"
 MODE_UNSTABLE = ("numerical failure: mode {}: h*Omega_max = {} is above RK4's stability limit 2*sqrt(2) = 2.83; "
@@ -70,7 +99,7 @@ FOCK_OVER_BUDGET = ("error: the Fock (N = 10) oracle's {} steps would take about
 RAMP_3201 = pulse(profile={"type": "symmetric_ramp", "gamma": 0.05, "eta": 0.1},
                   grid={"t_start": -400.0, "t_end": 400.0, "n_samples": 3201}, routes=["hb", "mode_oracle"])
 
-PROBES = {probe.name: probe for probe in [
+PROBES = table([
     Probe("overflow", pulse(profile={"type": "gaussian_pulse", "q0": 1e308, "tau": 1.0}, routes=["barton", "hb"]),
           3, OVERFLOW.format("barton")),
     # every sample is finite; the trapezoid's pair sums overflow in hb alone too
@@ -87,7 +116,7 @@ PROBES = {probe.name: probe for probe in [
     # b = hbar/(2*mass*omega) overflows to inf: refused at load time
     Probe("tiny_mass", pulse(params={"mass": 5e-324, "omega": 1.0}, routes=["barton", "hb"]),
           2, ("error: params: b = hbar/(2*mass*omega) must be positive and finite, "
-             "got hbar=1.0, mass=5e-324, omega=1.0\n")),
+             "got hbar=1.0, mass=5e-324, omega=1.0\n"), loads=False),
     Probe("missing_out_dir", {}, 2, "error: --out {dir}/missing/report.csv: No such file or directory\n",
           shipped="flyby.json", args=("--out", "{dir}/missing/report.csv")),
     Probe("out_is_dir", {}, 2, "error: --out {dir}: Is a directory\n", shipped="flyby.json", args=("--out", "{dir}")),
@@ -100,23 +129,26 @@ PROBES = {probe.name: probe for probe in [
     Probe("zero_gap", pulse(params={"mass": 1.0, "omega": 1.85e-219, "hbar": 4.49e-252},
                             profile={"type": "flyby", "charge": 1e-150, "d": 1.0, "v": 1.0},
                             grid=GRID_241, routes=["fock_oracle"]),
-          2, "error: params: the gap 2*hbar*omega underflows to 0, got hbar=4.49e-252, omega=1.85e-219\n"),
+          2, "error: params: the gap 2*hbar*omega underflows to 0, got hbar=4.49e-252, omega=1.85e-219\n",
+          loads=False),
     # 2*hbar*omega overflows to inf while b = 5e299 is finite: refused at load time
     Probe("gap_overflow", pulse(params={"mass": 1e-10, "omega": 1e10, "hbar": 1e300},
                                 profile={"type": "gaussian_pulse", "q0": 1e-30, "tau": 1e-9},
                                 grid={"t_start": -1.2e-8, "t_end": 1.2e-8, "n_samples": 4801},
                                 routes=["hb", "mode_oracle", "fock_oracle"], fock_truncation=4, fock_substeps=4),
-          2, "error: params: the gap 2*hbar*omega overflows to inf, got hbar=1e+300, omega=10000000000.0\n"),
+          2, "error: params: the gap 2*hbar*omega overflows to inf, got hbar=1e+300, omega=10000000000.0\n",
+          loads=False),
     # hb's transform is finite; its product with b/hbar = 5e299 overflows
     Probe("hb_overflow", pulse(params={"mass": 1e-300, "omega": 1.0},
                                profile={"type": "gaussian_pulse", "q0": 1e10, "tau": 1.0}),
           3, OVERFLOW.format("hb")),
     # the coupling strength is the profile's: params has no charge field
     Probe("params_charge", pulse(params={"mass": 1.0, "omega": 1.0, "charge": 1.0}),
-          2, "error: params.charge: unknown field; valid fields are ['mass', 'omega', 'hbar']\n"),
+          2, "error: params.charge: unknown field; valid fields are ['mass', 'omega', 'hbar']\n", loads=False),
     # d**2 underflows to 0, so the flyby's peak charge^2/d^3 is infinite: refused at load time
     Probe("flyby_peak", pulse(profile={"type": "flyby", "charge": 1.0, "d": 2.1e-262, "v": 1.0}, grid=GRID_241),
-          2, "error: profile: Flyby.d must give a finite peak coupling charge^2/d^3, got d=2.1e-262 with charge=1.0\n"),
+          2, "error: profile: Flyby.d must give a finite peak coupling charge^2/d^3, got d=2.1e-262 with charge=1.0\n",
+          loads=False),
     # the mode oracle's transfer-matrix product would overflow, but h*Omega is
     # far past RK4's stability limit: refused before the sweep begins
     Probe("mode_unstable", pulse(params={"mass": 1.0, "omega": 3.23e48},
@@ -140,7 +172,7 @@ PROBES = {probe.name: probe for probe in [
           3, "numerical failure: Omega^2 <= 0 for mode -1: max q = 1e+10 reaches m*w^2 = 1\n"),
     # a NaN time in data row 500 of the shipped CSV: the loader's spacing tests both read false on it
     sampled("nan_time", lambda rows: [*rows[:500], "nan," + rows[500].split(",")[1], *rows[501:]],
-            2, "error: profile: {dir}/nan_time.csv: times must be finite\n"),
+            2, "error: profile: {dir}/nan_time.csv: times must be finite\n", loads=False),
     # two blocks (2 * BLOCK_SAMPLES + 1 samples) whose pair sums are finite
     # (about 1.42e308 each) but overflow when added
     Probe("block_sum_overflow", pulse(params={"mass": 1.0, "omega": 1e-3},
@@ -149,15 +181,17 @@ PROBES = {probe.name: probe for probe in [
           3, OVERFLOW.format("hb")),
     # t_end - t_start overflows to inf: refused at load time
     Probe("span_overflow", pulse(grid={"t_start": -1e308, "t_end": 1e308, "n_samples": 3}),
-          2, "error: grid: the span t_end - t_start overflows, got [-1e+308, 1e+308]\n"),
+          2, "error: grid: the span t_end - t_start overflows, got [-1e+308, 1e+308]\n", loads=False),
     # three times at -1e308, 0 and 1e308: the span of the implied grid overflows
     sampled("extreme_times", lambda rows: [rows[0], "-1e308,0.0", "0.0,0.001", "1e308,0.0"],
-            2, "error: profile: the span t_end - t_start overflows, got [-1e+308, 1e+308]\n"),
+            2, "error: profile: the span t_end - t_start overflows, got [-1e+308, 1e+308]\n", loads=False),
     # a header and no data row: refused as too few samples, without np.loadtxt's warning
-    sampled("no_data", lambda rows: rows[:1], 2, "error: profile: {dir}/no_data.csv: need at least two samples\n"),
+    sampled("no_data", lambda rows: rows[:1], 2, "error: profile: {dir}/no_data.csv: need at least two samples\n",
+            loads=False),
     # charge**2 and d**2 underflow to 0, so the flyby's peak is 0/0: refused at load time
     Probe("flyby_underflow", pulse(profile={"type": "flyby", "charge": 1e-200, "d": 1e-200, "v": 1.0}, grid=GRID_241),
-          2, "error: profile: Flyby.d must give a finite peak coupling charge^2/d^3, got d=1e-200 with charge=1e-200\n"),
+          2, "error: profile: Flyby.d must give a finite peak coupling charge^2/d^3, got d=1e-200 with charge=1e-200\n",
+          loads=False),
     # eta*|t| overflows, so exp gives 0 and q = 0: exit 0
     Probe("symmetric_eta", ramp("symmetric_ramp", -1e10, gamma=1.0, eta=1e300), 0),
     Probe("exponential_eta", ramp("exponential_ramp", 0.0, gamma=1.0, eta=1e300), 0),
@@ -165,12 +199,12 @@ PROBES = {probe.name: probe for probe in [
     Probe("symmetric_gamma", ramp("symmetric_ramp", -1e10, gamma=1e300, eta=1e-300), 2, NOT_FINITE),
     Probe("exponential_gamma", ramp("exponential_ramp", 0.0, gamma=1e300, eta=1e-300), 2, NOT_FINITE),
     # scan and grid must be JSON objects; a null one still means absent
-    Probe("scan_not_object", pulse(scan=5), 2, "error: config.scan: expected dict, got int\n"),
-    Probe("grid_not_object", pulse(grid=5), 2, "error: config.grid: expected dict, got int\n"),
+    Probe("scan_not_object", pulse(scan=5), 2, "error: config.scan: expected dict, got int\n", loads=False),
+    Probe("grid_not_object", pulse(grid=5), 2, "error: config.grid: expected dict, got int\n", loads=False),
     # a null grid is absent in an eta scan; a null tail_rel is not a number
     Probe("eta_grid_null", {"grid": None}, 0, shipped="adiabatic_scan.json"),
     Probe("eta_tail_rel_null", {"tail_rel": None}, 2, "error: config.tail_rel: expected a number, got None\n",
-          shipped="adiabatic_scan.json"),
+          shipped="adiabatic_scan.json", loads=False),
     # a run the work budget refuses exits 2 before any route runs: 4.8e12
     # mode steps would take days and ask for 70 GB of chunk products
     Probe("mode_over_budget", {"mode_substeps": 10**9, "routes": ["hb", "mode_oracle"]}, 2,
@@ -185,10 +219,12 @@ PROBES = {probe.name: probe for probe in [
                                    "scan": {"kind": "eta", "values": [2.0, 1e-4]}},
           2, FOCK_OVER_BUDGET.format(28091788, 393), shipped="adiabatic_scan.json"),
     # inline sampled values are numbers, checked at their index as scan values are
-    Probe("inline_object", inline({}), 2, "error: profile.values[1]: expected a number, got {}\n"),
-    Probe("inline_string", inline("0.001"), 2, "error: profile.values[1]: expected a number, got '0.001'\n"),
-    Probe("inline_bool", inline(True), 2, "error: profile.values[1]: expected a number, got True\n"),
-    Probe("inline_huge", inline(10**400), 2, f"error: profile.values[1]: must be a finite number, got {10**400}\n"),
+    Probe("inline_object", inline({}), 2, "error: profile.values[1]: expected a number, got {}\n", loads=False),
+    Probe("inline_string", inline("0.001"), 2, "error: profile.values[1]: expected a number, got '0.001'\n",
+          loads=False),
+    Probe("inline_bool", inline(True), 2, "error: profile.values[1]: expected a number, got True\n", loads=False),
+    Probe("inline_huge", inline(10**400), 2, f"error: profile.values[1]: must be a finite number, got {10**400}\n",
+          loads=False),
     # the budget's message is built from integers, so a count beyond the float range still reads
     Probe("truncation_huge", {"fock_truncation": 10**400}, 2,
           (f"error: the Fock (N = {10**400}) oracle's 19200 steps would take about 576... s, above the work budget "
@@ -206,13 +242,172 @@ PROBES = {probe.name: probe for probe in [
                                   "scan": {"kind": "eta", "values": [0.01, 0.1]}}, 0, shipped="adiabatic_scan.json"),
     # repeated etas have no slope: refused by the library's scan rule at config.scan
     Probe("eta_repeated", {"scan": {"kind": "eta", "values": [0.01, 0.1, 0.01]}}, 2,
-          "error: config.scan: etas[2] repeats 0.01; a slope needs distinct etas\n", shipped="adiabatic_scan.json"),
+          "error: config.scan: etas[2] repeats 0.01; a slope needs distinct etas\n", shipped="adiabatic_scan.json",
+          loads=False),
     # the cap of N = 83 is gone: N = 84 runs 20 steps in about 40 ms
     Probe("truncation_84", pulse(profile={"type": "gaussian_pulse", "q0": 0.01, "tau": 0.01},
                                  grid={"t_start": -0.1, "t_end": 0.1, "n_samples": 21},
                                  routes=["hb", "fock_oracle"], fock_truncation=84, fock_substeps=1),
           0),
-]}
+    # a config that is not JSON is refused at its line and column; JSON that
+    # is not an object, as a whole
+    Probe("invalid_json", '{\n  "params": {,}\n}', 2,
+          ("error: invalid_json.json: invalid JSON at line 2, column 14: "
+           "Expecting property name enclosed in double quotes\n"), loads=False),
+    Probe("top_level_list", "[1, 2]", 2, "error: top_level_list.json: top level must be a JSON object\n", loads=False),
+    # every refusal at load time names the config path of the field at fault
+    Probe("missing_profile", without("profile"), 2, "error: config.profile: missing required field\n", loads=False),
+    Probe("missing_omega", pulse(params={"mass": 1.0}), 2, "error: params.omega: missing required field\n",
+          loads=False),
+    Probe("missing_grid", without("grid"), 2, "error: config.grid: required unless the scenario is an eta scan\n",
+          loads=False),
+    Probe("params_not_object", pulse(params=5), 2, "error: config.params: expected dict, got int\n", loads=False),
+    Probe("negative_mass", pulse(params={"mass": -1.0, "omega": 1.0}), 2,
+          "error: params: mass must be finite and positive, got -1.0\n", loads=False),
+    Probe("unknown_profile", pulse(profile={"type": "square_wave", "q0": 1.0}), 2,
+          ("error: profile.type: unknown profile type 'square_wave'; valid types are "
+           "['exponential_ramp', 'symmetric_ramp', 'gaussian_pulse', 'flyby', 'sampled']\n"), loads=False),
+    Probe("unknown_route", pulse(routes=["barton", "kubo"]), 2,
+          ("error: config.routes: unknown route 'kubo' at routes[1]; "
+           "valid tokens are ['barton', 'hb', 'mode_oracle', 'fock_oracle']\n"), loads=False),
+    Probe("empty_routes", pulse(routes=[]), 2, "error: config.routes: at least one route must be selected\n",
+          loads=False),
+    Probe("tail_rel_null", pulse(tail_rel=None), 2, "error: config.tail_rel: expected a number, got None\n",
+          loads=False),
+    # json.loads accepts NaN, Infinity and integers beyond the float range; each is refused at its path
+    Probe("q0_nan", pulse(profile={"type": "gaussian_pulse", "q0": NAN, "tau": 1.0}), 2,
+          "error: profile.q0: must be a finite number, got nan\n", loads=False),
+    Probe("mass_inf", pulse(params={"mass": INF, "omega": 1.0}), 2,
+          "error: params.mass: must be a finite number, got inf\n", loads=False),
+    Probe("mass_huge", pulse(params={"mass": 10**400, "omega": 1.0}), 2,
+          f"error: params.mass: must be a finite number, got {10**400}\n", loads=False),
+    Probe("t_start_inf", pulse(grid={"t_start": -INF, "t_end": 12.0, "n_samples": 481}), 2,
+          "error: grid.t_start: must be a finite number, got -inf\n", loads=False),
+    Probe("amplitude_nan", pulse(scan={"kind": "amplitude", "values": [0.01, NAN]}), 2,
+          "error: scan.values[1]: must be a finite number, got nan\n", loads=False),
+    Probe("eta_nan", eta_scan(values=[0.1, NAN]), 2, "error: scan.values[1]: must be a finite number, got nan\n",
+          loads=False),
+    # a Python float square raises instead of overflowing to inf
+    Probe("flyby_charge_square", pulse(profile={"type": "flyby", "charge": 1e200, "d": 1.0, "v": 1.0}), 2,
+          "error: profile: Flyby.charge must have a finite square, got 1e+200\n", loads=False),
+    Probe("flyby_d_square", pulse(profile={"type": "flyby", "charge": 1.0, "d": 1e200, "v": 1.0}), 2,
+          "error: profile: Flyby.d must have a finite square, got 1e+200\n", loads=False),
+    Probe("grid_over_budget", pulse(grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 100_000_001}), 2,
+          "error: grid.n_samples: 100000001 is above the budget of 100000000 samples\n", loads=False),
+    # tail_rel is in (0, 1), by the library's rule at its path, quoting the value given
+    Probe("tail_rel_above_one", pulse(tail_rel=2.0), 2, "error: config.tail_rel: tail_rel must be in (0, 1), got 2.0\n",
+          loads=False),
+    Probe("tail_rel_zero", pulse(tail_rel=0.0), 2, "error: config.tail_rel: tail_rel must be in (0, 1), got 0.0\n",
+          loads=False),
+    Probe("scan_tail_rel_above_one", eta_scan(tail_rel=2.0), 2,
+          "error: scan.tail_rel: tail_rel must be in (0, 1), got 2.0\n", loads=False),
+    Probe("scan_tail_rel_negative", eta_scan(tail_rel=-1.0), 2,
+          "error: scan.tail_rel: tail_rel must be in (0, 1), got -1.0\n", loads=False),
+    Probe("scan_tail_rel_below_span_floor", eta_scan(tail_rel=1e-322), 2,
+          "error: scan.tail_rel: tail_rel=1e-322 is too small: the span solve needs at least ~6.05e-307\n",
+          loads=False),
+    # an unknown key is refused at its path, in every object of the config
+    Probe("unknown_top_key", pulse(fock_trunction=500), 2,
+          ("error: config.fock_trunction: unknown field; valid fields are ['scenario_id', 'params', 'profile', "
+           "'grid', 'routes', 'scan', 'fock_truncation', 'fock_substeps', 'mode_substeps', 'tail_rel']\n"),
+          loads=False),
+    Probe("unknown_grid_key", pulse(grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 481, "n_sampels": 11}), 2,
+          "error: grid.n_sampels: unknown field; valid fields are ['t_start', 't_end', 'n_samples']\n", loads=False),
+    Probe("unknown_profile_key", pulse(profile={"type": "gaussian_pulse", "q0": 0.01, "tau": 1.0, "eta": 1.0}), 2,
+          "error: profile.eta: unknown field; valid fields are ['type', 'q0', 'tau']\n", loads=False),
+    Probe("unknown_inline_grid_key", inline(grid={**INLINE_GRID, "n_sampels": 9}), 2,
+          "error: profile.grid.n_sampels: unknown field; valid fields are ['t_start', 't_end', 'n_samples']\n",
+          loads=False),
+    Probe("unknown_scan_key", eta_scan(tail_rle=1e-3), 2,
+          "error: scan.tail_rle: unknown field; valid fields are ['kind', 'values', 'dt', 'tail_rel']\n", loads=False),
+    # an amplitude scan runs on config.grid: dt is not one of its keys
+    Probe("amplitude_scan_dt", pulse(scan={"kind": "amplitude", "values": [0.01], "dt": 0.1}), 2,
+          "error: scan.dt: unknown field; valid fields are ['kind', 'values']\n", loads=False),
+    # a sampled profile is a csv or inline samples, and a csv has at least two data rows
+    Probe("csv_and_inline", inline(csv="samples.csv"), 2,
+          "error: profile: give either csv or grid and values, not both\n", loads=False),
+    sampled("csv_empty", lambda rows: [], 2, "error: profile: {dir}/csv_empty.csv: need at least two samples\n",
+            loads=False),
+    sampled("csv_blank_line", lambda rows: [rows[0], ""], 2,
+            "error: profile: {dir}/csv_blank_line.csv: need at least two samples\n", loads=False),
+    sampled("csv_one_row", lambda rows: rows[:2], 2,
+            "error: profile: {dir}/csv_one_row.csv: need at least two samples\n", loads=False),
+    # a signal is read only inside its sampled span, so config.grid must lie in it
+    Probe("sampled_grid_outside_span", {"profile": {"type": "sampled", "csv": str(CONFIG_DIR / "sampled_profile.csv")},
+                                        "grid": {"t_start": -20.0, "t_end": 20.0, "n_samples": 4001}},
+          2, "error: config.grid: query outside the sampled span [-10.0, 10.0]\n", shipped="sampled_profile.json",
+          loads=False),
+    # a count below its floor is refused even with its route off
+    Probe("fock_substeps_zero", pulse(fock_substeps=0), 2, "error: config.fock_substeps: must be >= 1, got 0\n",
+          loads=False),
+    Probe("fock_substeps_negative", pulse(fock_substeps=-1), 2, "error: config.fock_substeps: must be >= 1, got -1\n",
+          loads=False),
+    Probe("mode_substeps_zero", pulse(mode_substeps=0), 2, "error: config.mode_substeps: must be >= 1, got 0\n",
+          loads=False),
+    Probe("mode_substeps_negative", pulse(mode_substeps=-1), 2, "error: config.mode_substeps: must be >= 1, got -1\n",
+          loads=False),
+    # a scan is an eta scan of a ramp or an amplitude scan of a profile with an amplitude
+    Probe("scan_kind_bogus", pulse(scan={"kind": "bogus", "values": [0.1]}), 2,
+          "error: scan.kind: expected 'eta' or 'amplitude', got 'bogus'\n", loads=False),
+    Probe("empty_scan", pulse(scan={"kind": "amplitude", "values": []}), 2,
+          "error: scan.values: scan list must be nonempty\n", loads=False),
+    Probe("eta_scan_of_a_pulse", pulse(scan={"kind": "eta", "values": [0.1]}), 2,
+          "error: config.scan: adiabatic scans take a ramp family, got GaussianPulse\n", loads=False),
+    Probe("amplitude_scan_of_a_flyby", pulse(profile={"type": "flyby", "charge": 1.0, "d": 1.0, "v": 1.0},
+                                             scan={"kind": "amplitude", "values": [0.1]}),
+          2, "error: config.scan: Flyby has no amplitude parameter\n", loads=False),
+    Probe("eta_negative", eta_scan(values=[0.1, -1.0]), 2, "error: config.scan: etas[1] must be positive, got -1.0\n",
+          loads=False),
+    Probe("dt_zero", eta_scan(dt=0.0), 2, "error: config.scan: dt must be finite and positive, got 0.0\n",
+          loads=False),
+    Probe("dt_negative", eta_scan(dt=-0.1), 2, "error: config.scan: dt must be finite and positive, got -0.1\n",
+          loads=False),
+    # an eta scan builds its own grids and tests their tails at scan.tail_rel
+    Probe("eta_scan_with_grid", {**eta_scan(), "grid": {"t_start": -1.0, "t_end": 1.0, "n_samples": 3}}, 2,
+          "error: config.grid: an eta scan builds its own grids; set scan.dt instead\n", loads=False),
+    Probe("eta_scan_with_tail_rel", {**eta_scan(), "tail_rel": 0.999}, 2,
+          "error: config.tail_rel: an eta scan builds its own grids; set scan.tail_rel instead\n", loads=False),
+    # distinct etas whose logs are equal leave the fit rank 1: NaN slopes, without numpy's RankWarning
+    Probe("eta_nearly_equal", {"scan": {"kind": "eta", "values": [0.1, 0.10000000000000002]}}, 0,
+          shipped="adiabatic_scan.json"),
+    # an oracle that cannot resolve its run is exit 3 with one line, never a NaN
+    Probe("mode_inverted", pulse(profile={"type": "gaussian_pulse", "q0": 2.0, "tau": 1.0}, routes=["mode_oracle"]),
+          3, "numerical failure: Omega^2 <= 0 for mode -1: max q = 2 reaches m*w^2 = 1\n"),
+    Probe("fock_norm_drift", pulse(grid={"t_start": -8.0, "t_end": 8.0, "n_samples": 81}, routes=["fock_oracle"],
+                                   fock_truncation=6, fock_substeps=1),
+          3, "numerical failure: norm drifted by ... (> 1e-06); refine dt_substeps or raise the truncation\n"),
+    Probe("fock_diverges", pulse(profile={"type": "gaussian_pulse", "q0": 1e100, "tau": 1.0}, routes=["fock_oracle"],
+                                 fock_truncation=3, fock_substeps=2),
+          3, "numerical failure: norm drifted by nan (> 1e-06); refine dt_substeps or raise the truncation\n"),
+    # barton's overflow is named first, whatever overflows it: the ramp's
+    # gamma, the pulse's q0, or b = hbar/(2*mass*omega) = 5e299
+    Probe("ramp_overflow", pulse(profile={"type": "symmetric_ramp", "gamma": 1e300, "eta": 1.0},
+                                 grid=GRID_3201, routes=["barton", "hb", "mode_oracle"]),
+          3, OVERFLOW.format("barton")),
+    Probe("pulse_overflow", pulse(profile={"type": "gaussian_pulse", "q0": 1e200, "tau": 1.0},
+                                  grid=GRID_3201, routes=["barton", "hb", "mode_oracle"]),
+          3, OVERFLOW.format("barton")),
+    Probe("small_mass_overflow", pulse(params={"mass": 1e-300, "omega": 1.0},
+                                       profile={"type": "symmetric_ramp", "gamma": 0.001, "eta": 1.0},
+                                       grid=GRID_3201, routes=["barton", "hb", "mode_oracle"]),
+          3, OVERFLOW.format("barton")),
+    # one block whose two halves' pair sums (about 1.42e308 each) overflow when added
+    Probe("pair_sum_overflow", pulse(params={"mass": 1.0, "omega": 1e-3},
+                                     profile={"type": "gaussian_pulse", "q0": 8e307, "tau": 2.0},
+                                     grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 48001}),
+          3, OVERFLOW.format("hb")),
+    # unresolved tails are one warning line naming the flagged rows at the configured tail_rel, and exit 0
+    Probe("tails_unresolved", pulse(grid=GRID_41, routes=["mode_oracle", "fock_oracle"],
+                                    fock_truncation=4, fock_substeps=2),
+          0, "warning: row(s) 0: coupling at a grid endpoint above tail_rel=1e-10 of its peak\n"),
+    # exp(-4) = 1.8e-2 at the endpoints: flagged at 1e-3, not at 0.5
+    Probe("tails_flagged_at_tail_rel", pulse(grid=GRID_41, scan={"kind": "amplitude", "values": [0.01, 0.02]},
+                                             tail_rel=1e-3),
+          0, "warning: row(s) 0, 1: coupling at a grid endpoint above tail_rel=0.001 of its peak\n"),
+    Probe("tails_resolved_at_tail_rel", pulse(grid=GRID_41, scan={"kind": "amplitude", "values": [0.01, 0.02]},
+                                              tail_rel=0.5),
+          0),
+])
 
 
 def write_probe(probe, directory):
@@ -221,10 +416,10 @@ def write_probe(probe, directory):
     if probe.shipped is not None:
         config = {**json.loads((CONFIG_DIR / probe.shipped).read_text()), **config}
     path = Path(directory) / f"{probe.name}.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     if probe.csv is not None:
         rows = probe.csv((CONFIG_DIR / "sampled_profile.csv").read_text().splitlines())
-        path.with_suffix(".csv").write_text("\n".join(rows) + "\n")
+        path.with_suffix(".csv").write_text("".join(f"{row}\n" for row in rows))
     return [str(path), *(arg.replace("{dir}", str(directory)) for arg in probe.args)]
 
 

@@ -316,6 +316,17 @@ class TestAdiabaticScan:
         assert list(result.delta_e) == [0.0, 0.0]
         assert np.isnan(result.slope_delta_e) and np.isnan(result.slope_delta_e_times_eta)
 
+    def test_etas_too_close_for_a_fit_have_nan_slopes_and_no_warning(self):
+        # distinct etas with equal logs: the fit has rank 1, where numpy's
+        # plain polyfit warns and returns a meaningless slope
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = adiabatic_scan(SymmetricRamp(gamma=0.001, eta=1.0), [0.1, 0.10000000000000002], PARAMS,
+                                    routes=("hb",))
+        assert caught == []
+        assert np.all(result.delta_e > 0.0)
+        assert np.isnan(result.slope_delta_e) and np.isnan(result.slope_delta_e_times_eta)
+
     def test_huge_dt_cannot_resolve_the_tails(self):
         with pytest.raises(TailSpanError):
             adiabatic_scan(SymmetricRamp(gamma=1.0, eta=1.0), [0.1], PARAMS, dt=1e4)

@@ -419,6 +419,24 @@ class TestWorkBudget:
         with pytest.raises(ValueError, match="above the work budget"):
             _substeps(TimeGrid(0.0, 1.0, np.int64(2**40)), np.int64(2**30))
 
+    def test_a_fock_run_over_the_memory_budget_is_refused_before_any_allocation(self, monkeypatch):
+        """One step at N = 1335 is in both budgets and reaches the first
+        allocation (patched out); N = 1336 would hold 56 floats per
+        (N+1)^2, above the 0.8 GB a signal may take."""
+        class Allocated(Exception):
+            pass
+
+        def allocated(*args):
+            raise Allocated
+
+        monkeypatch.setattr("casfric.oracle._ladder_position", allocated)
+        with pytest.raises(Allocated):
+            evolve_fock(zero_signal(n=2), PARAMS, truncation=1335)
+        message = (r"^the Fock \(N = 1336\) oracle's arrays would take 800830912 bytes, "
+                   r"above the memory budget of 800000000 bytes; lower fock_truncation$")
+        with pytest.raises(ValueError, match=message):
+            evolve_fock(zero_signal(n=2), PARAMS, truncation=1336)
+
     def test_the_mode_oracle_refuses_before_any_allocation(self, monkeypatch):
         def no_allocation(*args):
             raise AssertionError("the samples were read")
