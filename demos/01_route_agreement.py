@@ -12,7 +12,8 @@ after the pulse is computed by:
 
 The two first-order routes differ only in where the oscillatory factor
 sits, so they must agree to rounding.  The oracles are non-perturbative;
-their offset from first order is the real O(q0^2) correction.
+their offset from first order is the real relative O(q0^2) correction
+plus a bias of the sampled grid that does not depend on q0.
 """
 import numpy as np
 
@@ -20,6 +21,7 @@ from casfric import (
     GaussianPulse,
     PhysicalParams,
     TimeGrid,
+    amplitude_scan,
     compare_routes,
     sample,
 )
@@ -30,13 +32,13 @@ grid = TimeGrid(-12.0, 12.0, 4801)
 print(__doc__)
 print(f"{'q0':>8} | {'barton':>13} {'hb':>13} {'mode':>13} {'fock':>13} | {'spread':>9}")
 print("-" * 82)
-for q0 in (1e-3, 3e-3, 1e-2, 3e-2):
-    signal = sample(GaussianPulse(q0=q0, tau=1.0), grid)
-    rep = compare_routes(
-        signal, params,
-        routes=("barton", "hb", "mode_oracle", "fock_oracle"),
-        fock_truncation=8, fock_substeps=2,
-    )
+amplitudes = (1e-3, 3e-3, 1e-2, 3e-2)
+reports = amplitude_scan(
+    GaussianPulse(q0=amplitudes[0], tau=1.0), amplitudes, grid, params,
+    routes=("barton", "hb", "mode_oracle", "fock_oracle"),
+    fock_truncation=8, fock_substeps=2,
+)
+for q0, rep in zip(amplitudes, reports):
     print(
         f"{q0:8.0e} | {rep.delta_e_time_domain:13.6e} {rep.delta_e_spectral:13.6e} "
         f"{rep.delta_e_mode_oracle:13.6e} {rep.delta_e_fock_oracle:13.6e} "
@@ -49,6 +51,13 @@ print()
 print("first-order routes on the shared grid:")
 print(f"  |barton - hb| / dE = {abs(rep.delta_e_time_domain - rep.delta_e_spectral) / rep.delta_e_time_domain:.1e}")
 print()
-print("The spread column is dominated by the exact-vs-first-order gap,")
-print("which shrinks quadratically with the pulse amplitude; the two")
-print("first-order routes themselves agree to machine rounding.")
+x = params.omega * grid.dt
+bias = (np.sin(x) / x) ** 4 - 1.0
+print("The spread column is the exact-vs-first-order gap, in two parts.")
+print("The oracles read q through the grid's linear interpolant, which")
+print(f"scales their dE by sinc^4(w*dt), a shift of {bias:.3e} at dt = {grid.dt:g}")
+print("whatever q0; at q0 = 1e-03 this bias is almost the whole spread.")
+print("The relative O(q0^2) correction is positive and grows quadratically")
+print("with q0: at 3e-03 it cancels part of the bias, and from 1e-02 on it")
+print("dominates.")
+print("The two first-order routes themselves agree to machine rounding.")

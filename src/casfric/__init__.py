@@ -25,6 +25,7 @@ from .dissipation import (
     AdiabaticScanResult,
     DissipationReport,
     adiabatic_scan,
+    amplitude_scan,
     compare_routes,
     delta_e_spectral,
     delta_e_time_domain,
@@ -64,6 +65,7 @@ __all__ = [
     "delta_e_time_domain",
     "delta_e_spectral",
     "compare_routes",
+    "amplitude_scan",
     "adiabatic_scan",
     "BogoliubovPair",
     "FockStateVector",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -35,6 +36,7 @@ from .dissipation import (
     _check_scan,
     _check_tail_rel,
     adiabatic_scan,
+    amplitude_scan,
     compare_routes,
 )
 from .errors import NumericalFailure
@@ -278,15 +280,14 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         fock_substeps=scenario.fock_substeps,
         mode_substeps=scenario.mode_substeps,
     )
-    if scenario.scan is None or scenario.scan.kind == "amplitude":
-        # one report on config.grid, or one per amplitude of the scan
-        amplitudes = (None,) if scenario.scan is None else scenario.scan.values
-        rows = []
-        for amplitude in amplitudes:
-            profile = scenario.profile if amplitude is None else _with_amplitude(scenario.profile, amplitude)
-            signal = sample(profile, scenario.grid)
-            rows.append((amplitude, compare_routes(signal, scenario.params, tail_rel=scenario.tail_rel, **opts)))
-        return ScenarioResult(scenario, rows=tuple(rows))
+    if scenario.scan is None:
+        report = compare_routes(sample(scenario.profile, scenario.grid), scenario.params,
+                                tail_rel=scenario.tail_rel, **opts)
+        return ScenarioResult(scenario, rows=((None, report),))
+    if scenario.scan.kind == "amplitude":
+        reports = amplitude_scan(scenario.profile, scenario.scan.values, scenario.grid, scenario.params,
+                                 tail_rel=scenario.tail_rel, **opts)
+        return ScenarioResult(scenario, rows=tuple(zip(scenario.scan.values, reports)))
 
     scan = adiabatic_scan(
         scenario.profile,
@@ -326,6 +327,13 @@ def _render_csv(result: ScenarioResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_float(value) -> Optional[float]:
+    """``value`` as a JSON number, or None (null) where it is not finite: strict
+    JSON has no NaN or Infinity, and a scan fit has no slope for one point or a dE of 0."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _render_json(result: ScenarioResult) -> str:
     scenario = result.scenario
     rows = []
@@ -342,9 +350,9 @@ def _render_json(result: ScenarioResult) -> str:
             "kind": "eta",
             "etas": list(map(float, result.scan.etas)),
             "delta_e": list(map(float, result.scan.delta_e)),
-            "delta_e_times_eta": list(map(float, result.scan.delta_e_times_eta)),
-            "slope_delta_e": result.scan.slope_delta_e,
-            "slope_delta_e_times_eta": result.scan.slope_delta_e_times_eta,
+            "delta_e_times_eta": list(map(_json_float, result.scan.delta_e_times_eta)),
+            "slope_delta_e": _json_float(result.scan.slope_delta_e),
+            "slope_delta_e_times_eta": _json_float(result.scan.slope_delta_e_times_eta),
         }
     obj = {
         "schema_version": "1",
@@ -355,7 +363,7 @@ def _render_json(result: ScenarioResult) -> str:
         "rows": rows,
         "scan": scan_obj,
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def emit_report(result: ScenarioResult, fmt: str = "csv") -> bytes:

@@ -38,6 +38,7 @@ from .coupling import (
     _block_and_tile,
     _require_signal,
     _walk,
+    _with_amplitude,
     sample,
 )
 from .errors import NumericalFailure, TailSpanError
@@ -52,6 +53,7 @@ __all__ = [
     "delta_e_time_domain",
     "delta_e_spectral",
     "compare_routes",
+    "amplitude_scan",
     "adiabatic_scan",
 ]
 
@@ -341,6 +343,45 @@ def compare_routes(
     route_pass = _RoutePass(params, routes, signal.grid, fock_truncation, fock_substeps, mode_substeps)
     resolved = route_pass.run(signal.grid, signal, tail_rel)
     return route_pass.report(signal.grid, signal, tail_warning=not resolved)
+
+
+def amplitude_scan(
+    family: CouplingProfile,
+    amplitudes: Sequence[float],
+    grid: TimeGrid,
+    params: PhysicalParams,
+    routes: Sequence[str] = ("barton", "hb"),
+    tail_rel: float = TAIL_REL_DEFAULT,
+    fock_truncation: int = _ORACLE_DEFAULTS["fock_truncation"],
+    fock_substeps: int = _ORACLE_DEFAULTS["fock_substeps"],
+    mode_substeps: int = _ORACLE_DEFAULTS["mode_substeps"],
+) -> tuple:
+    """One DissipationReport on ``grid`` per amplitude of ``family``.
+
+    ``family`` is a ramp, whose gamma is set to each amplitude, or a
+    GaussianPulse, whose q0 is; any other profile, a CouplingSignal
+    included, has no amplitude and is a TypeError.  No amplitudes, bad
+    routes and a tail_rel outside (0, 1) are refused as well, all before
+    anything runs.  Each report is that of compare_routes on the sampled
+    grid, bit for bit, from one route pass sized on ``grid``, so a selected
+    oracle over the work budget is refused before any point is walked or
+    sampled.  Every point's walk evaluates its profile into the pass's tile
+    buffers, so the first-order routes hold O(BLOCK_SAMPLES) whatever the
+    grid; with an oracle route the point then samples the grid once, for
+    the oracles only.  tail_warning, the oracle options and the refusals
+    are those of compare_routes.
+    """
+    _check_routes(routes)
+    _check_tail_rel(tail_rel)
+    if len(amplitudes) == 0:
+        raise ValueError("amplitudes must be a nonempty sequence")
+    profiles = [_with_amplitude(family, amplitude) for amplitude in amplitudes]
+    route_pass = _RoutePass(params, routes, grid, fock_truncation, fock_substeps, mode_substeps)
+    reports = []
+    for profile in profiles:
+        resolved = route_pass.run(grid, profile, tail_rel)
+        reports.append(route_pass.report(grid, profile, tail_warning=not resolved))
+    return tuple(reports)
 
 
 def _check_tail_rel(tail_rel: float, factor: Optional[float] = None) -> None:

@@ -79,6 +79,41 @@ def test_criterion_1_route_equivalence():
     )
 
 
+def linear_response_work(signal, params):
+    """First-order dE as the work done on the pair, -(2 b^2/hbar) * sum of
+    dq * G over the cells, with G(t) = integral sin(2w(t - t')) q(t') dt'
+    from a cumulative trapezoid of q e^{-2iwt} rotated by e^{2iwt}.
+
+    Linear response at T = 0 with X = y1*y2: <X>_t = -(2 b^2/hbar) G(t).
+    It shares no code with the library's quadratures.
+    """
+    t, q, dt = signal.grid.times(), signal.values, signal.grid.dt
+    w = 2.0 * params.omega
+    f = q * np.exp(-1j * w * t)
+    g = (np.exp(1j * w * t) * np.concatenate(([0.0], np.cumsum((f[1:] + f[:-1]) * (0.5 * dt))))).imag
+    b = params.hbar / (2.0 * params.mass * params.omega)
+    return -(2.0 * b * b / params.hbar) * np.sum(np.diff(q) * (g[1:] + g[:-1]) * 0.5)
+
+
+def test_criterion_1_partner_linear_response_work():
+    """The work integral is hb's dE times sinc(2*omega*dt) to 1e-14 wherever
+    the tails are below 1e-15 of the peak; the flyby's residual is its
+    dropped boundary term, within 10x its tail ratio."""
+    residuals = {}
+    for name, profile, grid in profile_corpus():
+        signal = sample(profile, grid)
+        x = 2.0 * PARAMS.omega * grid.dt
+        residual = linear_response_work(signal, PARAMS) / (delta_e_spectral(signal, PARAMS) * np.sin(x) / x) - 1.0
+        tail = max(abs(signal.values[0]), abs(signal.values[-1])) / np.max(np.abs(signal.values))
+        assert name == "flyby" or tail < 1e-15, (name, tail)
+        residuals[name] = (residual, 10.0 * tail if name == "flyby" else 1e-14)
+    report(
+        "1 linear-response work",
+        all(abs(residual) <= bound for residual, bound in residuals.values()),
+        ", ".join(f"{name} {residual:.2e} (bound {bound:.1e})" for name, (residual, bound) in residuals.items()),
+    )
+
+
 def test_criterion_2_perturbation_vs_exact():
     """Mode-function dE within 1% of first order at q0 = 1e-2, shrinking with q0."""
     start = time.perf_counter()

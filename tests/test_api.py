@@ -26,6 +26,7 @@ PUBLIC_NAMES = [
     "delta_e_time_domain",
     "delta_e_spectral",
     "compare_routes",
+    "amplitude_scan",
     "adiabatic_scan",
     "BogoliubovPair",
     "FockStateVector",
@@ -41,7 +42,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 32
     assert sorted(casfric.__all__) == sorted(PUBLIC_NAMES)
 
 

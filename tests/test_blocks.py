@@ -20,12 +20,13 @@ from casfric import (
     TimeGrid,
     TailSpanError,
     adiabatic_scan,
+    amplitude_scan,
     compare_routes,
     sample,
 )
 from casfric import dissipation
 from casfric.core import _TILE_PAIRS, BLOCK_SAMPLES, _blocks
-from casfric.coupling import _walk
+from casfric.coupling import _walk, _with_amplitude
 from casfric.dissipation import (
     _SCAN_TAIL_FACTOR,
     _RoutePass,
@@ -479,6 +480,101 @@ class TestStreamedScan:
             adiabatic_scan(family, [0.1], PARAMS, routes=("hb",), dt=dt)
         assert type(scanned.value) is type(sampled.value) is ValueError
         assert str(scanned.value) == str(sampled.value) == "signal values must be finite"
+
+
+# a grid of two blocks, the second of one interval, for each family with an amplitude
+AMPLITUDE_FAMILIES = [
+    (GaussianPulse(q0=0.01, tau=1.0), TimeGrid(-12.0, 12.0, BLOCK_SAMPLES + 2)),
+    (SymmetricRamp(gamma=1e-3, eta=1.0), TimeGrid(-40.0, 40.0, BLOCK_SAMPLES + 2)),
+    (ExponentialRamp(gamma=1e-3, eta=1.0), TimeGrid(0.0, 40.0, BLOCK_SAMPLES + 2)),
+]
+AMPLITUDE_ROUTES = [
+    ("barton",), ("hb",), ("barton", "hb"), ("hb", "mode_oracle"), ("barton", "hb", "mode_oracle"), ("hb", "fock_oracle"),
+]
+
+
+def sampled_amplitude_reports(family, amplitudes, grid, routes, **options):
+    """What an amplitude scan's reports were: sample each amplitude's profile, then compare_routes."""
+    return [compare_routes(sample(_with_amplitude(family, amplitude), grid), PARAMS, routes=routes, **options)
+            for amplitude in amplitudes]
+
+
+class TestStreamedAmplitudeScan:
+    """An amplitude scan is one route pass on its grid: a first-order point
+    walks its profile one tile at a time, and every report is == to the one
+    of sampling the whole grid and running compare_routes on it."""
+
+    @pytest.mark.parametrize("routes", AMPLITUDE_ROUTES)
+    @pytest.mark.parametrize("family, grid", AMPLITUDE_FAMILIES)
+    def test_reports_equal_sampling_then_comparing(self, family, grid, routes):
+        amplitudes = [1e-2] if "fock_oracle" in routes else [1e-3, 1e-2]  # a Fock point takes ~0.25 s here
+        options = dict(fock_truncation=2, fock_substeps=1)
+        reports = amplitude_scan(family, amplitudes, grid, PARAMS, routes=routes, **options)
+        assert list(reports) == sampled_amplitude_reports(family, amplitudes, grid, routes, **options)
+        assert all(set(report.populated()) == set(routes) for report in reports)
+
+    def test_flagged_tails_are_those_of_compare_routes(self):
+        # exp(-4) = 1.8e-2 of the peak at the endpoints: flagged at 1e-3, not at 0.5
+        grid = TimeGrid(-2.0, 2.0, 41)
+        for tail_rel, flagged in ((1e-3, True), (0.5, False)):
+            reports = amplitude_scan(GaussianPulse(q0=0.01, tau=1.0), [0.01, 0.02], grid, PARAMS, tail_rel=tail_rel)
+            assert [report.tail_warning for report in reports] == [flagged, flagged]
+            assert list(reports) == sampled_amplitude_reports(
+                GaussianPulse(q0=0.01, tau=1.0), [0.01, 0.02], grid, ("barton", "hb"), tail_rel=tail_rel
+            )
+
+    @pytest.mark.parametrize("routes, oracle", [(("hb", "mode_oracle"), True), (("barton", "hb"), False)])
+    def test_every_point_walks_its_profile_and_samples_only_for_the_oracles(self, monkeypatch, routes, oracle):
+        calls = []
+
+        def walk(grid, source, *args):
+            calls.append(("walk", type(source).__name__, source.q0))
+            return _walk(grid, source, *args)
+
+        def sample_once(profile, grid):
+            calls.append(("sample", type(profile).__name__, profile.q0))
+            return sample(profile, grid)
+
+        monkeypatch.setattr(dissipation, "_walk", walk)
+        monkeypatch.setattr(dissipation, "sample", sample_once)
+        amplitude_scan(GaussianPulse(q0=1.0, tau=1.0), [1e-3, 1e-2], TimeGrid(-12.0, 12.0, 2401), PARAMS, routes=routes)
+        steps = ("walk", "sample") if oracle else ("walk",)
+        assert calls == [(step, "GaussianPulse", q0) for q0 in (1e-3, 1e-2) for step in steps]
+
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        def scan(n_samples):
+            return amplitude_scan(GaussianPulse(q0=0.01, tau=1.0), [1e-3, 1e-2], TimeGrid(-12.0, 12.0, n_samples),
+                                  PARAMS, routes=("barton", "hb"))
+
+        # 4x the samples: a whole sampled signal would raise the peak by 6 MB
+        peak_short, peak_long = traced_peak(scan, (1 << 18) + 1), traced_peak(scan, (1 << 20) + 1)
+        assert peak_long <= peak_short + 4096
+
+    @pytest.mark.parametrize(
+        "family, amplitudes, options, error, message",
+        [
+            (CouplingSignal(TimeGrid(-1.0, 1.0, 3), [0.0, 1.0, 0.0]), [0.1], {}, TypeError,
+             "^CouplingSignal has no amplitude parameter$"),
+            (Flyby(charge=1.0, d=1.0, v=1.0), [0.1], {}, TypeError, "^Flyby has no amplitude parameter$"),
+            (GaussianPulse(q0=0.01, tau=1.0), [0.1, np.nan], {}, ValueError, "^GaussianPulse.q0 must be finite, got nan$"),
+            (GaussianPulse(q0=0.01, tau=1.0), [], {}, ValueError, "^amplitudes must be a nonempty sequence$"),
+            (GaussianPulse(q0=0.01, tau=1.0), [0.1], {"routes": ("hb", "kubo")}, ValueError,
+             r"^unknown route 'kubo' at routes\[1\]"),
+            (GaussianPulse(q0=0.01, tau=1.0), [0.1], {"tail_rel": 1.0}, ValueError, r"^tail_rel must be in \(0, 1\), got 1.0$"),
+            # the grid's 7 M samples at four Fock substeps each are about 6.5 min of work
+            (GaussianPulse(q0=0.01, tau=1.0), [0.1], {"routes": ("hb", "fock_oracle")}, ValueError,
+             r"^the Fock \(N = 10\) oracle's 28000000 steps would take about 391 s, above the work budget"),
+        ],
+    )
+    def test_refusals_come_before_any_point_is_walked_or_sampled(self, monkeypatch, family, amplitudes, options,
+                                                                 error, message):
+        def no_point(*args):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(dissipation, "_walk", no_point)
+        monkeypatch.setattr(dissipation, "sample", no_point)
+        with pytest.raises(error, match=message):
+            amplitude_scan(family, amplitudes, TimeGrid(-12.0, 12.0, 7_000_001), PARAMS, **options)
 
 
 def formula_reference(profile, t):

@@ -18,7 +18,7 @@ from casfric.cli import (
     main,
     run_scenario,
 )
-from casfric import adiabatic_scan
+from casfric import AdiabaticScanResult, adiabatic_scan
 from casfric.core import MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
 from casfric.dissipation import SCAN_TAIL_REL_DEFAULT
 from cli_probes import PROBES, eta_scan, inline, run_all, stderr_matches, table, write_probe
@@ -213,6 +213,41 @@ class TestScans:
         assert scan["etas"] == [0.05, 0.1]
         assert len(scan["delta_e"]) == 2
         assert np.isfinite(scan["slope_delta_e"])
+
+    @pytest.mark.parametrize("gamma, values", [(0.001, [0.1]), (0.0, [0.05, 0.1])])
+    def test_a_scan_without_a_slope_is_strict_json_with_null_slopes(self, tmp_path, capsys, gamma, values):
+        """A one-point scan, or one whose dE is 0, has NaN slopes: the JSON
+        writes them as null, which strict parsers accept, and the CSV keeps nan."""
+        body = {
+            "params": {"mass": 1.0, "omega": 1.0},
+            "profile": {"type": "symmetric_ramp", "gamma": gamma, "eta": 1.0},
+            "routes": ["hb"],
+            "scan": {"kind": "eta", "values": values},
+        }
+        path = str(write_config(tmp_path, body))
+        assert main([path, "--format", "json"]) == 0
+        scan = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)["scan"]
+        assert scan["slope_delta_e"] is None and scan["slope_delta_e_times_eta"] is None
+        assert main([path]) == 0
+        assert capsys.readouterr().out.endswith(
+            "# adiabatic_fit,slope_delta_e,nan\n# adiabatic_fit,slope_delta_e_times_eta,nan\n"
+        )
+
+    def test_an_overflowed_delta_e_times_eta_is_null_in_the_json(self):
+        # dE near the float maximum times eta = 20 overflows; the scan keeps the inf
+        scenario = load_config(CONFIG_DIR / "adiabatic_scan.json")
+        scan = AdiabaticScanResult(etas=np.array([20.0, 30.0]), delta_e=np.array([4.9e307, 4.4e306]),
+                                   delta_e_times_eta=np.array([np.inf, 1.32e308]), slope_delta_e=-5.9,
+                                   slope_delta_e_times_eta=np.nan, reports=())
+        payload = emit_report(ScenarioResult(scenario, rows=(), scan=scan), "json")
+        fit = json.loads(payload, parse_constant=refuse_constant)["scan"]
+        assert fit["delta_e_times_eta"] == [None, 1.32e308]
+        assert fit["slope_delta_e"] == -5.9 and fit["slope_delta_e_times_eta"] is None
+
+
+def refuse_constant(token):
+    """json.loads' parse_constant for a strict parser: NaN and Infinity are not JSON."""
+    raise ValueError(f"{token} is not JSON")
 
 
 def assert_matches_recorded(produced, recorded):
