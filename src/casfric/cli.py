@@ -32,9 +32,11 @@ from .dissipation import (
     SCAN_TAIL_REL_DEFAULT,
     TAIL_REL_DEFAULT,
     AdiabaticScanResult,
+    _check_budget,
     _check_routes,
     _check_scan,
     _check_tail_rel,
+    _scan_grids,
     adiabatic_scan,
     amplitude_scan,
     compare_routes,
@@ -249,13 +251,25 @@ def load_config(path) -> Scenario:
     grid = None
     if raw.get("grid") is not None:
         grid = _build_grid(_expect(raw, "grid", "config", dict))
-        if isinstance(profile, CouplingSignal):  # the signal's own rule: no query outside its span
-            _construct(profile.evaluate, "config.grid", [grid.t_start, grid.t_end])
     elif not eta_scan:
         raise ConfigError("config.grid: required unless the scenario is an eta scan")
 
     routes = _expect(raw, "routes", "config", list)
     _construct(_check_routes, "config.routes", routes)
+    options = {key: _oracle_option(raw, key, low)
+               for key, low in (("fock_truncation", 2), ("fock_substeps", 1), ("mode_substeps", 1))}
+    tail_rel = _tail_rel(raw, "config", default=TAIL_REL_DEFAULT)
+
+    # the runs' own rules, last: eta grids, oracle work, and q finite at each grid end, where a ramp's |gamma*t| peaks
+    if eta_scan:
+        points = _construct(_scan_grids, "config.scan", profile, scan.values, params, scan.dt, scan.tail_rel)
+    else:
+        points = [(_with_amplitude(profile, value), grid) for value in scan.values] if scan else [(profile, grid)]
+    _construct(_check_budget, "config", routes, max((g for _, g in points), key=lambda g: g.n_samples), **options)
+    at = "config.scan" if scan else "config.grid"
+    for point, point_grid in points:  # a signal refuses a grid outside its span
+        if not all(map(math.isfinite, _construct(point.evaluate, at, [point_grid.t_start, point_grid.t_end]))):
+            raise ConfigError(f"{at}: q of {point} is not finite at a grid end")
 
     return Scenario(
         scenario_id=scenario_id,
@@ -264,10 +278,8 @@ def load_config(path) -> Scenario:
         profile_config=dict(profile_config),
         grid=grid,
         routes=tuple(routes),
-        fock_truncation=_oracle_option(raw, "fock_truncation", low=2),
-        fock_substeps=_oracle_option(raw, "fock_substeps", low=1),
-        mode_substeps=_oracle_option(raw, "mode_substeps", low=1),
-        tail_rel=_tail_rel(raw, "config", default=TAIL_REL_DEFAULT),
+        **options,
+        tail_rel=tail_rel,
         scan=scan,
     )
 

@@ -235,6 +235,13 @@ def _check_routes(routes: Sequence[str]) -> None:
             raise ValueError(f"unknown route {route!r} at routes[{i}]; valid tokens are {list(ROUTES)}")
 
 
+def _check_budget(routes, grid: TimeGrid, fock_truncation, fock_substeps, mode_substeps) -> None:
+    if "mode_oracle" in routes:
+        _oracle._substeps(grid, mode_substeps)
+    if "fock_oracle" in routes:
+        _oracle._substeps(grid, fock_substeps, fock_truncation)
+
+
 @contextmanager
 def _overflow_fails(route: str):
     """Report a float overflow inside a route as a NumericalFailure naming it."""
@@ -255,10 +262,7 @@ class _RoutePass:
     """
 
     def __init__(self, params, routes, largest, fock_truncation, fock_substeps, mode_substeps):
-        if "mode_oracle" in routes:
-            _oracle._substeps(largest, mode_substeps)
-        if "fock_oracle" in routes:
-            _oracle._substeps(largest, fock_substeps, fock_truncation)
+        _check_budget(routes, largest, fock_truncation, fock_substeps, mode_substeps)
         self.params, self.routes = params, routes
         self.fock_truncation, self.fock_substeps, self.mode_substeps = fock_truncation, fock_substeps, mode_substeps
         size, tile = _block_and_tile(largest.n_samples)
@@ -449,6 +453,12 @@ def _ramp_grid(profile, eta: float, dt: float, tail_rel: float) -> TimeGrid:
     return TimeGrid(t_start, span, int(intervals) + 1)
 
 
+def _scan_grids(family, etas, params: PhysicalParams, dt: Optional[float], tail_rel: float) -> list:
+    """(profile, grid) of each eta of a scan of ``family``, at ``dt`` or 32 samples per cycle of 2*omega."""
+    dt = np.pi / (32.0 * params.omega) if dt is None else dt
+    return [(replace(family, eta=eta), _ramp_grid(family, eta, dt, tail_rel)) for eta in map(float, etas)]
+
+
 @dataclass(frozen=True, eq=False)
 class AdiabaticScanResult:
     """dE(eta) over a switching-rate scan, with log-log slope fits.
@@ -503,16 +513,13 @@ def adiabatic_scan(
     etas = np.asarray(list(etas), dtype=float)
     _check_scan(family, etas.tolist(), dt)
     _check_tail_rel(tail_rel, _SCAN_TAIL_FACTOR)
-    if dt is None:
-        dt = np.pi / (32.0 * params.omega)
     _check_routes(routes)
 
-    profiles = [replace(family, eta=float(eta)) for eta in etas]
-    grids = [_ramp_grid(profile, profile.eta, dt, tail_rel) for profile in profiles]
-    largest = max(grids, key=lambda grid: grid.n_samples)
+    points = _scan_grids(family, etas, params, dt, tail_rel)
+    largest = max((grid for _, grid in points), key=lambda grid: grid.n_samples)
     route_pass = _RoutePass(params, routes, largest, fock_truncation, fock_substeps, mode_substeps)
     reports = []
-    for profile, grid in zip(profiles, grids):
+    for profile, grid in points:
         if not route_pass.run(grid, profile, tail_rel):
             raise TailSpanError(
                 f"grid span insufficient for eta={profile.eta:g}: coupling tails above {tail_rel:g} of peak"
@@ -523,7 +530,8 @@ def adiabatic_scan(
     # the scan's dE is hb's where it ran, else barton's, else an oracle's
     token = next(token for token in ("hb", "barton", "mode_oracle", "fock_oracle") if token in routes)
     delta_e = np.array([report.populated()[token] for report in reports])
-    delta_e_times_eta = delta_e * etas
+    with np.errstate(over="ignore"):  # a product that overflows has no slope and is null in the JSON
+        delta_e_times_eta = delta_e * etas
     return AdiabaticScanResult(
         etas=etas,
         delta_e=delta_e,

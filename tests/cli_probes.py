@@ -11,8 +11,9 @@ checked with the runtime dependencies only:
 Expected stderr is literal text in which ``{dir}`` stands for the
 directory the probe's files are written to and ``...`` for any text
 within a line (a platform-dependent number); it must match the whole of
-stderr.  Each probe also states whether ``load_config`` refuses its
-config: then the refusal's ``error:`` line is the whole expected stderr.
+stderr.  A probe exits 2 exactly when ``load_config`` refuses its config,
+with the refusal's ``error:`` line as the whole of stderr, unless its
+arguments hold ``--out``.
 """
 import json
 import re
@@ -35,7 +36,6 @@ class Probe:
     shipped: str | None = None  # a shipped config that ``config`` edits
     csv: Callable | None = None  # the shipped CSV's lines -> the lines of <name>.csv
     args: tuple = ()  # extra CLI arguments; {dir} as in stderr
-    loads: bool = True  # whether load_config accepts the config
 
 
 def pulse(**edits):
@@ -91,10 +91,10 @@ GRID_3201 = {"t_start": -40.0, "t_end": 40.0, "n_samples": 3201}
 INLINE_GRID = {"t_start": -12.0, "t_end": 12.0, "n_samples": 5}
 NAN, INF = float("nan"), float("inf")
 OVERFLOW = "numerical failure: {}: float overflow\n"
-NOT_FINITE = "error: signal values must be finite\n"
+NOT_FINITE = "error: config.{}: q of {} is not finite at a grid end\n"
 MODE_UNSTABLE = ("numerical failure: mode {}: h*Omega_max = {} is above RK4's stability limit 2*sqrt(2) = 2.83; "
                  "raise mode_substeps\n")
-FOCK_OVER_BUDGET = ("error: the Fock (N = 10) oracle's {} steps would take about {} s, above the work budget "
+FOCK_OVER_BUDGET = ("error: config: the Fock (N = 10) oracle's {} steps would take about {} s, above the work budget "
                     "of 60 s; lower fock_truncation, fock_substeps or the grid's sample count\n")
 RAMP_3201 = pulse(profile={"type": "symmetric_ramp", "gamma": 0.05, "eta": 0.1},
                   grid={"t_start": -400.0, "t_end": 400.0, "n_samples": 3201}, routes=["hb", "mode_oracle"])
@@ -116,7 +116,7 @@ PROBES = table([
     # b = hbar/(2*mass*omega) overflows to inf: refused at load time
     Probe("tiny_mass", pulse(params={"mass": 5e-324, "omega": 1.0}, routes=["barton", "hb"]),
           2, ("error: params: b = hbar/(2*mass*omega) must be positive and finite, "
-             "got hbar=1.0, mass=5e-324, omega=1.0\n"), loads=False),
+             "got hbar=1.0, mass=5e-324, omega=1.0\n")),
     Probe("missing_out_dir", {}, 2, "error: --out {dir}/missing/report.csv: No such file or directory\n",
           shipped="flyby.json", args=("--out", "{dir}/missing/report.csv")),
     Probe("out_is_dir", {}, 2, "error: --out {dir}: Is a directory\n", shipped="flyby.json", args=("--out", "{dir}")),
@@ -129,26 +129,23 @@ PROBES = table([
     Probe("zero_gap", pulse(params={"mass": 1.0, "omega": 1.85e-219, "hbar": 4.49e-252},
                             profile={"type": "flyby", "charge": 1e-150, "d": 1.0, "v": 1.0},
                             grid=GRID_241, routes=["fock_oracle"]),
-          2, "error: params: the gap 2*hbar*omega underflows to 0, got hbar=4.49e-252, omega=1.85e-219\n",
-          loads=False),
+          2, "error: params: the gap 2*hbar*omega underflows to 0, got hbar=4.49e-252, omega=1.85e-219\n"),
     # 2*hbar*omega overflows to inf while b = 5e299 is finite: refused at load time
     Probe("gap_overflow", pulse(params={"mass": 1e-10, "omega": 1e10, "hbar": 1e300},
                                 profile={"type": "gaussian_pulse", "q0": 1e-30, "tau": 1e-9},
                                 grid={"t_start": -1.2e-8, "t_end": 1.2e-8, "n_samples": 4801},
                                 routes=["hb", "mode_oracle", "fock_oracle"], fock_truncation=4, fock_substeps=4),
-          2, "error: params: the gap 2*hbar*omega overflows to inf, got hbar=1e+300, omega=10000000000.0\n",
-          loads=False),
+          2, "error: params: the gap 2*hbar*omega overflows to inf, got hbar=1e+300, omega=10000000000.0\n"),
     # hb's transform is finite; its product with b/hbar = 5e299 overflows
     Probe("hb_overflow", pulse(params={"mass": 1e-300, "omega": 1.0},
                                profile={"type": "gaussian_pulse", "q0": 1e10, "tau": 1.0}),
           3, OVERFLOW.format("hb")),
     # the coupling strength is the profile's: params has no charge field
     Probe("params_charge", pulse(params={"mass": 1.0, "omega": 1.0, "charge": 1.0}),
-          2, "error: params.charge: unknown field; valid fields are ['mass', 'omega', 'hbar']\n", loads=False),
+          2, "error: params.charge: unknown field; valid fields are ['mass', 'omega', 'hbar']\n"),
     # d**2 underflows to 0, so the flyby's peak charge^2/d^3 is infinite: refused at load time
     Probe("flyby_peak", pulse(profile={"type": "flyby", "charge": 1.0, "d": 2.1e-262, "v": 1.0}, grid=GRID_241),
-          2, "error: profile: Flyby.d must give a finite peak coupling charge^2/d^3, got d=2.1e-262 with charge=1.0\n",
-          loads=False),
+          2, "error: profile: Flyby.d must give a finite peak coupling charge^2/d^3, got d=2.1e-262 with charge=1.0\n"),
     # the mode oracle's transfer-matrix product would overflow, but h*Omega is
     # far past RK4's stability limit: refused before the sweep begins
     Probe("mode_unstable", pulse(params={"mass": 1.0, "omega": 3.23e48},
@@ -172,7 +169,7 @@ PROBES = table([
           3, "numerical failure: Omega^2 <= 0 for mode -1: max q = 1e+10 reaches m*w^2 = 1\n"),
     # a NaN time in data row 500 of the shipped CSV: the loader's spacing tests both read false on it
     sampled("nan_time", lambda rows: [*rows[:500], "nan," + rows[500].split(",")[1], *rows[501:]],
-            2, "error: profile: {dir}/nan_time.csv: times must be finite\n", loads=False),
+            2, "error: profile: {dir}/nan_time.csv: times must be finite\n"),
     # two blocks (2 * BLOCK_SAMPLES + 1 samples) whose pair sums are finite
     # (about 1.42e308 each) but overflow when added
     Probe("block_sum_overflow", pulse(params={"mass": 1.0, "omega": 1e-3},
@@ -181,69 +178,76 @@ PROBES = table([
           3, OVERFLOW.format("hb")),
     # t_end - t_start overflows to inf: refused at load time
     Probe("span_overflow", pulse(grid={"t_start": -1e308, "t_end": 1e308, "n_samples": 3}),
-          2, "error: grid: the span t_end - t_start overflows, got [-1e+308, 1e+308]\n", loads=False),
+          2, "error: grid: the span t_end - t_start overflows, got [-1e+308, 1e+308]\n"),
     # three times at -1e308, 0 and 1e308: the span of the implied grid overflows
     sampled("extreme_times", lambda rows: [rows[0], "-1e308,0.0", "0.0,0.001", "1e308,0.0"],
-            2, "error: profile: the span t_end - t_start overflows, got [-1e+308, 1e+308]\n", loads=False),
+            2, "error: profile: the span t_end - t_start overflows, got [-1e+308, 1e+308]\n"),
     # a header and no data row: refused as too few samples, without np.loadtxt's warning
-    sampled("no_data", lambda rows: rows[:1], 2, "error: profile: {dir}/no_data.csv: need at least two samples\n",
-            loads=False),
+    sampled("no_data", lambda rows: rows[:1], 2, "error: profile: {dir}/no_data.csv: need at least two samples\n"),
     # charge**2 and d**2 underflow to 0, so the flyby's peak is 0/0: refused at load time
     Probe("flyby_underflow", pulse(profile={"type": "flyby", "charge": 1e-200, "d": 1e-200, "v": 1.0}, grid=GRID_241),
-          2, "error: profile: Flyby.d must give a finite peak coupling charge^2/d^3, got d=1e-200 with charge=1e-200\n",
-          loads=False),
+          2, ("error: profile: Flyby.d must give a finite peak coupling charge^2/d^3, got d=1e-200 with "
+              "charge=1e-200\n")),
     # eta*|t| overflows, so exp gives 0 and q = 0: exit 0
     Probe("symmetric_eta", ramp("symmetric_ramp", -1e10, gamma=1.0, eta=1e300), 0),
     Probe("exponential_eta", ramp("exponential_ramp", 0.0, gamma=1.0, eta=1e300), 0),
-    # gamma*t overflows, so q is not finite: refused with exit 2
-    Probe("symmetric_gamma", ramp("symmetric_ramp", -1e10, gamma=1e300, eta=1e-300), 2, NOT_FINITE),
-    Probe("exponential_gamma", ramp("exponential_ramp", 0.0, gamma=1e300, eta=1e-300), 2, NOT_FINITE),
+    # gamma*t overflows, so q is not finite at a grid end: refused at load time
+    Probe("symmetric_gamma", ramp("symmetric_ramp", -1e10, gamma=1e300, eta=1e-300), 2,
+          NOT_FINITE.format("grid", "SymmetricRamp(gamma=1e+300, eta=1e-300)")),
+    Probe("exponential_gamma", ramp("exponential_ramp", 0.0, gamma=1e300, eta=1e-300), 2,
+          NOT_FINITE.format("grid", "ExponentialRamp(gamma=1e+300, eta=1e-300)")),
+    # an amplitude scan's every amplitude is checked at the grid ends, not only its first
+    Probe("amplitude_overflow", {**ramp("symmetric_ramp", -1e10, gamma=0.001, eta=1e-300),
+                                 "scan": {"kind": "amplitude", "values": [0.001, 1e300]}}, 2,
+          NOT_FINITE.format("scan", "SymmetricRamp(gamma=1e+300, eta=1e-300)")),
     # scan and grid must be JSON objects; a null one still means absent
-    Probe("scan_not_object", pulse(scan=5), 2, "error: config.scan: expected dict, got int\n", loads=False),
-    Probe("grid_not_object", pulse(grid=5), 2, "error: config.grid: expected dict, got int\n", loads=False),
+    Probe("scan_not_object", pulse(scan=5), 2, "error: config.scan: expected dict, got int\n"),
+    Probe("grid_not_object", pulse(grid=5), 2, "error: config.grid: expected dict, got int\n"),
     # a null grid is absent in an eta scan; a null tail_rel is not a number
     Probe("eta_grid_null", {"grid": None}, 0, shipped="adiabatic_scan.json"),
     Probe("eta_tail_rel_null", {"tail_rel": None}, 2, "error: config.tail_rel: expected a number, got None\n",
-          shipped="adiabatic_scan.json", loads=False),
-    # a run the work budget refuses exits 2 before any route runs: 4.8e12
+          shipped="adiabatic_scan.json"),
+    # a run the work budget refuses is refused at load time: 4.8e12
     # mode steps would take days and ask for 70 GB of chunk products
     Probe("mode_over_budget", {"mode_substeps": 10**9, "routes": ["hb", "mode_oracle"]}, 2,
-          ("error: the mode oracle's 4800000000000 steps would take about 705600 s, above the work budget "
+          ("error: config: the mode oracle's 4800000000000 steps would take about 705600 s, above the work budget "
            "of 60 s; lower mode_substeps or the grid's sample count\n"), shipped="gaussian_benchmark.json"),
     Probe("fock_over_budget", {"fock_substeps": 100000}, 2, FOCK_OVER_BUDGET.format(480000000, 6716),
           shipped="gaussian_benchmark.json"),
     # the eta = 1e-4 grid's Fock run is over the budget; the eta = 2 point
     # alone is exit 3 (its one mode substep leaves a defect of 4.3e-6), so
-    # the scan is refused before any point runs
+    # the budget is checked on the largest eta grid, at load time
     Probe("eta_scan_over_budget", {"routes": ["hb", "mode_oracle", "fock_oracle"],
                                    "scan": {"kind": "eta", "values": [2.0, 1e-4]}},
           2, FOCK_OVER_BUDGET.format(28091788, 393), shipped="adiabatic_scan.json"),
     # inline sampled values are numbers, checked at their index as scan values are
-    Probe("inline_object", inline({}), 2, "error: profile.values[1]: expected a number, got {}\n", loads=False),
-    Probe("inline_string", inline("0.001"), 2, "error: profile.values[1]: expected a number, got '0.001'\n",
-          loads=False),
-    Probe("inline_bool", inline(True), 2, "error: profile.values[1]: expected a number, got True\n", loads=False),
-    Probe("inline_huge", inline(10**400), 2, f"error: profile.values[1]: must be a finite number, got {10**400}\n",
-          loads=False),
+    Probe("inline_object", inline({}), 2, "error: profile.values[1]: expected a number, got {}\n"),
+    Probe("inline_string", inline("0.001"), 2, "error: profile.values[1]: expected a number, got '0.001'\n"),
+    Probe("inline_bool", inline(True), 2, "error: profile.values[1]: expected a number, got True\n"),
+    Probe("inline_huge", inline(10**400), 2, f"error: profile.values[1]: must be a finite number, got {10**400}\n"),
     # the budget's message is built from integers, so a count beyond the float range still reads
     Probe("truncation_huge", {"fock_truncation": 10**400}, 2,
-          (f"error: the Fock (N = {10**400}) oracle's 19200 steps would take about 576... s, above the work budget "
-           "of 60 s; lower fock_truncation, fock_substeps or the grid's sample count\n"),
+          (f"error: config: the Fock (N = {10**400}) oracle's 19200 steps would take about 576... s, above the "
+           "work budget of 60 s; lower fock_truncation, fock_substeps or the grid's sample count\n"),
           shipped="gaussian_benchmark.json"),
     # a tiny eta or dt asks for an infinite grid, refused before it is converted to a count
     Probe("eta_tiny", {"scan": {"kind": "eta", "values": [0.01, 5e-324]}}, 2,
-          "error: eta=4.94066e-324 needs a grid of inf samples, above the budget of 100000000; raise eta or dt\n",
+          ("error: config.scan: eta=4.94066e-324 needs a grid of inf samples, above the budget of 100000000; "
+           "raise eta or dt\n"),
           shipped="adiabatic_scan.json"),
     Probe("dt_tiny", {"scan": {"kind": "eta", "values": [0.01], "dt": 5e-324}}, 2,
-          "error: eta=0.01 needs a grid of inf samples, above the budget of 100000000; raise eta or dt\n",
+          "error: config.scan: eta=0.01 needs a grid of inf samples, above the budget of 100000000; raise eta or dt\n",
           shipped="adiabatic_scan.json"),
+    # dE near the float maximum times eta = 20 overflows: inf in the CSV, null in the JSON, without a warning
+    Probe("eta_scan_times_eta_overflow",
+          {"profile": {"type": "symmetric_ramp", "gamma": 1.00984747873744e+157, "eta": 1.0},
+           "scan": {"kind": "eta", "values": [20, 30], "dt": 0.001}}, 0, shipped="adiabatic_scan.json"),
     # dE = 0 has no logarithm: the slopes are NaN, without a warning
     Probe("eta_scan_zero_gamma", {"profile": {"type": "symmetric_ramp", "gamma": 0.0, "eta": 1.0},
                                   "scan": {"kind": "eta", "values": [0.01, 0.1]}}, 0, shipped="adiabatic_scan.json"),
     # repeated etas have no slope: refused by the library's scan rule at config.scan
     Probe("eta_repeated", {"scan": {"kind": "eta", "values": [0.01, 0.1, 0.01]}}, 2,
-          "error: config.scan: etas[2] repeats 0.01; a slope needs distinct etas\n", shipped="adiabatic_scan.json",
-          loads=False),
+          "error: config.scan: etas[2] repeats 0.01; a slope needs distinct etas\n", shipped="adiabatic_scan.json"),
     # the cap of N = 83 is gone: N = 84 runs 20 steps in about 40 ms
     Probe("truncation_84", pulse(profile={"type": "gaussian_pulse", "q0": 0.01, "tau": 0.01},
                                  grid={"t_start": -0.1, "t_end": 0.1, "n_samples": 21},
@@ -253,120 +257,102 @@ PROBES = table([
     # is not an object, as a whole
     Probe("invalid_json", '{\n  "params": {,}\n}', 2,
           ("error: invalid_json.json: invalid JSON at line 2, column 14: "
-           "Expecting property name enclosed in double quotes\n"), loads=False),
-    Probe("top_level_list", "[1, 2]", 2, "error: top_level_list.json: top level must be a JSON object\n", loads=False),
+           "Expecting property name enclosed in double quotes\n")),
+    Probe("top_level_list", "[1, 2]", 2, "error: top_level_list.json: top level must be a JSON object\n"),
     # every refusal at load time names the config path of the field at fault
-    Probe("missing_profile", without("profile"), 2, "error: config.profile: missing required field\n", loads=False),
-    Probe("missing_omega", pulse(params={"mass": 1.0}), 2, "error: params.omega: missing required field\n",
-          loads=False),
-    Probe("missing_grid", without("grid"), 2, "error: config.grid: required unless the scenario is an eta scan\n",
-          loads=False),
-    Probe("params_not_object", pulse(params=5), 2, "error: config.params: expected dict, got int\n", loads=False),
+    Probe("missing_profile", without("profile"), 2, "error: config.profile: missing required field\n"),
+    Probe("missing_omega", pulse(params={"mass": 1.0}), 2, "error: params.omega: missing required field\n"),
+    Probe("missing_grid", without("grid"), 2, "error: config.grid: required unless the scenario is an eta scan\n"),
+    Probe("params_not_object", pulse(params=5), 2, "error: config.params: expected dict, got int\n"),
     Probe("negative_mass", pulse(params={"mass": -1.0, "omega": 1.0}), 2,
-          "error: params: mass must be finite and positive, got -1.0\n", loads=False),
+          "error: params: mass must be finite and positive, got -1.0\n"),
     Probe("unknown_profile", pulse(profile={"type": "square_wave", "q0": 1.0}), 2,
           ("error: profile.type: unknown profile type 'square_wave'; valid types are "
-           "['exponential_ramp', 'symmetric_ramp', 'gaussian_pulse', 'flyby', 'sampled']\n"), loads=False),
+           "['exponential_ramp', 'symmetric_ramp', 'gaussian_pulse', 'flyby', 'sampled']\n")),
     Probe("unknown_route", pulse(routes=["barton", "kubo"]), 2,
           ("error: config.routes: unknown route 'kubo' at routes[1]; "
-           "valid tokens are ['barton', 'hb', 'mode_oracle', 'fock_oracle']\n"), loads=False),
-    Probe("empty_routes", pulse(routes=[]), 2, "error: config.routes: at least one route must be selected\n",
-          loads=False),
-    Probe("tail_rel_null", pulse(tail_rel=None), 2, "error: config.tail_rel: expected a number, got None\n",
-          loads=False),
+           "valid tokens are ['barton', 'hb', 'mode_oracle', 'fock_oracle']\n")),
+    Probe("empty_routes", pulse(routes=[]), 2, "error: config.routes: at least one route must be selected\n"),
+    Probe("tail_rel_null", pulse(tail_rel=None), 2, "error: config.tail_rel: expected a number, got None\n"),
     # json.loads accepts NaN, Infinity and integers beyond the float range; each is refused at its path
     Probe("q0_nan", pulse(profile={"type": "gaussian_pulse", "q0": NAN, "tau": 1.0}), 2,
-          "error: profile.q0: must be a finite number, got nan\n", loads=False),
+          "error: profile.q0: must be a finite number, got nan\n"),
     Probe("mass_inf", pulse(params={"mass": INF, "omega": 1.0}), 2,
-          "error: params.mass: must be a finite number, got inf\n", loads=False),
+          "error: params.mass: must be a finite number, got inf\n"),
     Probe("mass_huge", pulse(params={"mass": 10**400, "omega": 1.0}), 2,
-          f"error: params.mass: must be a finite number, got {10**400}\n", loads=False),
+          f"error: params.mass: must be a finite number, got {10**400}\n"),
     Probe("t_start_inf", pulse(grid={"t_start": -INF, "t_end": 12.0, "n_samples": 481}), 2,
-          "error: grid.t_start: must be a finite number, got -inf\n", loads=False),
+          "error: grid.t_start: must be a finite number, got -inf\n"),
     Probe("amplitude_nan", pulse(scan={"kind": "amplitude", "values": [0.01, NAN]}), 2,
-          "error: scan.values[1]: must be a finite number, got nan\n", loads=False),
-    Probe("eta_nan", eta_scan(values=[0.1, NAN]), 2, "error: scan.values[1]: must be a finite number, got nan\n",
-          loads=False),
+          "error: scan.values[1]: must be a finite number, got nan\n"),
+    Probe("eta_nan", eta_scan(values=[0.1, NAN]), 2, "error: scan.values[1]: must be a finite number, got nan\n"),
     # a Python float square raises instead of overflowing to inf
     Probe("flyby_charge_square", pulse(profile={"type": "flyby", "charge": 1e200, "d": 1.0, "v": 1.0}), 2,
-          "error: profile: Flyby.charge must have a finite square, got 1e+200\n", loads=False),
+          "error: profile: Flyby.charge must have a finite square, got 1e+200\n"),
     Probe("flyby_d_square", pulse(profile={"type": "flyby", "charge": 1.0, "d": 1e200, "v": 1.0}), 2,
-          "error: profile: Flyby.d must have a finite square, got 1e+200\n", loads=False),
+          "error: profile: Flyby.d must have a finite square, got 1e+200\n"),
     Probe("grid_over_budget", pulse(grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 100_000_001}), 2,
-          "error: grid.n_samples: 100000001 is above the budget of 100000000 samples\n", loads=False),
+          "error: grid.n_samples: 100000001 is above the budget of 100000000 samples\n"),
     # tail_rel is in (0, 1), by the library's rule at its path, quoting the value given
-    Probe("tail_rel_above_one", pulse(tail_rel=2.0), 2, "error: config.tail_rel: tail_rel must be in (0, 1), got 2.0\n",
-          loads=False),
-    Probe("tail_rel_zero", pulse(tail_rel=0.0), 2, "error: config.tail_rel: tail_rel must be in (0, 1), got 0.0\n",
-          loads=False),
+    Probe("tail_rel_above_one", pulse(tail_rel=2.0), 2,
+          "error: config.tail_rel: tail_rel must be in (0, 1), got 2.0\n"),
+    Probe("tail_rel_zero", pulse(tail_rel=0.0), 2, "error: config.tail_rel: tail_rel must be in (0, 1), got 0.0\n"),
     Probe("scan_tail_rel_above_one", eta_scan(tail_rel=2.0), 2,
-          "error: scan.tail_rel: tail_rel must be in (0, 1), got 2.0\n", loads=False),
+          "error: scan.tail_rel: tail_rel must be in (0, 1), got 2.0\n"),
     Probe("scan_tail_rel_negative", eta_scan(tail_rel=-1.0), 2,
-          "error: scan.tail_rel: tail_rel must be in (0, 1), got -1.0\n", loads=False),
+          "error: scan.tail_rel: tail_rel must be in (0, 1), got -1.0\n"),
     Probe("scan_tail_rel_below_span_floor", eta_scan(tail_rel=1e-322), 2,
-          "error: scan.tail_rel: tail_rel=1e-322 is too small: the span solve needs at least ~6.05e-307\n",
-          loads=False),
+          "error: scan.tail_rel: tail_rel=1e-322 is too small: the span solve needs at least ~6.05e-307\n"),
     # an unknown key is refused at its path, in every object of the config
     Probe("unknown_top_key", pulse(fock_trunction=500), 2,
           ("error: config.fock_trunction: unknown field; valid fields are ['scenario_id', 'params', 'profile', "
-           "'grid', 'routes', 'scan', 'fock_truncation', 'fock_substeps', 'mode_substeps', 'tail_rel']\n"),
-          loads=False),
+           "'grid', 'routes', 'scan', 'fock_truncation', 'fock_substeps', 'mode_substeps', 'tail_rel']\n")),
     Probe("unknown_grid_key", pulse(grid={"t_start": -12.0, "t_end": 12.0, "n_samples": 481, "n_sampels": 11}), 2,
-          "error: grid.n_sampels: unknown field; valid fields are ['t_start', 't_end', 'n_samples']\n", loads=False),
+          "error: grid.n_sampels: unknown field; valid fields are ['t_start', 't_end', 'n_samples']\n"),
     Probe("unknown_profile_key", pulse(profile={"type": "gaussian_pulse", "q0": 0.01, "tau": 1.0, "eta": 1.0}), 2,
-          "error: profile.eta: unknown field; valid fields are ['type', 'q0', 'tau']\n", loads=False),
+          "error: profile.eta: unknown field; valid fields are ['type', 'q0', 'tau']\n"),
     Probe("unknown_inline_grid_key", inline(grid={**INLINE_GRID, "n_sampels": 9}), 2,
-          "error: profile.grid.n_sampels: unknown field; valid fields are ['t_start', 't_end', 'n_samples']\n",
-          loads=False),
+          "error: profile.grid.n_sampels: unknown field; valid fields are ['t_start', 't_end', 'n_samples']\n"),
     Probe("unknown_scan_key", eta_scan(tail_rle=1e-3), 2,
-          "error: scan.tail_rle: unknown field; valid fields are ['kind', 'values', 'dt', 'tail_rel']\n", loads=False),
+          "error: scan.tail_rle: unknown field; valid fields are ['kind', 'values', 'dt', 'tail_rel']\n"),
     # an amplitude scan runs on config.grid: dt is not one of its keys
     Probe("amplitude_scan_dt", pulse(scan={"kind": "amplitude", "values": [0.01], "dt": 0.1}), 2,
-          "error: scan.dt: unknown field; valid fields are ['kind', 'values']\n", loads=False),
+          "error: scan.dt: unknown field; valid fields are ['kind', 'values']\n"),
     # a sampled profile is a csv or inline samples, and a csv has at least two data rows
     Probe("csv_and_inline", inline(csv="samples.csv"), 2,
-          "error: profile: give either csv or grid and values, not both\n", loads=False),
-    sampled("csv_empty", lambda rows: [], 2, "error: profile: {dir}/csv_empty.csv: need at least two samples\n",
-            loads=False),
+          "error: profile: give either csv or grid and values, not both\n"),
+    sampled("csv_empty", lambda rows: [], 2, "error: profile: {dir}/csv_empty.csv: need at least two samples\n"),
     sampled("csv_blank_line", lambda rows: [rows[0], ""], 2,
-            "error: profile: {dir}/csv_blank_line.csv: need at least two samples\n", loads=False),
+            "error: profile: {dir}/csv_blank_line.csv: need at least two samples\n"),
     sampled("csv_one_row", lambda rows: rows[:2], 2,
-            "error: profile: {dir}/csv_one_row.csv: need at least two samples\n", loads=False),
+            "error: profile: {dir}/csv_one_row.csv: need at least two samples\n"),
     # a signal is read only inside its sampled span, so config.grid must lie in it
     Probe("sampled_grid_outside_span", {"profile": {"type": "sampled", "csv": str(CONFIG_DIR / "sampled_profile.csv")},
                                         "grid": {"t_start": -20.0, "t_end": 20.0, "n_samples": 4001}},
-          2, "error: config.grid: query outside the sampled span [-10.0, 10.0]\n", shipped="sampled_profile.json",
-          loads=False),
+          2, "error: config.grid: query outside the sampled span [-10.0, 10.0]\n", shipped="sampled_profile.json"),
     # a count below its floor is refused even with its route off
-    Probe("fock_substeps_zero", pulse(fock_substeps=0), 2, "error: config.fock_substeps: must be >= 1, got 0\n",
-          loads=False),
-    Probe("fock_substeps_negative", pulse(fock_substeps=-1), 2, "error: config.fock_substeps: must be >= 1, got -1\n",
-          loads=False),
-    Probe("mode_substeps_zero", pulse(mode_substeps=0), 2, "error: config.mode_substeps: must be >= 1, got 0\n",
-          loads=False),
-    Probe("mode_substeps_negative", pulse(mode_substeps=-1), 2, "error: config.mode_substeps: must be >= 1, got -1\n",
-          loads=False),
+    Probe("fock_substeps_zero", pulse(fock_substeps=0), 2, "error: config.fock_substeps: must be >= 1, got 0\n"),
+    Probe("fock_substeps_negative", pulse(fock_substeps=-1), 2, "error: config.fock_substeps: must be >= 1, got -1\n"),
+    Probe("mode_substeps_zero", pulse(mode_substeps=0), 2, "error: config.mode_substeps: must be >= 1, got 0\n"),
+    Probe("mode_substeps_negative", pulse(mode_substeps=-1), 2, "error: config.mode_substeps: must be >= 1, got -1\n"),
     # a scan is an eta scan of a ramp or an amplitude scan of a profile with an amplitude
     Probe("scan_kind_bogus", pulse(scan={"kind": "bogus", "values": [0.1]}), 2,
-          "error: scan.kind: expected 'eta' or 'amplitude', got 'bogus'\n", loads=False),
+          "error: scan.kind: expected 'eta' or 'amplitude', got 'bogus'\n"),
     Probe("empty_scan", pulse(scan={"kind": "amplitude", "values": []}), 2,
-          "error: scan.values: scan list must be nonempty\n", loads=False),
+          "error: scan.values: scan list must be nonempty\n"),
     Probe("eta_scan_of_a_pulse", pulse(scan={"kind": "eta", "values": [0.1]}), 2,
-          "error: config.scan: adiabatic scans take a ramp family, got GaussianPulse\n", loads=False),
+          "error: config.scan: adiabatic scans take a ramp family, got GaussianPulse\n"),
     Probe("amplitude_scan_of_a_flyby", pulse(profile={"type": "flyby", "charge": 1.0, "d": 1.0, "v": 1.0},
                                              scan={"kind": "amplitude", "values": [0.1]}),
-          2, "error: config.scan: Flyby has no amplitude parameter\n", loads=False),
-    Probe("eta_negative", eta_scan(values=[0.1, -1.0]), 2, "error: config.scan: etas[1] must be positive, got -1.0\n",
-          loads=False),
-    Probe("dt_zero", eta_scan(dt=0.0), 2, "error: config.scan: dt must be finite and positive, got 0.0\n",
-          loads=False),
-    Probe("dt_negative", eta_scan(dt=-0.1), 2, "error: config.scan: dt must be finite and positive, got -0.1\n",
-          loads=False),
+          2, "error: config.scan: Flyby has no amplitude parameter\n"),
+    Probe("eta_negative", eta_scan(values=[0.1, -1.0]), 2, "error: config.scan: etas[1] must be positive, got -1.0\n"),
+    Probe("dt_zero", eta_scan(dt=0.0), 2, "error: config.scan: dt must be finite and positive, got 0.0\n"),
+    Probe("dt_negative", eta_scan(dt=-0.1), 2, "error: config.scan: dt must be finite and positive, got -0.1\n"),
     # an eta scan builds its own grids and tests their tails at scan.tail_rel
     Probe("eta_scan_with_grid", {**eta_scan(), "grid": {"t_start": -1.0, "t_end": 1.0, "n_samples": 3}}, 2,
-          "error: config.grid: an eta scan builds its own grids; set scan.dt instead\n", loads=False),
+          "error: config.grid: an eta scan builds its own grids; set scan.dt instead\n"),
     Probe("eta_scan_with_tail_rel", {**eta_scan(), "tail_rel": 0.999}, 2,
-          "error: config.tail_rel: an eta scan builds its own grids; set scan.tail_rel instead\n", loads=False),
+          "error: config.tail_rel: an eta scan builds its own grids; set scan.tail_rel instead\n"),
     # distinct etas whose logs are equal leave the fit rank 1: NaN slopes, without numpy's RankWarning
     Probe("eta_nearly_equal", {"scan": {"kind": "eta", "values": [0.1, 0.10000000000000002]}}, 0,
           shipped="adiabatic_scan.json"),

@@ -1,4 +1,6 @@
 """Coupling profiles: pointwise values, symmetries, sampling, CSV loading."""
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -205,6 +207,56 @@ class TestAmplitudeIsFinite:
     def test_with_amplitude_goes_through_the_same_check(self):
         with pytest.raises(ValueError, match="gamma must be finite"):
             _with_amplitude(SymmetricRamp(gamma=1.0, eta=1.0), np.inf)
+
+
+def edge(guess, finite):
+    """The largest float x with finite(x), stepping one float at a time from ``guess``."""
+    while finite(math.nextafter(guess, math.inf)):
+        guess = math.nextafter(guess, math.inf)
+    while not finite(guess):
+        guess = math.nextafter(guess, 0.0)
+    return guess
+
+
+T_END = 1e10
+# the largest gamma for which gamma*T_END does not overflow
+GAMMA_EDGE = edge(sys.float_info.max / T_END, lambda gamma: math.isfinite(gamma * T_END))
+# the largest flyby charge whose peak charge^2/d^3 at d = 1 is finite
+CHARGE_EDGE = edge(math.sqrt(sys.float_info.max), lambda charge: math.isfinite(charge * charge))
+
+
+class TestGridEndsBoundEverySample:
+    """q finite at both ends of a grid means q finite at every sample of it,
+    for each closed-form profile: a ramp's |gamma*t| is largest at a grid
+    end, which TimeGrid.times gives exactly, a Gaussian is bounded by q0 and
+    a Flyby by the peak it checks when built.  Each side is evaluated here
+    on its own, from the profile's formula."""
+
+    @staticmethod
+    def ends_and_samples_finite(profile, grid):
+        ends = profile.evaluate([grid.t_start, grid.t_end])
+        return bool(np.isfinite(ends).all()), bool(np.isfinite(profile.evaluate(grid.times())).all())
+
+    @pytest.mark.parametrize("t_start", [0.0, -T_END])
+    @pytest.mark.parametrize("eta", [1e-300, 1e-9])  # q peaks at the end, or inside
+    @pytest.mark.parametrize("ramp", [SymmetricRamp, ExponentialRamp])
+    @pytest.mark.parametrize("gamma, finite", [(GAMMA_EDGE, True), (math.nextafter(GAMMA_EDGE, math.inf), False)])
+    def test_ramps_either_side_of_the_overflow(self, ramp, eta, t_start, gamma, finite):
+        grid = TimeGrid(t_start, T_END, 1001)
+        assert self.ends_and_samples_finite(ramp(gamma=gamma, eta=eta), grid) == (finite, finite)
+
+    @pytest.mark.parametrize("q0", [sys.float_info.max, -sys.float_info.max])
+    @pytest.mark.parametrize("tau", [1.0, 1e-300])
+    def test_a_gaussian_at_the_float_maximum(self, q0, tau):
+        assert self.ends_and_samples_finite(GaussianPulse(q0=q0, tau=tau), TimeGrid(-12.0, 12.0, 1001)) == (True, True)
+
+    @pytest.mark.parametrize("v", [1.0, 1e-10])
+    def test_the_largest_flyby_charge_with_a_finite_peak(self, v):
+        with pytest.raises(ValueError, match="finite square"):
+            Flyby(charge=math.nextafter(CHARGE_EDGE, math.inf), d=1.0, v=v)
+        flyby = Flyby(charge=CHARGE_EDGE, d=1.0, v=v)
+        assert self.ends_and_samples_finite(flyby, TimeGrid(-T_END, T_END, 1001)) == (True, True)
+        assert flyby.evaluate(0.0) == CHARGE_EDGE**2  # the peak is finite
 
 
 class TestAmplitudeKnob:
