@@ -354,6 +354,9 @@ def _render_json(result: ScenarioResult) -> str:
             "eta_or_amp": eta_or_amp,
             **{column: getattr(report, attribute) for column, attribute in _REPORT_COLUMNS},
             "tail_warning": report.tail_warning,
+            "tail_ratio": report.tail_ratio,
+            "tail_rel": report.tail_rel,
+            "transition_probability": _json_float(report.transition_probability),
             "grid": {**asdict(report.grid), "dt": report.grid.dt},
         })
     scan_obj = None
@@ -367,7 +370,7 @@ def _render_json(result: ScenarioResult) -> str:
             "slope_delta_e_times_eta": _json_float(result.scan.slope_delta_e_times_eta),
         }
     obj = {
-        "schema_version": "1",
+        "schema_version": "2",
         "scenario_id": scenario.scenario_id,
         "profile": scenario.profile_config,
         "params": asdict(scenario.params),
@@ -401,8 +404,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
 
     try:
-        scenario = load_config(args.config)
-        result = run_scenario(scenario)
+        result = run_scenario(load_config(args.config))
         payload = emit_report(result, args.format)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
@@ -411,11 +413,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    # an eta scan refuses an unresolved grid, so a flag is set at config.tail_rel
-    flagged = [str(i) for i, (_, report) in enumerate(result.rows) if report.tail_warning]
+    flagged = [(i, report) for i, (_, report) in enumerate(result.rows) if report.tail_warning]
     if flagged:
-        print(f"warning: row(s) {', '.join(flagged)}: coupling at a grid endpoint above "
-              f"tail_rel={scenario.tail_rel:g} of its peak", file=sys.stderr)
+        print(f"warning: row(s) {', '.join(str(i) for i, _ in flagged)}: coupling at a grid endpoint above "
+              f"tail_rel={flagged[0][1].tail_rel:g} of its peak", file=sys.stderr)
     if args.out is None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

@@ -205,16 +205,27 @@ def _delta_e_hb(qhat: complex, params: PhysicalParams) -> float:
 
 @dataclass(frozen=True)
 class DissipationReport:
-    """dE from each requested route plus agreement and validity metadata."""
+    """dE from each requested route plus agreement and validity numbers, off which its flags are read."""
 
     delta_e_time_domain: Optional[float]
     delta_e_spectral: Optional[float]
     delta_e_mode_oracle: Optional[float]
     delta_e_fock_oracle: Optional[float]
     relative_spread: float
-    validity_flag: bool
+    transition_probability: float  # hb's B_1100 = dE/(2 hbar w)
     grid: TimeGrid
-    tail_warning: bool
+    tail_ratio: float  # max(|q(t0)|, |q(t1)|)/max|q| on grid, 0.0 for q = 0
+    tail_rel: float  # the threshold tail_warning tests tail_ratio against
+
+    @property
+    def validity_flag(self) -> bool:
+        """B_1100 above STRAINED_PROBABILITY: first-order theory is strained."""
+        return self.transition_probability > STRAINED_PROBABILITY
+
+    @property
+    def tail_warning(self) -> bool:
+        """|q| at a grid endpoint above tail_rel * max|q|: the states there are not free."""
+        return self.tail_ratio > self.tail_rel
 
     def populated(self) -> dict:
         """Route token -> dE for the routes that ran."""
@@ -252,9 +263,9 @@ def _overflow_fails(route: str):
 
 
 class _RoutePass:
-    """``run`` feeds hb's transform (always: it sets the validity flag) and,
-    if selected, barton's amplitude by one coupling._walk, with the tail
-    test; ``report`` adds the selected oracles and builds the report.
+    """``run`` feeds hb's transform (always: it gives B_1100) and, if
+    selected, barton's amplitude by one coupling._walk, and keeps the tail
+    ratio; ``report`` adds the selected oracles and builds the report.
 
     The sums' workspaces and the walk's tile buffers for a profile
     (untouched for a signal) share one allocation, made once for grids of
@@ -273,18 +284,18 @@ class _RoutePass:
         self.amplitude = _TimeDomainSum(params, size, tile, work[stride : 2 * stride]) if sums == 2 else None
         self.buffers = work[sums * stride :].reshape(2, tile)
 
-    def run(self, grid: TimeGrid, source, tail_rel: float) -> bool:
-        """Walk ``source`` on ``grid``, a CouplingSignal on it or a profile;
-        True when |q| at both grid endpoints is at most tail_rel * max|q|,
-        so the incoming and outgoing states are free."""
+    def run(self, grid: TimeGrid, source) -> float:
+        """Walk ``source`` on ``grid``, a CouplingSignal on it or a profile, and
+        keep and return its tail ratio max(|q(t0)|, |q(t1)|)/max|q|, 0.0 for q = 0."""
         sums = [self.transform] if self.amplitude is None else [self.transform, self.amplitude]
         first, last, q_min, q_max = _walk(grid, source, sums, self.buffers)
-        threshold = tail_rel * max(q_max, -q_min)
-        return bool(abs(first) <= threshold and abs(last) <= threshold)
+        peak = max(q_max, -q_min)
+        self.tail_ratio = float(max(abs(first), abs(last)) / peak) if peak > 0.0 else 0.0
+        return self.tail_ratio
 
-    def report(self, grid: TimeGrid, source, tail_warning: bool) -> DissipationReport:
-        """The report of the last ``run``; routes fail in _FIELDS' order, and
-        the oracles sample a profile ``source`` on ``grid`` once, here."""
+    def report(self, grid: TimeGrid, source, tail_rel: float) -> DissipationReport:
+        """The report of the last ``run`` at ``tail_rel``; routes fail in _FIELDS'
+        order, and the oracles sample a profile ``source`` on ``grid`` once, here."""
         params, routes = self.params, self.routes
         delta_e = {}
         if self.amplitude is not None:
@@ -307,9 +318,10 @@ class _RoutePass:
         return DissipationReport(
             **{field: delta_e.get(token) for token, field in _FIELDS.items()},
             relative_spread=_relative_spread(list(delta_e.values())),
-            validity_flag=de_hb / (2.0 * params.hbar * params.omega) > STRAINED_PROBABILITY,
+            transition_probability=de_hb / (2.0 * params.hbar * params.omega),
             grid=grid,
-            tail_warning=tail_warning,
+            tail_ratio=self.tail_ratio,
+            tail_rel=tail_rel,
         )
 
 
@@ -326,16 +338,17 @@ def compare_routes(
 
     Route tokens: "barton" (time-domain), "hb" (spectral), "mode_oracle"
     (Bogoliubov mode functions), "fock_oracle" (truncated number basis).
-    The perturbative-validity flag is always evaluated, whichever routes
-    run, from hb's transition probability B_1100 = dE/(2 hbar w); so is
-    tail_warning, set when |q| at a grid endpoint exceeds tail_rel * max|q|
-    (the incoming or outgoing state is not free); tail_rel must lie in
-    (0, 1).  One route pass takes both first-order routes and the tail
-    test over the signal's blocks, then the oracles.  A ``signal`` that is
-    not a CouplingSignal raises TypeError; a float overflow inside a route
-    is raised as a NumericalFailure naming it.  A selected oracle whose
-    run is over the work budget, about a minute of steps, is a ValueError
-    before any route runs.  The oracles refuse what RK4 cannot resolve:
+    Whichever routes run, the report holds hb's transition probability
+    B_1100 = dE/(2 hbar w), above 0.1 of which validity_flag is set, and
+    the tail ratio max(|q(t0)|, |q(t1)|)/max|q| with ``tail_rel``, which
+    must lie in (0, 1): tail_warning is set when the ratio exceeds it (the
+    incoming or outgoing state is not free).  One route pass takes both
+    first-order routes and the tail ratio over the signal's blocks, then
+    the oracles.  A ``signal`` that is not a CouplingSignal raises
+    TypeError; a float overflow inside a route is raised as a
+    NumericalFailure naming it.  A selected oracle whose run is over the
+    work budget, about a minute of steps, is a ValueError before any
+    route runs.  The oracles refuse what RK4 cannot resolve:
     the mode oracle a step past RK4's stability limit (a NumericalFailure,
     before it integrates), and each oracle a drift of its invariant, the
     Bogoliubov normalization or the Fock norm, above 1e-6 (NormDriftError);
@@ -345,8 +358,8 @@ def compare_routes(
     _check_routes(routes)
     _check_tail_rel(tail_rel)
     route_pass = _RoutePass(params, routes, signal.grid, fock_truncation, fock_substeps, mode_substeps)
-    resolved = route_pass.run(signal.grid, signal, tail_rel)
-    return route_pass.report(signal.grid, signal, tail_warning=not resolved)
+    route_pass.run(signal.grid, signal)
+    return route_pass.report(signal.grid, signal, tail_rel)
 
 
 def amplitude_scan(
@@ -372,8 +385,8 @@ def amplitude_scan(
     sampled.  Every point's walk evaluates its profile into the pass's tile
     buffers, so the first-order routes hold O(BLOCK_SAMPLES) whatever the
     grid; with an oracle route the point then samples the grid once, for
-    the oracles only.  tail_warning, the oracle options and the refusals
-    are those of compare_routes.
+    the oracles only.  Each report's tail_ratio, tail_rel and flags, the
+    oracle options and the refusals are those of compare_routes.
     """
     _check_routes(routes)
     _check_tail_rel(tail_rel)
@@ -383,8 +396,8 @@ def amplitude_scan(
     route_pass = _RoutePass(params, routes, grid, fock_truncation, fock_substeps, mode_substeps)
     reports = []
     for profile in profiles:
-        resolved = route_pass.run(grid, profile, tail_rel)
-        reports.append(route_pass.report(grid, profile, tail_warning=not resolved))
+        route_pass.run(grid, profile)
+        reports.append(route_pass.report(grid, profile, tail_rel))
     return tuple(reports)
 
 
@@ -456,6 +469,8 @@ def _ramp_grid(profile, eta: float, dt: float, tail_rel: float) -> TimeGrid:
 def _scan_grids(family, etas, params: PhysicalParams, dt: Optional[float], tail_rel: float) -> list:
     """(profile, grid) of each eta of a scan of ``family``, at ``dt`` or 32 samples per cycle of 2*omega."""
     dt = np.pi / (32.0 * params.omega) if dt is None else dt
+    if not math.isfinite(dt):  # the default, for a subnormal omega; _check_scan refuses any other
+        raise ValueError(f"the default dt pi/(32*omega) overflows for omega={params.omega!r}; set dt (scan.dt)")
     return [(replace(family, eta=eta), _ramp_grid(family, eta, dt, tail_rel)) for eta in map(float, etas)]
 
 
@@ -507,8 +522,9 @@ def adiabatic_scan(
     point's grid widens as 1/eta and so does the oracles' RK4 error: at
     the default dt, one mode substep leaves a Bogoliubov defect of 4.3e-6
     already at eta = 2 (symmetric ramp), which raises NormDriftError, and
-    two resolve eta = 0.5.  Unresolved tails raise TailSpanError before
-    any route's total is read.
+    two resolve eta = 0.5.  A point whose tail ratio exceeds ``tail_rel``
+    raises TailSpanError before any route's total is read, so each report
+    holds a tail_ratio at most its tail_rel and no report has tail_warning.
     """
     etas = np.asarray(list(etas), dtype=float)
     _check_scan(family, etas.tolist(), dt)
@@ -520,12 +536,11 @@ def adiabatic_scan(
     route_pass = _RoutePass(params, routes, largest, fock_truncation, fock_substeps, mode_substeps)
     reports = []
     for profile, grid in points:
-        if not route_pass.run(grid, profile, tail_rel):
+        if route_pass.run(grid, profile) > tail_rel:
             raise TailSpanError(
                 f"grid span insufficient for eta={profile.eta:g}: coupling tails above {tail_rel:g} of peak"
             )
-        # the tails were resolved at tail_rel above, so no report of a scan is flagged
-        reports.append(route_pass.report(grid, profile, tail_warning=False))
+        reports.append(route_pass.report(grid, profile, tail_rel))
 
     # the scan's dE is hb's where it ran, else barton's, else an oracle's
     token = next(token for token in ("hb", "barton", "mode_oracle", "fock_oracle") if token in routes)

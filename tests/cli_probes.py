@@ -348,6 +348,9 @@ PROBES = table([
     Probe("eta_negative", eta_scan(values=[0.1, -1.0]), 2, "error: config.scan: etas[1] must be positive, got -1.0\n"),
     Probe("dt_zero", eta_scan(dt=0.0), 2, "error: config.scan: dt must be finite and positive, got 0.0\n"),
     Probe("dt_negative", eta_scan(dt=-0.1), 2, "error: config.scan: dt must be finite and positive, got -0.1\n"),
+    # the default dt pi/(32*omega) overflows for a subnormal omega
+    Probe("default_dt_overflows", {**eta_scan(), "params": {"mass": 1e300, "omega": 5e-324}}, 2,
+          "error: config.scan: the default dt pi/(32*omega) overflows for omega=5e-324; set dt (scan.dt)\n"),
     # an eta scan builds its own grids and tests their tails at scan.tail_rel
     Probe("eta_scan_with_grid", {**eta_scan(), "grid": {"t_start": -1.0, "t_end": 1.0, "n_samples": 3}}, 2,
           "error: config.grid: an eta scan builds its own grids; set scan.dt instead\n"),

@@ -242,7 +242,7 @@ class TestOneFirstOrderPass:
         hb = _delta_e_hb(exp_trapezoid_blocks(signal, -1j * (-2.0 * PARAMS.omega)), PARAMS)
         assert report.delta_e_time_domain == barton
         assert report.delta_e_spectral == hb
-        assert report.validity_flag == (hb / (2.0 * PARAMS.hbar * PARAMS.omega) > 0.1)
+        assert report.transition_probability == hb / (2.0 * PARAMS.hbar * PARAMS.omega)
 
     @pytest.mark.parametrize("routes", ROUTE_PAIRS)
     @pytest.mark.parametrize("n", SIZES)

@@ -132,12 +132,15 @@ class TestJsonOutput:
         result = run_scenario(scenario)
         payload = emit_report(result, "json")
         parsed = json.loads(payload)
-        assert parsed["schema_version"] == "1"
+        assert parsed["schema_version"] == "2"
         row = parsed["rows"][0]
         _, report = result.rows[0]
         assert row["delta_e_barton"] == report.delta_e_time_domain
         assert row["delta_e_hb"] == report.delta_e_spectral
         assert row["relative_spread"] == report.relative_spread
+        assert row["tail_ratio"] == report.tail_ratio
+        assert row["tail_rel"] == report.tail_rel == 1e-10
+        assert row["transition_probability"] == report.transition_probability
         assert row["delta_e_mode"] is None
         # a second render parses to the same document
         assert json.loads(emit_report(result, "json")) == parsed
@@ -154,7 +157,8 @@ def test_json_row_keys_are_the_csv_columns_after_profile(tmp_path):
     result = run_scenario(load_config(write_config(tmp_path, small_benchmark(routes=["barton", "hb"]))))
     row = json.loads(emit_report(result, "json"))["rows"][0]
     columns = CSV_HEADER.split(",")
-    assert set(row) == set(columns[columns.index("profile") + 1:]) | {"tail_warning", "grid"}
+    assert set(row) == set(columns[columns.index("profile") + 1:]) | {
+        "tail_warning", "tail_ratio", "tail_rel", "transition_probability", "grid"}
     cells = emit_report(result, "csv").decode().splitlines()[1].split(",")
     for column, cell in zip(columns[2:], cells[2:]):
         if row[column] is None:
@@ -411,7 +415,7 @@ def test_cli_probe(tmp_path, capsys, probe):
 def test_the_table_refuses_a_repeated_name_and_holds_every_row():
     with pytest.raises(ValueError, match="^two probes are named 'tiny_mass'$"):
         table([PROBES["tiny_mass"], PROBES["span_overflow"], PROBES["tiny_mass"]])
-    assert len(PROBES) == 107
+    assert len(PROBES) == 108
 
 
 def test_the_probe_runner_reports_every_failing_probe(capsys, monkeypatch):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,8 @@ class TestCompareRoutes:
         assert report.delta_e_time_domain == 0.0
         assert report.delta_e_spectral == 0.0
         assert report.relative_spread == 0.0
-        assert not report.validity_flag
+        assert report.transition_probability == 0.0 and not report.validity_flag
+        assert report.tail_ratio == 0.0 and not report.tail_warning
 
     def test_four_route_benchmark(self):
         report = compare_routes(
@@ -220,6 +222,16 @@ class TestCompareRoutes:
     def test_validity_flag_trips_at_strained_coupling(self):
         report = compare_routes(gauss_signal(q0=1.1), PARAMS, routes=("barton", "hb"))
         assert report.validity_flag
+
+    def test_a_report_stores_numbers_and_reads_its_flags_off_them(self):
+        report = compare_routes(gauss_signal(q0=1.1), PARAMS, routes=("hb",))
+        fields = asdict(report)
+        assert {"tail_ratio", "tail_rel", "transition_probability"} <= set(fields)
+        assert not {"tail_warning", "validity_flag"} & set(fields)
+        # both views are strict: a number at its threshold is not flagged
+        assert not replace(report, tail_rel=report.tail_ratio).tail_warning
+        assert replace(report, tail_rel=np.nextafter(report.tail_ratio, 0.0)).tail_warning
+        assert not replace(report, transition_probability=0.1).validity_flag
 
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError, match=r"^unknown route 'kubo' at routes\[1\]; valid tokens are \['barton', "):
@@ -245,10 +257,13 @@ class TestCompareRoutes:
 
     @pytest.mark.parametrize("q0", [0.01, -0.01])
     def test_the_tail_test_reads_max_abs_q_for_either_sign(self, q0):
-        wide = compare_routes(gauss_signal(q0=q0, n=481), PARAMS, routes=("hb",))
-        narrow = sample(GaussianPulse(q0=q0, tau=1.0), TimeGrid(-2.0, 2.0, 41))
-        assert not wide.tail_warning
-        assert compare_routes(narrow, PARAMS, routes=("hb",)).tail_warning
+        wide, narrow = gauss_signal(q0=q0, n=481), sample(GaussianPulse(q0=q0, tau=1.0), TimeGrid(-2.0, 2.0, 41))
+        for signal, flagged in ((wide, False), (narrow, True)):
+            report = compare_routes(signal, PARAMS, routes=("hb",))
+            q = np.abs(signal.values)
+            assert report.tail_ratio == q[[0, -1]].max() / q.max()
+            assert report.tail_rel == 1e-10
+            assert report.tail_warning is flagged
 
     @pytest.mark.parametrize("tail_rel", [float("nan"), 0.0, -1.0, 1.0, 2.0, float("inf")])
     def test_a_tail_rel_outside_the_unit_interval_is_refused_with_its_value(self, tail_rel):
@@ -296,6 +311,9 @@ class TestAdiabaticScan:
             SymmetricRamp(gamma=1e-3, eta=1.0), [0.01], PARAMS, routes=("barton", "hb")
         )
         assert set(result.reports[0].populated()) == {"barton", "hb"}
+        # each grid is solved for a tenth of the default tail_rel, so no report of a scan is flagged
+        assert result.reports[0].tail_ratio < result.reports[0].tail_rel == 1e-12
+        assert not result.reports[0].tail_warning
 
     def test_rejects_non_ramp_families(self):
         with pytest.raises(TypeError, match="ramp"):
@@ -363,6 +381,13 @@ class TestScanPreflight:
         # the span over dt is inf: refused before it is converted to a sample count
         with pytest.raises(ValueError, match=r"needs a grid of inf samples, above the budget of 100000000; raise eta"):
             adiabatic_scan(SymmetricRamp(gamma=1.0, eta=1.0), etas, PARAMS, dt=dt)
+
+    def test_a_default_dt_that_overflows_is_refused_naming_omega(self):
+        # pi/(32*omega) is inf for a subnormal omega, which would ask for a 1-sample grid
+        params = PhysicalParams(mass=1e300, omega=5e-324)
+        message = r"^the default dt pi/\(32\*omega\) overflows for omega=5e-324; set dt \(scan\.dt\)$"
+        with pytest.raises(ValueError, match=message):
+            adiabatic_scan(SymmetricRamp(gamma=0.001, eta=1.0), [0.1], params, routes=("hb",))
 
     def test_tail_rel_out_of_range_names_the_value_given(self):
         with pytest.raises(ValueError, match=r"got -1\.0"):
