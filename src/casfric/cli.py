@@ -235,6 +235,10 @@ def load_config(path) -> Scenario:
     _reject_unknown_keys(raw, _TOP_LEVEL_KEYS, "config")
 
     scenario_id = _expect(raw, "scenario_id", "config", str, required=False, default="scenario")
+    # the CSV's first cell, in UTF-8: a comma, quote or line break breaks its row, and a leading # reads as a footer
+    if scenario_id.startswith("#") or any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in scenario_id):
+        raise ConfigError(f"config.scenario_id: must not start with # or hold a comma, double quote, CR, LF or "
+                          f"lone surrogate, got {scenario_id!r}")
     params = _build(PhysicalParams, _expect(raw, "params", "config", dict), "params")
     profile_config = _expect(raw, "profile", "config", dict)
     profile = _build_profile(profile_config, path.parent)

@@ -239,6 +239,8 @@ def _relative_spread(values: Sequence[float]) -> float:
 
 
 def _check_routes(routes: Sequence[str]) -> None:
+    if isinstance(routes, str):
+        raise TypeError(f"routes is a sequence of route tokens such as ('hb',), not the string {routes!r}")
     if not routes:
         raise ValueError("at least one route must be selected")
     for i, route in enumerate(routes):

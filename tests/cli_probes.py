@@ -96,6 +96,8 @@ MODE_UNSTABLE = ("numerical failure: mode {}: h*Omega_max = {} is above RK4's st
                  "raise mode_substeps\n")
 FOCK_OVER_BUDGET = ("error: config: the Fock (N = 10) oracle's {} steps would take about {} s, above the work budget "
                     "of 60 s; lower fock_truncation, fock_substeps or the grid's sample count\n")
+SCENARIO_ID = ("error: config.scenario_id: must not start with # or hold a comma, double quote, CR, LF or lone "
+               "surrogate, got {!r}\n")
 RAMP_3201 = pulse(profile={"type": "symmetric_ramp", "gamma": 0.05, "eta": 0.1},
                   grid={"t_start": -400.0, "t_end": 400.0, "n_samples": 3201}, routes=["hb", "mode_oracle"])
 
@@ -318,6 +320,13 @@ PROBES = table([
     # an amplitude scan runs on config.grid: dt is not one of its keys
     Probe("amplitude_scan_dt", pulse(scan={"kind": "amplitude", "values": [0.01], "dt": 0.1}), 2,
           "error: scan.dt: unknown field; valid fields are ['kind', 'values']\n"),
+    # scenario_id is the CSV's first cell: each of these would split its row, read as a footer or not encode
+    Probe("scenario_id_comma", pulse(scenario_id="a,b"), 2, SCENARIO_ID.format("a,b")),
+    Probe("scenario_id_quote", pulse(scenario_id='a"b'), 2, SCENARIO_ID.format('a"b')),
+    Probe("scenario_id_cr", pulse(scenario_id="line1\rline2"), 2, SCENARIO_ID.format("line1\rline2")),
+    Probe("scenario_id_lf", pulse(scenario_id="line1\nline2"), 2, SCENARIO_ID.format("line1\nline2")),
+    Probe("scenario_id_hash", pulse(scenario_id="#adiabatic"), 2, SCENARIO_ID.format("#adiabatic")),
+    Probe("scenario_id_surrogate", pulse(scenario_id="a\ud800b"), 2, SCENARIO_ID.format("a\ud800b")),
     # a sampled profile is a csv or inline samples, and a csv has at least two data rows
     Probe("csv_and_inline", inline(csv="samples.csv"), 2,
           "error: profile: give either csv or grid and values, not both\n"),

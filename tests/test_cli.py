@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from casfric.cli import (
-    _PROFILES,
     CSV_HEADER,
     ConfigError,
     ScenarioResult,
@@ -19,7 +18,7 @@ from casfric.cli import (
     run_scenario,
 )
 from casfric import AdiabaticScanResult, adiabatic_scan
-from casfric.core import MAX_GRID_SAMPLES, PhysicalParams, TimeGrid
+from casfric.core import MAX_GRID_SAMPLES
 from casfric.dissipation import SCAN_TAIL_REL_DEFAULT
 from cli_probes import PROBES, eta_scan, inline, run_all, stderr_matches, table, write_probe
 
@@ -367,35 +366,6 @@ def test_inline_sampled_profile_runs(tmp_path, capsys):
     assert row[1] == "sampled" and float(row[4]) > 0.0
 
 
-def schema_cases():
-    """(section, profile type, field, fault) for every field of every dataclass the config names."""
-    tables = [("params", None, PhysicalParams), ("grid", None, TimeGrid)]
-    tables += [("profile", kind, cls) for kind, cls in _PROFILES.items()]
-    for section, kind, cls in tables:
-        for field in dataclasses.fields(cls):
-            faults = ["nan", "string"]
-            if field.default is dataclasses.MISSING:
-                faults.append("missing")
-            for fault in faults:
-                yield pytest.param(section, kind, cls, field.name, fault, id=f"{kind or section}.{field.name}-{fault}")
-
-
-@pytest.mark.parametrize("section, kind, cls, name, fault", list(schema_cases()))
-def test_every_schema_field_is_checked_with_its_path(tmp_path, capsys, section, kind, cls, name, fault):
-    body = small_benchmark(routes=["hb"])
-    if kind is not None:
-        body["profile"] = {"type": kind, **{field.name: 1.0 for field in dataclasses.fields(cls)}}
-    load_config(write_config(tmp_path, body, name="valid.json"))  # the body before the fault loads
-    if fault == "missing":
-        del body[section][name]
-    else:
-        body[section][name] = float("nan") if fault == "nan" else "1.0"
-    assert main([str(write_config(tmp_path, body))]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {section}.{name}: "), captured.err
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("probe", PROBES.values(), ids=list(PROBES))
 def test_cli_probe(tmp_path, capsys, probe):
@@ -415,7 +385,7 @@ def test_cli_probe(tmp_path, capsys, probe):
 def test_the_table_refuses_a_repeated_name_and_holds_every_row():
     with pytest.raises(ValueError, match="^two probes are named 'tiny_mass'$"):
         table([PROBES["tiny_mass"], PROBES["span_overflow"], PROBES["tiny_mass"]])
-    assert len(PROBES) == 108
+    assert len(PROBES) == 114
 
 
 def test_the_probe_runner_reports_every_failing_probe(capsys, monkeypatch):

@@ -28,6 +28,7 @@ from casfric import (
     TailSpanError,
     TimeGrid,
     adiabatic_scan,
+    amplitude_scan,
     compare_routes,
     delta_e_spectral,
     delta_e_time_domain,
@@ -238,6 +239,16 @@ class TestCompareRoutes:
             compare_routes(zero_signal(), PARAMS, routes=("barton", "kubo"))
         with pytest.raises(ValueError, match="at least one"):
             compare_routes(zero_signal(), PARAMS, routes=())
+
+    def test_a_bare_string_of_routes_is_refused_as_a_string(self):
+        # a str is a sequence of one-letter tokens; naming 'h' would hide the real fault
+        match = r"^routes is a sequence of route tokens such as \('hb',\), not the string 'hb'$"
+        for run in (lambda routes: compare_routes(zero_signal(), PARAMS, routes=routes),
+                    lambda routes: amplitude_scan(GaussianPulse(q0=0.01, tau=1.0), [0.01], TimeGrid(-12.0, 12.0, 481),
+                                                  PARAMS, routes=routes),
+                    lambda routes: adiabatic_scan(SymmetricRamp(gamma=0.001, eta=1.0), [0.1], PARAMS, routes=routes)):
+            with pytest.raises(TypeError, match=match):
+                run("hb")
 
     def test_refuses_an_integral_float_fock_truncation(self):
         with pytest.raises(ValueError, match=r"truncation must be an integer >= 2, got 4\.0"):
