@@ -24,7 +24,6 @@ from .coupling import (
     SymmetricRamp,
     _with_amplitude,
     load_sampled_csv,
-    sample,
 )
 from .dissipation import (
     _ORACLE_DEFAULTS,
@@ -36,10 +35,9 @@ from .dissipation import (
     _check_routes,
     _check_scan,
     _check_tail_rel,
+    _fit,
+    _run_points,
     _scan_grids,
-    adiabatic_scan,
-    amplitude_scan,
-    compare_routes,
 )
 from .errors import NumericalFailure
 
@@ -88,9 +86,8 @@ class ScanSpec:
 class Scenario:
     scenario_id: str
     params: PhysicalParams
-    profile: CouplingProfile
+    points: tuple  # of (profile, grid): the run's own, one per scan value or the single run's
     profile_config: dict
-    grid: Optional[TimeGrid]
     routes: tuple
     fock_truncation: int
     fock_substeps: int
@@ -247,8 +244,6 @@ def load_config(path) -> Scenario:
     eta_scan = scan is not None and scan.kind == "eta"
     if eta_scan:
         _construct(_check_scan, "config.scan", profile, scan.values, scan.dt)
-    elif scan is not None:
-        _construct(_with_amplitude, "config.scan", profile, scan.values[0])
     for key, instead in (("grid", "scan.dt"), ("tail_rel", "scan.tail_rel")):
         if eta_scan and raw.get(key) is not None:  # it sizes its own grids and tests their tails
             raise ConfigError(f"config.{key}: an eta scan builds its own grids; set {instead} instead")
@@ -267,8 +262,10 @@ def load_config(path) -> Scenario:
     # the runs' own rules, last: eta grids, oracle work, and q finite at each grid end, where a ramp's |gamma*t| peaks
     if eta_scan:
         points = _construct(_scan_grids, "config.scan", profile, scan.values, params, scan.dt, scan.tail_rel)
+    elif scan is not None:
+        points = [(_construct(_with_amplitude, "config.scan", profile, value), grid) for value in scan.values]
     else:
-        points = [(_with_amplitude(profile, value), grid) for value in scan.values] if scan else [(profile, grid)]
+        points = [(profile, grid)]
     _construct(_check_budget, "config", routes, max((g for _, g in points), key=lambda g: g.n_samples), **options)
     at = "config.scan" if scan else "config.grid"
     for point, point_grid in points:  # a signal refuses a grid outside its span
@@ -278,9 +275,8 @@ def load_config(path) -> Scenario:
     return Scenario(
         scenario_id=scenario_id,
         params=params,
-        profile=profile,
+        points=tuple(points),
         profile_config=dict(profile_config),
-        grid=grid,
         routes=tuple(routes),
         **options,
         tail_rel=tail_rel,
@@ -289,32 +285,16 @@ def load_config(path) -> Scenario:
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """Execute all selected routes, one report row per scan point."""
-    opts = dict(
-        routes=scenario.routes,
-        fock_truncation=scenario.fock_truncation,
-        fock_substeps=scenario.fock_substeps,
-        mode_substeps=scenario.mode_substeps,
-    )
-    if scenario.scan is None:
-        report = compare_routes(sample(scenario.profile, scenario.grid), scenario.params,
-                                tail_rel=scenario.tail_rel, **opts)
-        return ScenarioResult(scenario, rows=((None, report),))
-    if scenario.scan.kind == "amplitude":
-        reports = amplitude_scan(scenario.profile, scenario.scan.values, scenario.grid, scenario.params,
-                                 tail_rel=scenario.tail_rel, **opts)
-        return ScenarioResult(scenario, rows=tuple(zip(scenario.scan.values, reports)))
-
-    scan = adiabatic_scan(
-        scenario.profile,
-        scenario.scan.values,
-        scenario.params,
-        dt=scenario.scan.dt,
-        tail_rel=scenario.scan.tail_rel,
-        **opts,
-    )
-    rows = tuple(zip(scenario.scan.values, scan.reports))
-    return ScenarioResult(scenario, rows=rows, scan=scan)
+    """Run the selected routes over the scenario's points in one route pass, one report row per point."""
+    scan = scenario.scan
+    eta_scan = scan is not None and scan.kind == "eta"
+    tail_rel = scan.tail_rel if eta_scan else scenario.tail_rel
+    reports = _run_points(scenario.params, scenario.routes, scenario.points, tail_rel, scenario.fock_truncation,
+                          scenario.fock_substeps, scenario.mode_substeps, refuse_tails=eta_scan)
+    if scan is None:
+        return ScenarioResult(scenario, rows=((None, reports[0]),))
+    rows = tuple(zip(scan.values, reports))
+    return ScenarioResult(scenario, rows=rows, scan=_fit(scan.values, reports, scenario.routes) if eta_scan else None)
 
 
 def _cell(value) -> str:

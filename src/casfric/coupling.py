@@ -256,15 +256,16 @@ def _walk(grid: TimeGrid, source: CouplingProfile, sums, buffers=None):
     """Reset the first-order ``sums`` to ``grid`` and stream ``source``'s samples into them.
 
     Each block of core._blocks gets its times from one grid.times call and
-    is walked in tiles of _TILE_PAIRS pairs: a CouplingSignal's tiles are
-    slices, any other profile's are evaluated into ``buffers``, the
-    caller's (values, scratch) rows of a tile.  A non-finite tile is
+    is walked in tiles of _TILE_PAIRS pairs: a CouplingSignal's on ``grid``
+    are slices, any other profile's, or a signal's on another grid, are
+    evaluated into ``buffers``, the caller's (values, scratch) rows of a
+    tile, with the bits ``sample`` gives them.  A non-finite tile is
     refused as ``sample`` refuses it.  Each sum ``fill``s every tile, then
     ``add_pairs`` once per block.  Returns the first, last, min and max samples.
     """
     for total in sums:
         total.reset(grid)
-    sliced = isinstance(source, CouplingSignal)
+    sliced = isinstance(source, CouplingSignal) and source.grid == grid
     q_min, q_max = math.inf, -math.inf
     for lo, hi in _blocks(grid.n_samples):
         times = grid.times(lo, hi)

@@ -270,8 +270,9 @@ class _RoutePass:
     ratio; ``report`` adds the selected oracles and builds the report.
 
     The sums' workspaces and the walk's tile buffers for a profile
-    (untouched for a signal) share one allocation, made once for grids of
-    up to ``largest``'s samples if each selected oracle's run fits the budget.
+    (untouched for a signal on its own grid) share one allocation, made
+    once for grids of up to ``largest``'s samples if each selected
+    oracle's run fits the budget.
     """
 
     def __init__(self, params, routes, largest, fock_truncation, fock_substeps, mode_substeps):
@@ -287,7 +288,7 @@ class _RoutePass:
         self.buffers = work[sums * stride :].reshape(2, tile)
 
     def run(self, grid: TimeGrid, source) -> float:
-        """Walk ``source`` on ``grid``, a CouplingSignal on it or a profile, and
+        """Walk ``source``, any profile, a CouplingSignal included, on ``grid``, and
         keep and return its tail ratio max(|q(t0)|, |q(t1)|)/max|q|, 0.0 for q = 0."""
         sums = [self.transform] if self.amplitude is None else [self.transform, self.amplitude]
         first, last, q_min, q_max = _walk(grid, source, sums, self.buffers)
@@ -297,7 +298,8 @@ class _RoutePass:
 
     def report(self, grid: TimeGrid, source, tail_rel: float) -> DissipationReport:
         """The report of the last ``run`` at ``tail_rel``; routes fail in _FIELDS'
-        order, and the oracles sample a profile ``source`` on ``grid`` once, here."""
+        order, and the oracles sample ``source`` on ``grid`` once, here, unless it
+        is a CouplingSignal on ``grid``."""
         params, routes = self.params, self.routes
         delta_e = {}
         if self.amplitude is not None:
@@ -308,7 +310,7 @@ class _RoutePass:
         if "hb" in routes:
             delta_e["hb"] = de_hb
         if "mode_oracle" in routes or "fock_oracle" in routes:
-            signal = source if isinstance(source, CouplingSignal) else sample(source, grid)
+            signal = source if isinstance(source, CouplingSignal) and source.grid == grid else sample(source, grid)
         if "mode_oracle" in routes:
             with _overflow_fails("mode_oracle"):
                 pairs = _oracle._evolve_modes(signal, params, (+1, -1), self.mode_substeps)
@@ -325,6 +327,22 @@ class _RoutePass:
             tail_ratio=self.tail_ratio,
             tail_rel=tail_rel,
         )
+
+
+def _run_points(params, routes, points, tail_rel, fock_truncation, fock_substeps, mode_substeps, refuse_tails=False):
+    """The report of each (profile, grid) of ``points``, from one route pass sized
+    on their largest grid, so an oracle run over the work budget is refused
+    before any point runs.  With ``refuse_tails`` (an eta scan) a point whose
+    tail ratio exceeds ``tail_rel`` raises TailSpanError before any total is read."""
+    largest = max((grid for _, grid in points), key=lambda grid: grid.n_samples)
+    route_pass = _RoutePass(params, routes, largest, fock_truncation, fock_substeps, mode_substeps)
+    reports = []
+    for profile, grid in points:
+        if route_pass.run(grid, profile) > tail_rel and refuse_tails:
+            raise TailSpanError(f"grid span insufficient for eta={profile.eta:g}: coupling tails above "
+                                f"{tail_rel:g} of peak")
+        reports.append(route_pass.report(grid, profile, tail_rel))
+    return tuple(reports)
 
 
 def compare_routes(
@@ -359,9 +377,8 @@ def compare_routes(
     _require_signal(signal, "compare_routes")
     _check_routes(routes)
     _check_tail_rel(tail_rel)
-    route_pass = _RoutePass(params, routes, signal.grid, fock_truncation, fock_substeps, mode_substeps)
-    route_pass.run(signal.grid, signal)
-    return route_pass.report(signal.grid, signal, tail_rel)
+    return _run_points(params, routes, [(signal, signal.grid)], tail_rel, fock_truncation, fock_substeps,
+                       mode_substeps)[0]
 
 
 def amplitude_scan(
@@ -394,13 +411,8 @@ def amplitude_scan(
     _check_tail_rel(tail_rel)
     if len(amplitudes) == 0:
         raise ValueError("amplitudes must be a nonempty sequence")
-    profiles = [_with_amplitude(family, amplitude) for amplitude in amplitudes]
-    route_pass = _RoutePass(params, routes, grid, fock_truncation, fock_substeps, mode_substeps)
-    reports = []
-    for profile in profiles:
-        route_pass.run(grid, profile)
-        reports.append(route_pass.report(grid, profile, tail_rel))
-    return tuple(reports)
+    points = [(_with_amplitude(family, amplitude), grid) for amplitude in amplitudes]
+    return _run_points(params, routes, points, tail_rel, fock_truncation, fock_substeps, mode_substeps)
 
 
 def _check_tail_rel(tail_rel: float, factor: Optional[float] = None) -> None:
@@ -534,17 +546,15 @@ def adiabatic_scan(
     _check_routes(routes)
 
     points = _scan_grids(family, etas, params, dt, tail_rel)
-    largest = max((grid for _, grid in points), key=lambda grid: grid.n_samples)
-    route_pass = _RoutePass(params, routes, largest, fock_truncation, fock_substeps, mode_substeps)
-    reports = []
-    for profile, grid in points:
-        if route_pass.run(grid, profile) > tail_rel:
-            raise TailSpanError(
-                f"grid span insufficient for eta={profile.eta:g}: coupling tails above {tail_rel:g} of peak"
-            )
-        reports.append(route_pass.report(grid, profile, tail_rel))
+    reports = _run_points(params, routes, points, tail_rel, fock_truncation, fock_substeps, mode_substeps,
+                          refuse_tails=True)
+    return _fit(etas, reports, routes)
 
-    # the scan's dE is hb's where it ran, else barton's, else an oracle's
+
+def _fit(etas, reports, routes) -> AdiabaticScanResult:
+    """The scan result of an eta scan's ``reports`` at ``etas``: its dE is hb's
+    where it ran, else barton's, else an oracle's, with dE*eta and both slopes."""
+    etas = np.asarray(etas, dtype=float)
     token = next(token for token in ("hb", "barton", "mode_oracle", "fock_oracle") if token in routes)
     delta_e = np.array([report.populated()[token] for report in reports])
     with np.errstate(over="ignore"):  # a product that overflows has no slope and is null in the JSON

@@ -1,6 +1,8 @@
 """Block-streamed passes over long grids: grid slices, sampling and the
 two first-order quadratures, against full-array references."""
+import functools
 import gc
+import json
 import tracemalloc
 
 import numpy as np
@@ -25,10 +27,12 @@ from casfric import (
     sample,
 )
 from casfric import dissipation
+from casfric.cli import load_config, run_scenario
 from casfric.core import _TILE_PAIRS, BLOCK_SAMPLES, _blocks
 from casfric.coupling import _walk, _with_amplitude
 from casfric.dissipation import (
     _SCAN_TAIL_FACTOR,
+    TAIL_REL_DEFAULT,
     _RoutePass,
     _TimeDomainSum,
     _delta_e_barton,
@@ -371,18 +375,71 @@ def two_block_dt(family, eta, tail_rel=1e-12):
     return length / (BLOCK_SAMPLES + 0.5)
 
 
-class TestStreamedScan:
-    """A first-order scan point evaluates its profile one block at a time
-    and feeds each block to the routes: every report is == to the one of
-    sampling the whole grid and running compare_routes on it."""
+# a grid of two blocks, the second of one interval, for each family with an amplitude
+AMPLITUDE_FAMILIES = [
+    (GaussianPulse(q0=0.01, tau=1.0), TimeGrid(-12.0, 12.0, BLOCK_SAMPLES + 2)),
+    (SymmetricRamp(gamma=1e-3, eta=1.0), TimeGrid(-40.0, 40.0, BLOCK_SAMPLES + 2)),
+    (ExponentialRamp(gamma=1e-3, eta=1.0), TimeGrid(0.0, 40.0, BLOCK_SAMPLES + 2)),
+]
+AMPLITUDE_ROUTES = [
+    ("barton",), ("hb",), ("barton", "hb"), ("hb", "mode_oracle"), ("barton", "hb", "mode_oracle"), ("hb", "fock_oracle"),
+]
 
-    @pytest.mark.parametrize("routes", FIRST_ORDER_ROUTES)
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_reports_equal_sampling_then_comparing(self, family, routes):
-        etas = [0.05, 5e-3]  # 5e-3 needs more than one block on either ramp
-        scan = adiabatic_scan(family, etas, PARAMS, routes=routes)
-        assert scan.reports[-1].grid.n_samples > BLOCK_SAMPLES + 1
-        assert list(scan.reports) == sampled_scan_reports(family, etas, PARAMS, routes)
+
+def sampled_amplitude_reports(family, amplitudes, grid, routes, **options):
+    """What an amplitude scan's reports were: sample each amplitude's profile, then compare_routes."""
+    return [compare_routes(sample(_with_amplitude(family, amplitude), grid), PARAMS, routes=routes, **options)
+            for amplitude in amplitudes]
+
+
+# each scan's (run, reference), both taking ``values`` of ``family`` on ``grid``
+# (None for an eta scan, which builds its grids): the reference samples each point
+# and runs compare_routes, and takes ``routes`` as its fourth argument
+SCANS = {
+    "eta": (
+        lambda family, values, grid, **options: list(adiabatic_scan(family, values, PARAMS, **options).reports),
+        lambda family, values, grid, routes, **options: sampled_scan_reports(family, values, PARAMS, routes, **options),
+    ),
+    "amplitude": (
+        lambda family, values, grid, **options: list(amplitude_scan(family, values, grid, PARAMS, **options)),
+        sampled_amplitude_reports,
+    ),
+}
+
+
+def single_run(n_samples, tmp_path):
+    """run_scenario on a loaded config: a Gaussian pulse through barton and hb on ``n_samples``."""
+    path = tmp_path / f"pulse_{n_samples}.json"
+    path.write_text(json.dumps({
+        "params": {"mass": 1.0, "omega": 1.0},
+        "profile": {"type": "gaussian_pulse", "q0": 0.01, "tau": 1.0},
+        "grid": {"t_start": -12.0, "t_end": 12.0, "n_samples": n_samples},
+        "routes": ["barton", "hb"],
+    }))
+    return functools.partial(run_scenario, load_config(path))
+
+
+class TestStreamedScans:
+    """Every run is one route pass over its points: a first-order point walks
+    its profile one tile at a time and feeds each block to the routes, and
+    every report is == to the one of sampling the whole grid and running
+    compare_routes on it.  The eta and amplitude scans share these tests,
+    and the CLI's single run joins the flat-peak one."""
+
+    @pytest.mark.parametrize("scan, family, values, grid, routes", [
+        # 5e-3 needs more than one block on either ramp
+        *(("eta", family, [0.05, 5e-3], None, routes) for family in FAMILIES for routes in FIRST_ORDER_ROUTES),
+        # a Fock point takes ~0.25 s here
+        *(("amplitude", family, [1e-2] if "fock_oracle" in routes else [1e-3, 1e-2], grid, routes)
+          for family, grid in AMPLITUDE_FAMILIES for routes in AMPLITUDE_ROUTES),
+    ])
+    def test_reports_equal_sampling_then_comparing(self, scan, family, values, grid, routes):
+        run, sampled = SCANS[scan]
+        options = dict(fock_truncation=2, fock_substeps=1)
+        reports = run(family, values, grid, routes=routes, **options)
+        assert reports[-1].grid.n_samples > BLOCK_SAMPLES + 1
+        assert reports == sampled(family, values, grid, routes, **options)
+        assert all(set(report.populated()) == set(routes) for report in reports)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_a_last_block_of_one_interval(self, family):
@@ -404,6 +461,14 @@ class TestStreamedScan:
         assert list(scan.reports) == want
         assert all(set(report.populated()) == set(routes) for report in scan.reports)
 
+    @pytest.mark.parametrize("routes", [("barton", "hb"), ("hb", "mode_oracle")])
+    def test_a_signal_on_another_grid_runs_as_if_sampled_on_it(self, routes):
+        """A CouplingSignal off its own grid is interpolated tile by tile, with the bits sample gives it."""
+        signal = sample(GaussianPulse(q0=0.01, tau=2.0), TimeGrid(-20.0, 20.0, 2001))
+        grid = TimeGrid(-19.0, 19.0, 3 * BLOCK_SAMPLES + 17)
+        [report] = dissipation._run_points(PARAMS, routes, [(signal, grid)], TAIL_REL_DEFAULT, 10, 4, 1)
+        assert report == compare_routes(sample(signal, grid), PARAMS, routes=routes)
+
     def test_an_oracle_point_that_one_mode_substep_cannot_resolve_is_refused(self):
         # the eta = 0.5 grid: one substep leaves a Bogoliubov defect of 1.7e-5, two leave 5.4e-7
         family = SymmetricRamp(gamma=0.05, eta=1.0)
@@ -412,43 +477,77 @@ class TestStreamedScan:
         scan = adiabatic_scan(family, [0.5], PARAMS, routes=("hb", "mode_oracle"), mode_substeps=2)
         assert set(scan.reports[0].populated()) == {"hb", "mode_oracle"}
 
-    def test_an_oracle_scan_over_the_work_budget_is_refused_before_any_point_runs(self, monkeypatch):
+    @pytest.mark.parametrize("routes, oracle", [(("hb", "mode_oracle"), True), (("barton", "hb"), False)])
+    @pytest.mark.parametrize("scan, family, values, grid, field, options", [
+        ("eta", SymmetricRamp(gamma=0.05, eta=1.0), [0.5, 0.2], None, "eta", {"mode_substeps": 4}),
+        ("amplitude", GaussianPulse(q0=1.0, tau=1.0), [1e-3, 1e-2], TimeGrid(-12.0, 12.0, 2401), "q0", {}),
+    ])
+    def test_every_point_walks_its_profile_and_samples_only_for_the_oracles(self, monkeypatch, scan, family, values,
+                                                                            grid, field, options, routes, oracle):
+        calls = []
+
+        def walk(grid, source, *args):
+            calls.append(("walk", type(source).__name__, getattr(source, field)))
+            return _walk(grid, source, *args)
+
+        def sample_once(profile, grid):
+            calls.append(("sample", type(profile).__name__, getattr(profile, field)))
+            return sample(profile, grid)
+
+        monkeypatch.setattr(dissipation, "_walk", walk)
+        monkeypatch.setattr(dissipation, "sample", sample_once)
+        SCANS[scan][0](family, values, grid, routes=routes, **options)
+        steps = ("walk", "sample") if oracle else ("walk",)
+        assert calls == [(step, type(family).__name__, value) for value in values for step in steps]
+
+    @pytest.mark.parametrize("run, short, long", [
+        *(pytest.param(lambda eta, _, family=family: functools.partial(
+            adiabatic_scan, family, [eta], PARAMS, routes=("barton", "hb")), 2e-3, 5e-4, id=f"eta-{type(family).__name__}")
+          for family in FAMILIES),
+        pytest.param(lambda n_samples, _: functools.partial(
+            amplitude_scan, GaussianPulse(q0=0.01, tau=1.0), [1e-3, 1e-2], TimeGrid(-12.0, 12.0, n_samples), PARAMS,
+            routes=("barton", "hb")), (1 << 18) + 1, (1 << 20) + 1, id="amplitude"),
+        pytest.param(single_run, (1 << 18) + 1, (1 << 20) + 1, id="run_scenario"),
+    ])
+    def test_peak_memory_does_not_grow_with_the_grid(self, tmp_path, run, short, long):
+        """``run`` at ``long`` has 4x the samples it has at ``short``: a whole
+        sampled signal would raise the peak by 4-9 MB."""
+        peak_short, peak_long = traced_peak(run(short, tmp_path)), traced_peak(run(long, tmp_path))
+        assert peak_long <= peak_short + 4096
+
+    @pytest.mark.parametrize("scan, family, values, grid, options, error, message", [
+        # the eta = 1e-4 grid holds about 7 M samples: four Fock substeps each is 6.6 min of work
+        ("eta", SymmetricRamp(gamma=0.05, eta=1.0), [0.5, 1e-4], None, {"routes": ("hb", "fock_oracle")}, ValueError,
+         r"^the Fock \(N = 10\) oracle's \d+ steps would take about 393 s, above the work budget"),
+        ("eta", ExponentialRamp(gamma=1.0, eta=1.0), [0.01, 1e-6], None, {"routes": ("hb",)}, ValueError,
+         r"eta=1e-06 needs a grid of \d+ samples"),
+        *(("amplitude", family, amplitudes, TimeGrid(-12.0, 12.0, 7_000_001), options, error, message)
+          for family, amplitudes, options, error, message in [
+            (CouplingSignal(TimeGrid(-1.0, 1.0, 3), [0.0, 1.0, 0.0]), [0.1], {}, TypeError,
+             "^CouplingSignal has no amplitude parameter$"),
+            (Flyby(charge=1.0, d=1.0, v=1.0), [0.1], {}, TypeError, "^Flyby has no amplitude parameter$"),
+            (GaussianPulse(q0=0.01, tau=1.0), [0.1, np.nan], {}, ValueError, "^GaussianPulse.q0 must be finite, got nan$"),
+            (GaussianPulse(q0=0.01, tau=1.0), [], {}, ValueError, "^amplitudes must be a nonempty sequence$"),
+            (GaussianPulse(q0=0.01, tau=1.0), [0.1], {"routes": ("hb", "kubo")}, ValueError,
+             r"^unknown route 'kubo' at routes\[1\]"),
+            (GaussianPulse(q0=0.01, tau=1.0), [0.1], {"tail_rel": 1.0}, ValueError,
+             r"^tail_rel must be in \(0, 1\), got 1.0$"),
+            # the grid's 7 M samples at four Fock substeps each are about 6.5 min of work
+            (GaussianPulse(q0=0.01, tau=1.0), [0.1], {"routes": ("hb", "fock_oracle")}, ValueError,
+             r"^the Fock \(N = 10\) oracle's 28000000 steps would take about 391 s, above the work budget"),
+        ]),
+    ])
+    def test_refusals_come_before_any_point_is_walked_sampled_or_evaluated(self, monkeypatch, scan, family, values,
+                                                                           grid, options, error, message):
         def no_point(*args):
             raise AssertionError("a point ran")
 
         monkeypatch.setattr(dissipation, "_walk", no_point)
         monkeypatch.setattr(dissipation, "sample", no_point)
-        # the eta = 1e-4 grid holds about 7 M samples: four Fock substeps each is 6.6 min of work
-        message = r"^the Fock \(N = 10\) oracle's \d+ steps would take about 393 s, above the work budget"
-        with pytest.raises(ValueError, match=message):
-            adiabatic_scan(SymmetricRamp(gamma=0.05, eta=1.0), [0.5, 1e-4], PARAMS, routes=("hb", "fock_oracle"))
-
-    @pytest.mark.parametrize("routes, oracle", [(("hb", "mode_oracle"), True), (("barton", "hb"), False)])
-    def test_every_point_walks_its_ramp_and_samples_only_for_the_oracles(self, monkeypatch, routes, oracle):
-        calls = []
-
-        def walk(grid, source, *args):
-            calls.append(("walk", type(source).__name__, getattr(source, "eta", None)))
-            return _walk(grid, source, *args)
-
-        def sample_once(profile, grid):
-            calls.append(("sample", type(profile).__name__, profile.eta))
-            return sample(profile, grid)
-
-        monkeypatch.setattr(dissipation, "_walk", walk)
-        monkeypatch.setattr(dissipation, "sample", sample_once)
-        adiabatic_scan(SymmetricRamp(gamma=0.05, eta=1.0), [0.5, 0.2], PARAMS, routes=routes, mode_substeps=4)
-        steps = ("walk", "sample") if oracle else ("walk",)
-        assert calls == [(step, "SymmetricRamp", eta) for eta in (0.5, 0.2) for step in steps]
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_peak_memory_does_not_grow_with_the_grid(self, family):
-        def scan(eta):
-            return adiabatic_scan(family, [eta], PARAMS, routes=("barton", "hb"))
-
-        # 4x the samples: a whole sampled signal would raise the peak by 4-9 MB
-        peak_short, peak_long = traced_peak(scan, 2e-3), traced_peak(scan, 5e-4)
-        assert peak_long <= peak_short + 4096
+        for profile in (ExponentialRamp, SymmetricRamp, GaussianPulse, Flyby, CouplingSignal):
+            monkeypatch.setattr(profile, "_eval_array", no_point)
+        with pytest.raises(error, match=message):
+            SCANS[scan][0](family, values, grid, **options)
 
     def test_unresolved_tails_are_refused_before_a_route_overflows(self):
         # two samples at +-span: the tails are the peak, and barton's
@@ -462,14 +561,6 @@ class TestStreamedScan:
             adiabatic_scan(family, [0.1], params, routes=("barton",), dt=1e4)
         assert str(caught.value) == "grid span insufficient for eta=0.1: coupling tails above 1e-12 of peak"
 
-    def test_a_grid_over_the_budget_is_refused_before_any_point_is_evaluated(self, monkeypatch):
-        def no_evaluation(self, t, out, scratch):
-            raise AssertionError("a scan point was evaluated")
-
-        monkeypatch.setattr(ExponentialRamp, "_eval_array", no_evaluation)
-        with pytest.raises(ValueError, match=r"eta=1e-06 needs a grid of \d+ samples"):
-            adiabatic_scan(ExponentialRamp(gamma=1.0, eta=1.0), [0.01, 1e-6], PARAMS, routes=("hb",))
-
     @pytest.mark.parametrize("dt", [None, 1e4])
     def test_a_non_finite_sample_is_refused_as_sampling_refuses_it(self, dt):
         # gamma*t overflows to inf; refused before the tail test
@@ -481,38 +572,6 @@ class TestStreamedScan:
         assert type(scanned.value) is type(sampled.value) is ValueError
         assert str(scanned.value) == str(sampled.value) == "signal values must be finite"
 
-
-# a grid of two blocks, the second of one interval, for each family with an amplitude
-AMPLITUDE_FAMILIES = [
-    (GaussianPulse(q0=0.01, tau=1.0), TimeGrid(-12.0, 12.0, BLOCK_SAMPLES + 2)),
-    (SymmetricRamp(gamma=1e-3, eta=1.0), TimeGrid(-40.0, 40.0, BLOCK_SAMPLES + 2)),
-    (ExponentialRamp(gamma=1e-3, eta=1.0), TimeGrid(0.0, 40.0, BLOCK_SAMPLES + 2)),
-]
-AMPLITUDE_ROUTES = [
-    ("barton",), ("hb",), ("barton", "hb"), ("hb", "mode_oracle"), ("barton", "hb", "mode_oracle"), ("hb", "fock_oracle"),
-]
-
-
-def sampled_amplitude_reports(family, amplitudes, grid, routes, **options):
-    """What an amplitude scan's reports were: sample each amplitude's profile, then compare_routes."""
-    return [compare_routes(sample(_with_amplitude(family, amplitude), grid), PARAMS, routes=routes, **options)
-            for amplitude in amplitudes]
-
-
-class TestStreamedAmplitudeScan:
-    """An amplitude scan is one route pass on its grid: a first-order point
-    walks its profile one tile at a time, and every report is == to the one
-    of sampling the whole grid and running compare_routes on it."""
-
-    @pytest.mark.parametrize("routes", AMPLITUDE_ROUTES)
-    @pytest.mark.parametrize("family, grid", AMPLITUDE_FAMILIES)
-    def test_reports_equal_sampling_then_comparing(self, family, grid, routes):
-        amplitudes = [1e-2] if "fock_oracle" in routes else [1e-3, 1e-2]  # a Fock point takes ~0.25 s here
-        options = dict(fock_truncation=2, fock_substeps=1)
-        reports = amplitude_scan(family, amplitudes, grid, PARAMS, routes=routes, **options)
-        assert list(reports) == sampled_amplitude_reports(family, amplitudes, grid, routes, **options)
-        assert all(set(report.populated()) == set(routes) for report in reports)
-
     def test_flagged_tails_are_those_of_compare_routes(self):
         # exp(-4) = 1.8e-2 of the peak at the endpoints: flagged at 1e-3, not at 0.5
         grid = TimeGrid(-2.0, 2.0, 41)
@@ -522,59 +581,6 @@ class TestStreamedAmplitudeScan:
             assert list(reports) == sampled_amplitude_reports(
                 GaussianPulse(q0=0.01, tau=1.0), [0.01, 0.02], grid, ("barton", "hb"), tail_rel=tail_rel
             )
-
-    @pytest.mark.parametrize("routes, oracle", [(("hb", "mode_oracle"), True), (("barton", "hb"), False)])
-    def test_every_point_walks_its_profile_and_samples_only_for_the_oracles(self, monkeypatch, routes, oracle):
-        calls = []
-
-        def walk(grid, source, *args):
-            calls.append(("walk", type(source).__name__, source.q0))
-            return _walk(grid, source, *args)
-
-        def sample_once(profile, grid):
-            calls.append(("sample", type(profile).__name__, profile.q0))
-            return sample(profile, grid)
-
-        monkeypatch.setattr(dissipation, "_walk", walk)
-        monkeypatch.setattr(dissipation, "sample", sample_once)
-        amplitude_scan(GaussianPulse(q0=1.0, tau=1.0), [1e-3, 1e-2], TimeGrid(-12.0, 12.0, 2401), PARAMS, routes=routes)
-        steps = ("walk", "sample") if oracle else ("walk",)
-        assert calls == [(step, "GaussianPulse", q0) for q0 in (1e-3, 1e-2) for step in steps]
-
-    def test_peak_memory_does_not_grow_with_the_grid(self):
-        def scan(n_samples):
-            return amplitude_scan(GaussianPulse(q0=0.01, tau=1.0), [1e-3, 1e-2], TimeGrid(-12.0, 12.0, n_samples),
-                                  PARAMS, routes=("barton", "hb"))
-
-        # 4x the samples: a whole sampled signal would raise the peak by 6 MB
-        peak_short, peak_long = traced_peak(scan, (1 << 18) + 1), traced_peak(scan, (1 << 20) + 1)
-        assert peak_long <= peak_short + 4096
-
-    @pytest.mark.parametrize(
-        "family, amplitudes, options, error, message",
-        [
-            (CouplingSignal(TimeGrid(-1.0, 1.0, 3), [0.0, 1.0, 0.0]), [0.1], {}, TypeError,
-             "^CouplingSignal has no amplitude parameter$"),
-            (Flyby(charge=1.0, d=1.0, v=1.0), [0.1], {}, TypeError, "^Flyby has no amplitude parameter$"),
-            (GaussianPulse(q0=0.01, tau=1.0), [0.1, np.nan], {}, ValueError, "^GaussianPulse.q0 must be finite, got nan$"),
-            (GaussianPulse(q0=0.01, tau=1.0), [], {}, ValueError, "^amplitudes must be a nonempty sequence$"),
-            (GaussianPulse(q0=0.01, tau=1.0), [0.1], {"routes": ("hb", "kubo")}, ValueError,
-             r"^unknown route 'kubo' at routes\[1\]"),
-            (GaussianPulse(q0=0.01, tau=1.0), [0.1], {"tail_rel": 1.0}, ValueError, r"^tail_rel must be in \(0, 1\), got 1.0$"),
-            # the grid's 7 M samples at four Fock substeps each are about 6.5 min of work
-            (GaussianPulse(q0=0.01, tau=1.0), [0.1], {"routes": ("hb", "fock_oracle")}, ValueError,
-             r"^the Fock \(N = 10\) oracle's 28000000 steps would take about 391 s, above the work budget"),
-        ],
-    )
-    def test_refusals_come_before_any_point_is_walked_or_sampled(self, monkeypatch, family, amplitudes, options,
-                                                                 error, message):
-        def no_point(*args):
-            raise AssertionError("a point ran")
-
-        monkeypatch.setattr(dissipation, "_walk", no_point)
-        monkeypatch.setattr(dissipation, "sample", no_point)
-        with pytest.raises(error, match=message):
-            amplitude_scan(family, amplitudes, TimeGrid(-12.0, 12.0, 7_000_001), PARAMS, **options)
 
 
 def formula_reference(profile, t):

@@ -17,9 +17,9 @@ from casfric.cli import (
     main,
     run_scenario,
 )
-from casfric import AdiabaticScanResult, adiabatic_scan
+from casfric import AdiabaticScanResult, SymmetricRamp, adiabatic_scan, compare_routes, sample
 from casfric.core import MAX_GRID_SAMPLES
-from casfric.dissipation import SCAN_TAIL_REL_DEFAULT
+from casfric.dissipation import SCAN_TAIL_REL_DEFAULT, _ramp_grid
 from cli_probes import PROBES, eta_scan, inline, run_all, stderr_matches, table, write_probe
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -58,7 +58,10 @@ class TestConfigValidation:
 
     def test_a_null_grid_is_absent_in_an_eta_scan(self, tmp_path):
         scenario = load_config(write_probe(PROBES["eta_grid_null"], tmp_path)[0])
-        assert scenario.grid is None and scenario.scan.kind == "eta"
+        ramps = [SymmetricRamp(gamma=0.001, eta=eta) for eta in scenario.scan.values]
+        assert scenario.scan.kind == "eta"  # each point runs on the grid the scan builds for its eta
+        assert scenario.points == tuple((ramp, _ramp_grid(ramp, ramp.eta, np.pi / 32.0, SCAN_TAIL_REL_DEFAULT))
+                                        for ramp in ramps)
 
 
 class TestExitCodes:
@@ -360,10 +363,18 @@ class TestFockAndSubstepLimits:
         assert scenario.fock_truncation == 10**6
 
 
-def test_inline_sampled_profile_runs(tmp_path, capsys):
-    assert main([str(write_config(tmp_path, inline()))]) == 0
+@pytest.mark.parametrize("routes", [("barton", "hb"), ("hb", "mode_oracle")])
+def test_inline_sampled_profile_runs(tmp_path, capsys, routes):
+    """The 5 inline samples run on the config's 481-sample grid as if sampled on it."""
+    path = write_config(tmp_path, {**inline(), "routes": list(routes)})
+    assert main([str(path)]) == 0
     row = capsys.readouterr().out.strip().split("\n")[1].split(",")
     assert row[1] == "sampled" and float(row[4]) > 0.0
+    scenario = load_config(path)
+    [(signal, grid)] = scenario.points
+    assert (signal.grid.n_samples, grid.n_samples) == (5, 481)
+    [(_, report)] = run_scenario(scenario).rows
+    assert report == compare_routes(sample(signal, grid), scenario.params, routes=routes)
 
 
 @pytest.mark.filterwarnings("error")

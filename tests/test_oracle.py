@@ -390,10 +390,11 @@ class TestWorkBudget:
         runs = [(48001, 1, 10)]  # criterion 3's Fock run
         for path in sorted(CONFIG_DIR.glob("*.json")):
             scenario = load_config(path)
+            n_samples = max(grid.n_samples for _, grid in scenario.points)
             if "mode_oracle" in scenario.routes:
-                runs.append((scenario.grid.n_samples, scenario.mode_substeps, None))
+                runs.append((n_samples, scenario.mode_substeps, None))
             if "fock_oracle" in scenario.routes:
-                runs.append((scenario.grid.n_samples, scenario.fock_substeps, scenario.fock_truncation))
+                runs.append((n_samples, scenario.fock_substeps, scenario.fock_truncation))
         assert len(runs) == 5
         for n_samples, substeps, truncation in runs:
             _substeps(TimeGrid(0.0, 1.0, n_samples), 50 * substeps, truncation)
