@@ -22,22 +22,16 @@ from .coupling import (
     Flyby,
     GaussianPulse,
     SymmetricRamp,
-    _with_amplitude,
     load_sampled_csv,
 )
 from .dissipation import (
     _ORACLE_DEFAULTS,
-    _SCAN_TAIL_FACTOR,
     SCAN_TAIL_REL_DEFAULT,
     TAIL_REL_DEFAULT,
     AdiabaticScanResult,
-    _check_budget,
-    _check_routes,
-    _check_scan,
-    _check_tail_rel,
     _fit,
+    _plan,
     _run_points,
-    _scan_grids,
 )
 from .errors import NumericalFailure
 
@@ -68,6 +62,8 @@ _PROFILES = {
     "gaussian_pulse": GaussianPulse,
     "flyby": Flyby,
 }
+# the config path of each field a refusal of the library's plan names; an eta scan's tail_rel is scan.tail_rel
+_PLAN_PATHS = {"scan": "config.scan", "routes": "config.routes", "tail_rel": "config.tail_rel", "budget": "config"}
 
 
 class ConfigError(ValueError):
@@ -78,8 +74,6 @@ class ConfigError(ValueError):
 class ScanSpec:
     kind: str  # "eta" or "amplitude"
     values: tuple
-    dt: Optional[float]
-    tail_rel: float
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,7 @@ class Scenario:
     fock_truncation: int
     fock_substeps: int
     mode_substeps: int
-    tail_rel: float
+    tail_rel: float  # the one the points' tails are tested against: scan.tail_rel in an eta scan
     scan: Optional[ScanSpec]
 
 
@@ -173,13 +167,6 @@ def _oracle_option(cfg, key, low) -> int:
     return value
 
 
-def _tail_rel(cfg, path, default, *span_factor) -> float:
-    """The tail_rel at ``path``; an eta scan passes the span factor its grids are solved for."""
-    value = _expect(cfg, "tail_rel", path, float, required=False, default=default)
-    _construct(_check_tail_rel, f"{path}.tail_rel", value, *span_factor)
-    return value
-
-
 def _build_grid(cfg, path="grid") -> TimeGrid:
     grid = _build(TimeGrid, cfg, path)
     if grid.n_samples > MAX_GRID_SAMPLES:
@@ -203,7 +190,11 @@ def _build_profile(cfg, config_dir: Path, path="profile") -> CouplingProfile:
     return _construct(CouplingSignal, path, grid, _finite_numbers(cfg, "values", path))
 
 
-def _build_scan(cfg, path="scan") -> ScanSpec:
+def _build_scan(raw, path="scan") -> tuple:
+    """The config's ScanSpec, with the dt and tail_rel an eta scan builds its grids for; Nones without a scan."""
+    if raw.get("scan") is None:  # a null scan means absent
+        return None, None, None
+    cfg = _expect(raw, "scan", "config", dict)
     kind = _expect(cfg, "kind", path, str)
     if kind not in _SCAN_KEYS:
         raise ConfigError(f"{path}.kind: expected 'eta' or 'amplitude', got {kind!r}")
@@ -212,12 +203,12 @@ def _build_scan(cfg, path="scan") -> ScanSpec:
     if not values:
         raise ConfigError(f"{path}.values: scan list must be nonempty")
     dt = _expect(cfg, "dt", path, float, required=False)
-    tail_rel = _tail_rel(cfg, path, SCAN_TAIL_REL_DEFAULT, _SCAN_TAIL_FACTOR)
-    return ScanSpec(kind=kind, values=tuple(values), dt=dt, tail_rel=tail_rel)
+    tail_rel = _expect(cfg, "tail_rel", path, float, required=False, default=SCAN_TAIL_REL_DEFAULT)
+    return ScanSpec(kind=kind, values=tuple(values)), dt, tail_rel
 
 
 def load_config(path) -> Scenario:
-    """Parse and validate a scenario config file."""
+    """Parse a scenario config file and plan its run by the library's own rules, each refusal at its config path."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -239,34 +230,28 @@ def load_config(path) -> Scenario:
     params = _build(PhysicalParams, _expect(raw, "params", "config", dict), "params")
     profile_config = _expect(raw, "profile", "config", dict)
     profile = _build_profile(profile_config, path.parent)
-    scan = _build_scan(_expect(raw, "scan", "config", dict)) if raw.get("scan") is not None else None
-
-    eta_scan = scan is not None and scan.kind == "eta"
-    if eta_scan:
-        _construct(_check_scan, "config.scan", profile, scan.values, scan.dt)
-    for key, instead in (("grid", "scan.dt"), ("tail_rel", "scan.tail_rel")):
-        if eta_scan and raw.get(key) is not None:  # it sizes its own grids and tests their tails
-            raise ConfigError(f"config.{key}: an eta scan builds its own grids; set {instead} instead")
-    grid = None
-    if raw.get("grid") is not None:
-        grid = _build_grid(_expect(raw, "grid", "config", dict))
-    elif not eta_scan:
+    scan, dt, scan_tail_rel = _build_scan(raw)
+    kind = scan.kind if scan else None
+    if kind != "eta" and raw.get("grid") is None:  # an eta scan builds its own grids
         raise ConfigError("config.grid: required unless the scenario is an eta scan")
+    grid = None if kind == "eta" else _build_grid(_expect(raw, "grid", "config", dict))
 
     routes = _expect(raw, "routes", "config", list)
-    _construct(_check_routes, "config.routes", routes)
     options = {key: _oracle_option(raw, key, low)
                for key, low in (("fock_truncation", 2), ("fock_substeps", 1), ("mode_substeps", 1))}
-    tail_rel = _tail_rel(raw, "config", default=TAIL_REL_DEFAULT)
-
-    # the runs' own rules, last: eta grids, oracle work, and q finite at each grid end, where a ramp's |gamma*t| peaks
-    if eta_scan:
-        points = _construct(_scan_grids, "config.scan", profile, scan.values, params, scan.dt, scan.tail_rel)
-    elif scan is not None:
-        points = [(_construct(_with_amplitude, "config.scan", profile, value), grid) for value in scan.values]
-    else:
-        points = [(profile, grid)]
-    _construct(_check_budget, "config", routes, max((g for _, g in points), key=lambda g: g.n_samples), **options)
+    tail_rel = _expect(raw, "tail_rel", "config", float, required=False, default=TAIL_REL_DEFAULT)
+    if kind == "eta":  # a top-level tail_rel is refused below
+        tail_rel = scan_tail_rel
+    try:
+        routes, points = _plan(params, routes, kind, profile, scan.values if scan else None, grid, dt, tail_rel,
+                               **options)
+    except (ValueError, TypeError) as exc:
+        at = "scan.tail_rel" if kind == "eta" and exc.field == "tail_rel" else _PLAN_PATHS[exc.field]
+        raise ConfigError(f"{at}: {exc}") from exc
+    for key, instead in (("grid", "scan.dt"), ("tail_rel", "scan.tail_rel")):
+        if kind == "eta" and raw.get(key) is not None:  # it sizes its own grids and tests their tails
+            raise ConfigError(f"config.{key}: an eta scan builds its own grids; set {instead} instead")
+    # q finite at each grid end, where a ramp's |gamma*t| peaks
     at = "config.scan" if scan else "config.grid"
     for point, point_grid in points:  # a signal refuses a grid outside its span
         if not all(map(math.isfinite, _construct(point.evaluate, at, [point_grid.t_start, point_grid.t_end]))):
@@ -277,7 +262,7 @@ def load_config(path) -> Scenario:
         params=params,
         points=tuple(points),
         profile_config=dict(profile_config),
-        routes=tuple(routes),
+        routes=routes,
         **options,
         tail_rel=tail_rel,
         scan=scan,
@@ -288,9 +273,9 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Run the selected routes over the scenario's points in one route pass, one report row per point."""
     scan = scenario.scan
     eta_scan = scan is not None and scan.kind == "eta"
-    tail_rel = scan.tail_rel if eta_scan else scenario.tail_rel
-    reports = _run_points(scenario.params, scenario.routes, scenario.points, tail_rel, scenario.fock_truncation,
-                          scenario.fock_substeps, scenario.mode_substeps, refuse_tails=eta_scan)
+    reports = _run_points(scenario.params, scenario.routes, scenario.points, scenario.tail_rel,
+                          scenario.fock_truncation, scenario.fock_substeps, scenario.mode_substeps,
+                          refuse_tails=eta_scan)
     if scan is None:
         return ScenarioResult(scenario, rows=((None, reports[0]),))
     rows = tuple(zip(scan.values, reports))

@@ -238,21 +238,60 @@ def _relative_spread(values: Sequence[float]) -> float:
     return max((abs(a - b) / max(abs(a), abs(b), _SPREAD_FLOOR) for a, b in pairs), default=0.0)
 
 
-def _check_routes(routes: Sequence[str]) -> None:
-    if isinstance(routes, str):
-        raise TypeError(f"routes is a sequence of route tokens such as ('hb',), not the string {routes!r}")
-    if not routes:
-        raise ValueError("at least one route must be selected")
-    for i, route in enumerate(routes):
-        if route not in ROUTES:
-            raise ValueError(f"unknown route {route!r} at routes[{i}]; valid tokens are {list(ROUTES)}")
-
-
-def _check_budget(routes, grid: TimeGrid, fock_truncation, fock_substeps, mode_substeps) -> None:
-    if "mode_oracle" in routes:
-        _oracle._substeps(grid, mode_substeps)
-    if "fock_oracle" in routes:
-        _oracle._substeps(grid, fock_substeps, fock_truncation)
+def _plan(params, routes, kind, family, values, grid, dt, tail_rel, fock_truncation, fock_substeps, mode_substeps):
+    """The routes as a tuple and the (profile, grid) points of a run of ``kind``: None
+    (``family`` on ``grid``), "amplitude" (each of ``values`` on ``grid``) or "eta"
+    (each of ``values``, a sequence of floats, on a grid built for it at ``dt``), after
+    every rule that refuses a run, in one order: an eta scan's family, etas and
+    dt; the routes; tail_rel, with the span factor for an eta scan; the points;
+    each selected oracle's work budget on the largest grid.  A refusal keeps its
+    type and text and names its ``field``: "scan", "routes", "tail_rel" or "budget"."""
+    field = "scan"
+    try:
+        if kind == "eta":
+            if not isinstance(family, (SymmetricRamp, ExponentialRamp)):
+                raise TypeError(f"adiabatic scans take a ramp family, got {type(family).__name__}")
+            if len(values) == 0:
+                raise ValueError("etas must be a nonempty sequence of positive rates")
+            for i, eta in enumerate(values):
+                if not eta > 0.0:
+                    raise ValueError(f"etas[{i}] must be positive, got {eta!r}")
+                if eta in values[:i]:
+                    raise ValueError(f"etas[{i}] repeats {eta!r}; a slope needs distinct etas")
+            if dt is not None and not 0.0 < dt < math.inf:
+                raise ValueError(f"dt must be finite and positive, got {dt!r}")
+        field = "routes"
+        if isinstance(routes, str):
+            raise TypeError(f"routes is a sequence of route tokens such as ('hb',), not the string {routes!r}")
+        routes = tuple(routes)  # a one-shot iterable is read once
+        if not routes:
+            raise ValueError("at least one route must be selected")
+        for i, route in enumerate(routes):
+            if route not in ROUTES:
+                raise ValueError(f"unknown route {route!r} at routes[{i}]; valid tokens are {list(ROUTES)}")
+        field = "tail_rel"
+        _check_tail_rel(tail_rel, _SCAN_TAIL_FACTOR if kind == "eta" else None)
+        field = "scan"
+        points = [(family, grid)]
+        if kind == "eta":
+            dt = np.pi / (32.0 * params.omega) if dt is None else dt
+            if not math.isfinite(dt):  # the default, for a subnormal omega; any other is refused above
+                raise ValueError(f"the default dt pi/(32*omega) overflows for omega={params.omega!r}; set dt (scan.dt)")
+            points = [(replace(family, eta=eta), _ramp_grid(family, eta, dt, tail_rel)) for eta in values]
+        elif kind == "amplitude":
+            if len(values) == 0:
+                raise ValueError("amplitudes must be a nonempty sequence")
+            points = [(_with_amplitude(family, amplitude), grid) for amplitude in values]
+        field = "budget"
+        largest = max((grid for _, grid in points), key=lambda grid: grid.n_samples)
+        if "mode_oracle" in routes:
+            _oracle._substeps(largest, mode_substeps)
+        if "fock_oracle" in routes:
+            _oracle._substeps(largest, fock_substeps, fock_truncation)
+    except (ValueError, TypeError) as exc:
+        exc.field = field
+        raise
+    return routes, points
 
 
 @contextmanager
@@ -268,15 +307,11 @@ class _RoutePass:
     """``run`` feeds hb's transform (always: it gives B_1100) and, if
     selected, barton's amplitude by one coupling._walk, and keeps the tail
     ratio; ``report`` adds the selected oracles and builds the report.
-
     The sums' workspaces and the walk's tile buffers for a profile
     (untouched for a signal on its own grid) share one allocation, made
-    once for grids of up to ``largest``'s samples if each selected
-    oracle's run fits the budget.
-    """
+    once for grids of up to ``largest``'s samples."""
 
     def __init__(self, params, routes, largest, fock_truncation, fock_substeps, mode_substeps):
-        _check_budget(routes, largest, fock_truncation, fock_substeps, mode_substeps)
         self.params, self.routes = params, routes
         self.fock_truncation, self.fock_substeps, self.mode_substeps = fock_truncation, fock_substeps, mode_substeps
         size, tile = _block_and_tile(largest.n_samples)
@@ -330,10 +365,9 @@ class _RoutePass:
 
 
 def _run_points(params, routes, points, tail_rel, fock_truncation, fock_substeps, mode_substeps, refuse_tails=False):
-    """The report of each (profile, grid) of ``points``, from one route pass sized
-    on their largest grid, so an oracle run over the work budget is refused
-    before any point runs.  With ``refuse_tails`` (an eta scan) a point whose
-    tail ratio exceeds ``tail_rel`` raises TailSpanError before any total is read."""
+    """The report of each (profile, grid) of ``points``, as _plan gives them, from one
+    route pass sized on their largest grid.  With ``refuse_tails`` (an eta scan) a
+    point whose tail ratio exceeds ``tail_rel`` raises TailSpanError before any total is read."""
     largest = max((grid for _, grid in points), key=lambda grid: grid.n_samples)
     route_pass = _RoutePass(params, routes, largest, fock_truncation, fock_substeps, mode_substeps)
     reports = []
@@ -360,25 +394,25 @@ def compare_routes(
     (Bogoliubov mode functions), "fock_oracle" (truncated number basis).
     Whichever routes run, the report holds hb's transition probability
     B_1100 = dE/(2 hbar w), above 0.1 of which validity_flag is set, and
-    the tail ratio max(|q(t0)|, |q(t1)|)/max|q| with ``tail_rel``, which
-    must lie in (0, 1): tail_warning is set when the ratio exceeds it (the
-    incoming or outgoing state is not free).  One route pass takes both
-    first-order routes and the tail ratio over the signal's blocks, then
-    the oracles.  A ``signal`` that is not a CouplingSignal raises
-    TypeError; a float overflow inside a route is raised as a
-    NumericalFailure naming it.  A selected oracle whose run is over the
-    work budget, about a minute of steps, is a ValueError before any
-    route runs.  The oracles refuse what RK4 cannot resolve:
-    the mode oracle a step past RK4's stability limit (a NumericalFailure,
-    before it integrates), and each oracle a drift of its invariant, the
-    Bogoliubov normalization or the Fock norm, above 1e-6 (NormDriftError);
-    more ``mode_substeps`` or ``fock_substeps`` resolve them.
+    the tail ratio max(|q(t0)|, |q(t1)|)/max|q| with ``tail_rel``:
+    tail_warning is set when the ratio exceeds it (the incoming or
+    outgoing state is not free).  One route pass takes both first-order
+    routes and the tail ratio over the signal's blocks, then the oracles.
+    A ``signal`` that is not a CouplingSignal raises TypeError; then,
+    before any route runs, _plan refuses bad routes, a tail_rel outside
+    (0, 1) and a selected oracle over the work budget (about a minute of
+    steps), in that order.  A float overflow inside a route is raised as
+    a NumericalFailure naming it.  The oracles refuse what RK4 cannot
+    resolve: the mode oracle a step past RK4's stability limit (a
+    NumericalFailure, before it integrates), and each oracle a drift of
+    its invariant, the Bogoliubov normalization or the Fock norm, above
+    1e-6 (NormDriftError); more ``mode_substeps`` or ``fock_substeps``
+    resolve them.
     """
     _require_signal(signal, "compare_routes")
-    _check_routes(routes)
-    _check_tail_rel(tail_rel)
-    return _run_points(params, routes, [(signal, signal.grid)], tail_rel, fock_truncation, fock_substeps,
-                       mode_substeps)[0]
+    options = fock_truncation, fock_substeps, mode_substeps
+    routes, points = _plan(params, routes, None, signal, None, signal.grid, None, tail_rel, *options)
+    return _run_points(params, routes, points, tail_rel, *options)[0]
 
 
 def amplitude_scan(
@@ -396,32 +430,26 @@ def amplitude_scan(
 
     ``family`` is a ramp, whose gamma is set to each amplitude, or a
     GaussianPulse, whose q0 is; any other profile, a CouplingSignal
-    included, has no amplitude and is a TypeError.  No amplitudes, bad
-    routes and a tail_rel outside (0, 1) are refused as well, all before
-    anything runs.  Each report is that of compare_routes on the sampled
-    grid, bit for bit, from one route pass sized on ``grid``, so a selected
-    oracle over the work budget is refused before any point is walked or
-    sampled.  Every point's walk evaluates its profile into the pass's tile
-    buffers, so the first-order routes hold O(BLOCK_SAMPLES) whatever the
-    grid; with an oracle route the point then samples the grid once, for
-    the oracles only.  Each report's tail_ratio, tail_rel and flags, the
-    oracle options and the refusals are those of compare_routes.
+    included, has no amplitude.  Before any point is walked or sampled,
+    _plan refuses bad routes, a tail_rel outside (0, 1), no amplitudes or
+    a family without an amplitude (TypeError), and a selected oracle over
+    the work budget on ``grid``, in that order.  Each report is that of
+    compare_routes on the sampled grid, bit for bit, from one route pass
+    sized on ``grid``.  Every point's walk evaluates its profile into the
+    pass's tile buffers, so the first-order routes hold O(BLOCK_SAMPLES)
+    whatever the grid; with an oracle route the point then samples the
+    grid once, for the oracles only.  Each report's tail_ratio, tail_rel
+    and flags and the oracle options are those of compare_routes.
     """
-    _check_routes(routes)
-    _check_tail_rel(tail_rel)
-    if len(amplitudes) == 0:
-        raise ValueError("amplitudes must be a nonempty sequence")
-    points = [(_with_amplitude(family, amplitude), grid) for amplitude in amplitudes]
-    return _run_points(params, routes, points, tail_rel, fock_truncation, fock_substeps, mode_substeps)
+    options = fock_truncation, fock_substeps, mode_substeps
+    routes, points = _plan(params, routes, "amplitude", family, amplitudes, grid, None, tail_rel, *options)
+    return _run_points(params, routes, points, tail_rel, *options)
 
 
 def _check_tail_rel(tail_rel: float, factor: Optional[float] = None) -> None:
     """Refuse a tail_rel outside (0, 1) and, given ``factor``, one for which
-    ramp_tail_span(eta, factor*tail_rel) has no span.
-
-    The message quotes ``tail_rel`` itself, so a scan, which solves for
-    _SCAN_TAIL_FACTOR of its tail_rel, names the value it was given.
-    """
+    ramp_tail_span(eta, factor*tail_rel) has no span; the message quotes
+    ``tail_rel``, the value a scan was given, not ``factor*tail_rel``."""
     if not 0.0 < tail_rel < 1.0:
         raise ValueError(f"tail_rel must be in (0, 1), got {tail_rel!r}")
     # below the smallest normal float the W_-1 iteration can divide by zero
@@ -454,22 +482,6 @@ def ramp_tail_span(eta: float, tail_rel: float) -> float:
     raise NumericalFailure(f"the W_-1 iteration did not converge for tail_rel={tail_rel!r}")
 
 
-def _check_scan(family: CouplingProfile, etas: Sequence[float], dt: Optional[float]) -> None:
-    """Refuse a family that is not a ramp (TypeError), no etas, an eta that is not positive or
-    repeats one (a slope needs distinct etas), and a ``dt`` given but not finite and positive."""
-    if not isinstance(family, (SymmetricRamp, ExponentialRamp)):
-        raise TypeError(f"adiabatic scans take a ramp family, got {type(family).__name__}")
-    if len(etas) == 0:
-        raise ValueError("etas must be a nonempty sequence of positive rates")
-    for i, eta in enumerate(etas):
-        if not eta > 0.0:
-            raise ValueError(f"etas[{i}] must be positive, got {eta!r}")
-        if eta in etas[:i]:
-            raise ValueError(f"etas[{i}] repeats {eta!r}; a slope needs distinct etas")
-    if dt is not None and not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-
-
 def _ramp_grid(profile, eta: float, dt: float, tail_rel: float) -> TimeGrid:
     span = ramp_tail_span(eta, _SCAN_TAIL_FACTOR * tail_rel)
     t_start = -span if isinstance(profile, SymmetricRamp) else 0.0
@@ -478,14 +490,6 @@ def _ramp_grid(profile, eta: float, dt: float, tail_rel: float) -> TimeGrid:
         raise ValueError(f"eta={eta:g} needs a grid of {intervals + 1:.0f} samples, above the budget of "
                          f"{MAX_GRID_SAMPLES}; raise eta or dt")
     return TimeGrid(t_start, span, int(intervals) + 1)
-
-
-def _scan_grids(family, etas, params: PhysicalParams, dt: Optional[float], tail_rel: float) -> list:
-    """(profile, grid) of each eta of a scan of ``family``, at ``dt`` or 32 samples per cycle of 2*omega."""
-    dt = np.pi / (32.0 * params.omega) if dt is None else dt
-    if not math.isfinite(dt):  # the default, for a subnormal omega; _check_scan refuses any other
-        raise ValueError(f"the default dt pi/(32*omega) overflows for omega={params.omega!r}; set dt (scan.dt)")
-    return [(replace(family, eta=eta), _ramp_grid(family, eta, dt, tail_rel)) for eta in map(float, etas)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -524,31 +528,28 @@ def adiabatic_scan(
     per scan point; each point gets its own grid, widened as 1/eta so the
     ramp tails decay below ``tail_rel`` of the peak coupling.  ``dt``
     defaults to 32 samples per cycle of the 2*omega transition line.
-    Every grid is sized before any point runs, so a point above
-    MAX_GRID_SAMPLES, or whose oracle run is over the work budget, is
-    refused first.  Each point's reports are those of compare_routes on
-    the sampled grid, bit for bit, from one route pass allocated for the
-    whole scan.  Every point's walk evaluates its ramp into the pass's
-    tile buffers, so the first-order routes hold O(BLOCK_SAMPLES)
-    whatever eta; with an oracle route the point then samples its grid
-    once, for the oracles only.  The oracle options and their defaults
-    are those of compare_routes, and so are the oracles' refusals.  A
-    point's grid widens as 1/eta and so does the oracles' RK4 error: at
-    the default dt, one mode substep leaves a Bogoliubov defect of 4.3e-6
-    already at eta = 2 (symmetric ramp), which raises NormDriftError, and
-    two resolve eta = 0.5.  A point whose tail ratio exceeds ``tail_rel``
-    raises TailSpanError before any route's total is read, so each report
-    holds a tail_ratio at most its tail_rel and no report has tail_warning.
+    Before any point runs, _plan refuses, in this order: a non-ramp family
+    (TypeError), no etas, an eta not positive or repeated, a bad ``dt``;
+    bad routes; a bad tail_rel; a grid above MAX_GRID_SAMPLES or a default
+    dt that overflows; an oracle over the work budget on the largest grid.
+    Each point's reports are those of compare_routes on the sampled grid,
+    bit for bit, from one route pass allocated for the whole scan.  Every
+    point's walk evaluates its ramp into the pass's tile buffers, so the
+    first-order routes hold O(BLOCK_SAMPLES) whatever eta; with an oracle
+    route the point then samples its grid once, for the oracles only.
+    The oracle options and their defaults are those of compare_routes,
+    and so are the oracles' refusals.  A point's grid widens as 1/eta and
+    so does the oracles' RK4 error: at the default dt, one mode substep
+    leaves a Bogoliubov defect of 4.3e-6 already at eta = 2 (symmetric
+    ramp), which raises NormDriftError, and two resolve eta = 0.5.  A
+    point whose tail ratio exceeds ``tail_rel`` raises TailSpanError
+    before any route's total is read, so each report holds a tail_ratio
+    at most its tail_rel and no report has tail_warning.
     """
-    etas = np.asarray(list(etas), dtype=float)
-    _check_scan(family, etas.tolist(), dt)
-    _check_tail_rel(tail_rel, _SCAN_TAIL_FACTOR)
-    _check_routes(routes)
-
-    points = _scan_grids(family, etas, params, dt, tail_rel)
-    reports = _run_points(params, routes, points, tail_rel, fock_truncation, fock_substeps, mode_substeps,
-                          refuse_tails=True)
-    return _fit(etas, reports, routes)
+    etas = np.asarray(list(etas), dtype=float).tolist()
+    options = fock_truncation, fock_substeps, mode_substeps
+    routes, points = _plan(params, routes, "eta", family, etas, None, dt, tail_rel, *options)
+    return _fit(etas, _run_points(params, routes, points, tail_rel, *options, refuse_tails=True), routes)
 
 
 def _fit(etas, reports, routes) -> AdiabaticScanResult:

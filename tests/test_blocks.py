@@ -4,6 +4,7 @@ import functools
 import gc
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from casfric import (
     sample,
 )
 from casfric import dissipation
-from casfric.cli import load_config, run_scenario
+from casfric.cli import _PROFILES, load_config, main, run_scenario
 from casfric.core import _TILE_PAIRS, BLOCK_SAMPLES, _blocks
 from casfric.coupling import _walk, _with_amplitude
 from casfric.dissipation import (
@@ -407,6 +408,23 @@ SCANS = {
 }
 
 
+def write_scan_config(tmp_path, scan, family, values, grid, options):
+    """The config of a SCANS run at PARAMS; an eta scan's dt and tail_rel go in its scan object."""
+    scan_keys = ("dt", "tail_rel") if scan == "eta" else ()
+    if isinstance(family, CouplingSignal):
+        profile = {"type": "sampled", "grid": asdict(family.grid), "values": family.values.tolist()}
+    else:
+        profile = {"type": next(name for name, cls in _PROFILES.items() if cls is type(family)), **asdict(family)}
+    config = {"params": asdict(PARAMS), "profile": profile, "routes": list(options.get("routes", ("barton", "hb"))),
+              "scan": {"kind": scan, "values": values, **{key: options[key] for key in scan_keys if key in options}},
+              **{key: value for key, value in options.items() if key not in (*scan_keys, "routes")}}
+    if grid is not None:
+        config["grid"] = asdict(grid)
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
 def single_run(n_samples, tmp_path):
     """run_scenario on a loaded config: a Gaussian pulse through barton and hb on ``n_samples``."""
     path = tmp_path / f"pulse_{n_samples}.json"
@@ -515,30 +533,57 @@ class TestStreamedScans:
         peak_short, peak_long = traced_peak(run(short, tmp_path)), traced_peak(run(long, tmp_path))
         assert peak_long <= peak_short + 4096
 
-    @pytest.mark.parametrize("scan, family, values, grid, options, error, message", [
+    @pytest.mark.parametrize("scan, family, values, grid, options, error, message, field, at", [
+        # each rule of the plan; ``at`` is the config path the CLI names it by, None where the
+        # config parser refuses the fault first (no values, NaN, routes not a list)
+        ("eta", GaussianPulse(q0=0.01, tau=1.0), [0.1], None, {}, TypeError,
+         "^adiabatic scans take a ramp family, got GaussianPulse$", "scan", "config.scan"),
+        ("eta", SymmetricRamp(gamma=0.05, eta=1.0), [], None, {}, ValueError,
+         "^etas must be a nonempty sequence of positive rates$", "scan", None),
+        ("eta", SymmetricRamp(gamma=0.05, eta=1.0), [0.1, -1.0], None, {}, ValueError,
+         r"^etas\[1\] must be positive, got -1.0$", "scan", "config.scan"),
+        ("eta", SymmetricRamp(gamma=0.05, eta=1.0), [0.1, 0.2, 0.1], None, {}, ValueError,
+         r"^etas\[2\] repeats 0.1; a slope needs distinct etas$", "scan", "config.scan"),
+        ("eta", SymmetricRamp(gamma=0.05, eta=1.0), [0.1], None, {"dt": 0.0}, ValueError,
+         "^dt must be finite and positive, got 0.0$", "scan", "config.scan"),
+        ("eta", SymmetricRamp(gamma=0.05, eta=1.0), [0.1], None, {"routes": "hb"}, TypeError,
+         r"^routes is a sequence of route tokens such as \('hb',\), not the string 'hb'$", "routes", None),
+        ("eta", SymmetricRamp(gamma=0.05, eta=1.0), [0.1], None, {"tail_rel": 2.0}, ValueError,
+         r"^tail_rel must be in \(0, 1\), got 2.0$", "tail_rel", "scan.tail_rel"),
+        # the plan's one order: the routes before tail_rel, as in compare_routes and amplitude_scan
+        ("eta", SymmetricRamp(gamma=0.05, eta=1.0), [0.1], None, {"routes": [], "tail_rel": 2.0}, ValueError,
+         "^at least one route must be selected$", "routes", "config.routes"),
+        ("eta", SymmetricRamp(gamma=0.05, eta=1.0), [0.1], None, {"tail_rel": 1e-322}, ValueError,
+         "^tail_rel=1e-322 is too small: the span solve needs at least ~6.05e-307$", "tail_rel", "scan.tail_rel"),
         # the eta = 1e-4 grid holds about 7 M samples: four Fock substeps each is 6.6 min of work
         ("eta", SymmetricRamp(gamma=0.05, eta=1.0), [0.5, 1e-4], None, {"routes": ("hb", "fock_oracle")}, ValueError,
-         r"^the Fock \(N = 10\) oracle's \d+ steps would take about 393 s, above the work budget"),
+         r"^the Fock \(N = 10\) oracle's \d+ steps would take about 393 s, above the work budget", "budget", "config"),
         ("eta", ExponentialRamp(gamma=1.0, eta=1.0), [0.01, 1e-6], None, {"routes": ("hb",)}, ValueError,
-         r"eta=1e-06 needs a grid of \d+ samples"),
-        *(("amplitude", family, amplitudes, TimeGrid(-12.0, 12.0, 7_000_001), options, error, message)
-          for family, amplitudes, options, error, message in [
+         r"eta=1e-06 needs a grid of \d+ samples", "scan", "config.scan"),
+        *(("amplitude", family, amplitudes, TimeGrid(-12.0, 12.0, 7_000_001), options, error, message, field, at)
+          for family, amplitudes, options, error, message, field, at in [
             (CouplingSignal(TimeGrid(-1.0, 1.0, 3), [0.0, 1.0, 0.0]), [0.1], {}, TypeError,
-             "^CouplingSignal has no amplitude parameter$"),
-            (Flyby(charge=1.0, d=1.0, v=1.0), [0.1], {}, TypeError, "^Flyby has no amplitude parameter$"),
-            (GaussianPulse(q0=0.01, tau=1.0), [0.1, np.nan], {}, ValueError, "^GaussianPulse.q0 must be finite, got nan$"),
-            (GaussianPulse(q0=0.01, tau=1.0), [], {}, ValueError, "^amplitudes must be a nonempty sequence$"),
+             "^CouplingSignal has no amplitude parameter$", "scan", "config.scan"),
+            (Flyby(charge=1.0, d=1.0, v=1.0), [0.1], {}, TypeError, "^Flyby has no amplitude parameter$", "scan",
+             "config.scan"),
+            (GaussianPulse(q0=0.01, tau=1.0), [0.1, np.nan], {}, ValueError,
+             "^GaussianPulse.q0 must be finite, got nan$", "scan", None),
+            (GaussianPulse(q0=0.01, tau=1.0), [], {}, ValueError, "^amplitudes must be a nonempty sequence$", "scan",
+             None),
             (GaussianPulse(q0=0.01, tau=1.0), [0.1], {"routes": ("hb", "kubo")}, ValueError,
-             r"^unknown route 'kubo' at routes\[1\]"),
+             r"^unknown route 'kubo' at routes\[1\]", "routes", "config.routes"),
             (GaussianPulse(q0=0.01, tau=1.0), [0.1], {"tail_rel": 1.0}, ValueError,
-             r"^tail_rel must be in \(0, 1\), got 1.0$"),
+             r"^tail_rel must be in \(0, 1\), got 1.0$", "tail_rel", "config.tail_rel"),
             # the grid's 7 M samples at four Fock substeps each are about 6.5 min of work
             (GaussianPulse(q0=0.01, tau=1.0), [0.1], {"routes": ("hb", "fock_oracle")}, ValueError,
-             r"^the Fock \(N = 10\) oracle's 28000000 steps would take about 391 s, above the work budget"),
+             r"^the Fock \(N = 10\) oracle's 28000000 steps would take about 391 s, above the work budget", "budget",
+             "config"),
         ]),
     ])
-    def test_refusals_come_before_any_point_is_walked_sampled_or_evaluated(self, monkeypatch, scan, family, values,
-                                                                           grid, options, error, message):
+    def test_refusals_come_before_any_point_is_walked_sampled_or_evaluated(self, monkeypatch, tmp_path, capsys, scan,
+                                                                           family, values, grid, options, error,
+                                                                           message, field, at):
+        """Each rule of the plan, from the library with its field and from the CLI at ``at`` with the same text."""
         def no_point(*args):
             raise AssertionError("a point ran")
 
@@ -546,8 +591,13 @@ class TestStreamedScans:
         monkeypatch.setattr(dissipation, "sample", no_point)
         for profile in (ExponentialRamp, SymmetricRamp, GaussianPulse, Flyby, CouplingSignal):
             monkeypatch.setattr(profile, "_eval_array", no_point)
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=message) as caught:
             SCANS[scan][0](family, values, grid, **options)
+        assert caught.value.field == field
+        monkeypatch.undo()  # building a Flyby from its config evaluates its peak
+        if at is not None:
+            assert main([str(write_scan_config(tmp_path, scan, family, values, grid, options))]) == 2
+            assert capsys.readouterr().err == f"error: {at}: {caught.value}\n"
 
     def test_unresolved_tails_are_refused_before_a_route_overflows(self):
         # two samples at +-span: the tails are the peak, and barton's

@@ -307,6 +307,12 @@ def test_shipped_configs_run_clean(name, tmp_path):
     assert_matches_recorded(text, (EXPECTED_DIR / name).with_suffix(".csv").read_text())
 
 
+@pytest.mark.parametrize("name", sorted(path.name for path in CONFIG_DIR.glob("*.json")))
+def test_a_scenario_holds_the_one_tail_rel_its_reports_are_tested_against(name):
+    scenario = load_config(CONFIG_DIR / name)
+    assert {report.tail_rel for _, report in run_scenario(scenario).rows} == {scenario.tail_rel}
+
+
 class TestRangesAndSampleBudget:
     def test_small_scan_tail_rel_above_the_floor_runs(self, tmp_path, capsys):
         assert main([str(write_config(tmp_path, eta_scan(tail_rel=1e-300)))]) == 0
@@ -314,7 +320,7 @@ class TestRangesAndSampleBudget:
 
     def test_an_eta_scan_without_tail_rel_takes_the_library_default(self, tmp_path):
         scenario = load_config(write_config(tmp_path, eta_scan()))
-        assert scenario.scan.tail_rel == SCAN_TAIL_REL_DEFAULT == 1e-12
+        assert scenario.tail_rel == SCAN_TAIL_REL_DEFAULT == 1e-12
         assert inspect.signature(adiabatic_scan).parameters["tail_rel"].default == SCAN_TAIL_REL_DEFAULT
 
     def test_eta_scan_over_the_budget_is_refused_before_sampling(self, tmp_path, capsys, monkeypatch):

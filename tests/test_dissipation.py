@@ -431,6 +431,28 @@ class TestScanPreflight:
             )
 
 
+def eta_scan_of(routes):
+    """An eta scan's reports and dE, which its routes pick (AdiabaticScanResult has no ==)."""
+    scan = adiabatic_scan(SymmetricRamp(gamma=0.05, eta=1.0), [0.5, 0.2], PARAMS, routes=routes, mode_substeps=4)
+    return scan.reports, scan.delta_e.tolist()
+
+
+# each entry point on ``routes``
+ENTRY_POINTS = {
+    "compare_routes": lambda routes: compare_routes(gauss_signal(n=481), PARAMS, routes=routes),
+    "amplitude_scan": lambda routes: amplitude_scan(GaussianPulse(q0=0.01, tau=1.0), [0.01, 0.02],
+                                                    TimeGrid(-12.0, 12.0, 481), PARAMS, routes=routes),
+    "adiabatic_scan": eta_scan_of,
+}
+
+
+@pytest.mark.parametrize("one_shot", [iter, lambda routes: (route for route in routes)], ids=["iterator", "generator"])
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_one_shot_routes_run_every_route_as_a_tuple_does(name, one_shot):
+    routes = ("barton", "hb", "mode_oracle")
+    assert ENTRY_POINTS[name](one_shot(routes)) == ENTRY_POINTS[name](routes)
+
+
 def run_python(code: str) -> str:
     """Standard output of ``code`` run in a fresh interpreter that imports this casfric."""
     src = str(Path(casfric.__file__).resolve().parents[1])
