@@ -24,18 +24,10 @@ from .coupling import (
     SymmetricRamp,
     load_sampled_csv,
 )
-from .dissipation import (
-    _ORACLE_DEFAULTS,
-    SCAN_TAIL_REL_DEFAULT,
-    TAIL_REL_DEFAULT,
-    AdiabaticScanResult,
-    _fit,
-    _plan,
-    _run_points,
-)
+from .dissipation import SCAN_TAIL_REL_DEFAULT, TAIL_REL_DEFAULT, AdiabaticScanResult, _execute, _plan
 from .errors import NumericalFailure
 
-__all__ = ["ConfigError", "Scenario", "ScanSpec", "ScenarioResult", "load_config", "run_scenario", "emit_report", "main"]
+__all__ = ["ConfigError", "Scenario", "ScenarioResult", "load_config", "run_scenario", "emit_report", "main"]
 
 # (report column, DissipationReport attribute): the CSV columns after
 # eta_or_amp, and the JSON row keys beside it
@@ -63,7 +55,8 @@ _PROFILES = {
     "flyby": Flyby,
 }
 # the config path of each field a refusal of the library's plan names; an eta scan's tail_rel is scan.tail_rel
-_PLAN_PATHS = {"scan": "config.scan", "routes": "config.routes", "tail_rel": "config.tail_rel", "budget": "config"}
+_PLAN_PATHS = {"scan": "config.scan", "routes": "config.routes", "tail_rel": "config.tail_rel", "budget": "config",
+               "grid": "config.grid"}
 
 
 class ConfigError(ValueError):
@@ -71,23 +64,10 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScanSpec:
-    kind: str  # "eta" or "amplitude"
-    values: tuple
-
-
-@dataclass(frozen=True)
 class Scenario:
     scenario_id: str
-    params: PhysicalParams
-    points: tuple  # of (profile, grid): the run's own, one per scan value or the single run's
     profile_config: dict
-    routes: tuple
-    fock_truncation: int
-    fock_substeps: int
-    mode_substeps: int
-    tail_rel: float  # the one the points' tails are tested against: scan.tail_rel in an eta scan
-    scan: Optional[ScanSpec]
+    run: object  # dissipation._plan's run of the config: params, routes, scan kind and values, points, tail_rel, options
 
 
 @dataclass(frozen=True)
@@ -160,8 +140,8 @@ def _build(cls, cfg, path, extra=()):
 
 
 def _oracle_option(cfg, key, low) -> int:
-    """Option ``key`` or the library's default; below ``low`` it is refused even with its route off."""
-    value = _expect(cfg, key, "config", int, required=False, default=_ORACLE_DEFAULTS[key])
+    """Option ``key``, which ``cfg`` sets; below ``low`` it is refused even with its route off."""
+    value = _expect(cfg, key, "config", int)
     if value < low:
         raise ConfigError(f"config.{key}: must be >= {low}, got {value}")
     return value
@@ -191,9 +171,9 @@ def _build_profile(cfg, config_dir: Path, path="profile") -> CouplingProfile:
 
 
 def _build_scan(raw, path="scan") -> tuple:
-    """The config's ScanSpec, with the dt and tail_rel an eta scan builds its grids for; Nones without a scan."""
+    """The scan's kind and values, and the dt and tail_rel an eta scan builds its grids for; Nones without a scan."""
     if raw.get("scan") is None:  # a null scan means absent
-        return None, None, None
+        return None, None, None, None
     cfg = _expect(raw, "scan", "config", dict)
     kind = _expect(cfg, "kind", path, str)
     if kind not in _SCAN_KEYS:
@@ -204,7 +184,7 @@ def _build_scan(raw, path="scan") -> tuple:
         raise ConfigError(f"{path}.values: scan list must be nonempty")
     dt = _expect(cfg, "dt", path, float, required=False)
     tail_rel = _expect(cfg, "tail_rel", path, float, required=False, default=SCAN_TAIL_REL_DEFAULT)
-    return ScanSpec(kind=kind, values=tuple(values)), dt, tail_rel
+    return kind, values, dt, tail_rel
 
 
 def load_config(path) -> Scenario:
@@ -230,56 +210,32 @@ def load_config(path) -> Scenario:
     params = _build(PhysicalParams, _expect(raw, "params", "config", dict), "params")
     profile_config = _expect(raw, "profile", "config", dict)
     profile = _build_profile(profile_config, path.parent)
-    scan, dt, scan_tail_rel = _build_scan(raw)
-    kind = scan.kind if scan else None
+    kind, values, dt, scan_tail_rel = _build_scan(raw)
     if kind != "eta" and raw.get("grid") is None:  # an eta scan builds its own grids
         raise ConfigError("config.grid: required unless the scenario is an eta scan")
     grid = None if kind == "eta" else _build_grid(_expect(raw, "grid", "config", dict))
 
     routes = _expect(raw, "routes", "config", list)
     options = {key: _oracle_option(raw, key, low)
-               for key, low in (("fock_truncation", 2), ("fock_substeps", 1), ("mode_substeps", 1))}
+               for key, low in (("fock_truncation", 2), ("fock_substeps", 1), ("mode_substeps", 1)) if key in raw}
     tail_rel = _expect(raw, "tail_rel", "config", float, required=False, default=TAIL_REL_DEFAULT)
     if kind == "eta":  # a top-level tail_rel is refused below
         tail_rel = scan_tail_rel
     try:
-        routes, points = _plan(params, routes, kind, profile, scan.values if scan else None, grid, dt, tail_rel,
-                               **options)
+        run = _plan(params, routes, kind, profile, values, grid, dt, tail_rel, **options)
     except (ValueError, TypeError) as exc:
         at = "scan.tail_rel" if kind == "eta" and exc.field == "tail_rel" else _PLAN_PATHS[exc.field]
         raise ConfigError(f"{at}: {exc}") from exc
     for key, instead in (("grid", "scan.dt"), ("tail_rel", "scan.tail_rel")):
         if kind == "eta" and raw.get(key) is not None:  # it sizes its own grids and tests their tails
             raise ConfigError(f"config.{key}: an eta scan builds its own grids; set {instead} instead")
-    # q finite at each grid end, where a ramp's |gamma*t| peaks
-    at = "config.scan" if scan else "config.grid"
-    for point, point_grid in points:  # a signal refuses a grid outside its span
-        if not all(map(math.isfinite, _construct(point.evaluate, at, [point_grid.t_start, point_grid.t_end]))):
-            raise ConfigError(f"{at}: q of {point} is not finite at a grid end")
-
-    return Scenario(
-        scenario_id=scenario_id,
-        params=params,
-        points=tuple(points),
-        profile_config=dict(profile_config),
-        routes=routes,
-        **options,
-        tail_rel=tail_rel,
-        scan=scan,
-    )
+    return Scenario(scenario_id=scenario_id, profile_config=dict(profile_config), run=run)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """Run the selected routes over the scenario's points in one route pass, one report row per point."""
-    scan = scenario.scan
-    eta_scan = scan is not None and scan.kind == "eta"
-    reports = _run_points(scenario.params, scenario.routes, scenario.points, scenario.tail_rel,
-                          scenario.fock_truncation, scenario.fock_substeps, scenario.mode_substeps,
-                          refuse_tails=eta_scan)
-    if scan is None:
-        return ScenarioResult(scenario, rows=((None, reports[0]),))
-    rows = tuple(zip(scan.values, reports))
-    return ScenarioResult(scenario, rows=rows, scan=_fit(scan.values, reports, scenario.routes) if eta_scan else None)
+    """Run the scenario's planned points in one route pass, one report row per scan value (None for a single run)."""
+    reports, fit = _execute(scenario.run)
+    return ScenarioResult(scenario, rows=tuple(zip(scenario.run.values, reports)), scan=fit)
 
 
 def _cell(value) -> str:
@@ -342,8 +298,8 @@ def _render_json(result: ScenarioResult) -> str:
         "schema_version": "2",
         "scenario_id": scenario.scenario_id,
         "profile": scenario.profile_config,
-        "params": asdict(scenario.params),
-        "routes": list(scenario.routes),
+        "params": asdict(scenario.run.params),
+        "routes": list(scenario.run.routes),
         "rows": rows,
         "scan": scan_obj,
     }

@@ -238,19 +238,42 @@ def _relative_spread(values: Sequence[float]) -> float:
     return max((abs(a - b) / max(abs(a), abs(b), _SPREAD_FLOOR) for a, b in pairs), default=0.0)
 
 
-def _plan(params, routes, kind, family, values, grid, dt, tail_rel, fock_truncation, fock_substeps, mode_substeps):
-    """The routes as a tuple and the (profile, grid) points of a run of ``kind``: None
-    (``family`` on ``grid``), "amplitude" (each of ``values`` on ``grid``) or "eta"
-    (each of ``values``, a sequence of floats, on a grid built for it at ``dt``), after
-    every rule that refuses a run, in one order: an eta scan's family, etas and
-    dt; the routes; tail_rel, with the span factor for an eta scan; the points;
-    each selected oracle's work budget on the largest grid.  A refusal keeps its
-    type and text and names its ``field``: "scan", "routes", "tail_rel" or "budget"."""
+@dataclass(frozen=True)
+class _Run:
+    """A run that every rule of _plan, the one place a _Run is made, has passed: its
+    ``points``, one (profile, grid) per scan value in ``values`` (None for a single
+    run), and what runs them."""
+
+    params: PhysicalParams
+    routes: tuple
+    kind: Optional[str]  # None, "amplitude" or "eta"
+    values: tuple
+    points: tuple
+    tail_rel: float  # the threshold each point's tail ratio is tested against
+    fock_truncation: int = _ORACLE_DEFAULTS["fock_truncation"]
+    fock_substeps: int = _ORACLE_DEFAULTS["fock_substeps"]
+    mode_substeps: int = _ORACLE_DEFAULTS["mode_substeps"]
+
+    @property
+    def largest(self) -> TimeGrid:
+        """The grid of the most samples, on which the budget is tested and the workspaces sized."""
+        return max((grid for _, grid in self.points), key=lambda grid: grid.n_samples)
+
+
+def _plan(params, routes, kind, family, values, grid, dt, tail_rel, **options) -> _Run:
+    """The _Run of ``kind``: None (``family`` on ``grid``), "amplitude" (each of
+    ``values`` on ``grid``) or "eta" (each of ``values``, floats, on a grid built for
+    it at ``dt``), with the oracle ``options`` given, after every rule that refuses a
+    run, in one order: an eta scan's family, etas and dt; the routes; tail_rel, with
+    the span factor for an eta scan; the points; each selected oracle's work budget
+    on the largest grid; q finite at each grid end.  A refusal keeps its type and
+    text and names its ``field``: "scan", "routes", "tail_rel", "budget" or "grid"."""
     field = "scan"
     try:
         if kind == "eta":
             if not isinstance(family, (SymmetricRamp, ExponentialRamp)):
                 raise TypeError(f"adiabatic scans take a ramp family, got {type(family).__name__}")
+            values = tuple(values)
             if len(values) == 0:
                 raise ValueError("etas must be a nonempty sequence of positive rates")
             for i, eta in enumerate(values):
@@ -272,26 +295,35 @@ def _plan(params, routes, kind, family, values, grid, dt, tail_rel, fock_truncat
         field = "tail_rel"
         _check_tail_rel(tail_rel, _SCAN_TAIL_FACTOR if kind == "eta" else None)
         field = "scan"
-        points = [(family, grid)]
-        if kind == "eta":
+        if kind is None:
+            points, values = [(family, grid)], (None,)
+        elif kind == "eta":
             dt = np.pi / (32.0 * params.omega) if dt is None else dt
             if not math.isfinite(dt):  # the default, for a subnormal omega; any other is refused above
                 raise ValueError(f"the default dt pi/(32*omega) overflows for omega={params.omega!r}; set dt (scan.dt)")
             points = [(replace(family, eta=eta), _ramp_grid(family, eta, dt, tail_rel)) for eta in values]
-        elif kind == "amplitude":
+        else:  # "amplitude"
+            values = tuple(values)  # a one-shot iterable is read once
             if len(values) == 0:
                 raise ValueError("amplitudes must be a nonempty sequence")
             points = [(_with_amplitude(family, amplitude), grid) for amplitude in values]
         field = "budget"
-        largest = max((grid for _, grid in points), key=lambda grid: grid.n_samples)
+        run = _Run(params, routes, kind, values, tuple(points), tail_rel, **options)
         if "mode_oracle" in routes:
-            _oracle._substeps(largest, mode_substeps)
+            _oracle._substeps(run.largest, run.mode_substeps)
         if "fock_oracle" in routes:
-            _oracle._substeps(largest, fock_substeps, fock_truncation)
+            _oracle._substeps(run.largest, run.fock_substeps, run.fock_truncation)
+        field = "grid" if kind is None else "scan"
+        for profile, grid in points:  # a ramp's |gamma*t| peaks at a grid end
+            if isinstance(profile, CouplingSignal) and profile.grid == grid:
+                continue  # its samples are finite
+            for t in (grid.t_start, grid.t_end):  # one call each: a signal interpolates over its call's span
+                if not math.isfinite(profile.evaluate(t)):  # a signal refuses a grid outside its span
+                    raise ValueError(f"q of {profile} is not finite at a grid end")
     except (ValueError, TypeError) as exc:
         exc.field = field
         raise
-    return routes, points
+    return run
 
 
 @contextmanager
@@ -303,80 +335,59 @@ def _overflow_fails(route: str):
         raise NumericalFailure(f"{route}: float overflow") from exc
 
 
-class _RoutePass:
-    """``run`` feeds hb's transform (always: it gives B_1100) and, if
-    selected, barton's amplitude by one coupling._walk, and keeps the tail
-    ratio; ``report`` adds the selected oracles and builds the report.
-    The sums' workspaces and the walk's tile buffers for a profile
-    (untouched for a signal on its own grid) share one allocation, made
-    once for grids of up to ``largest``'s samples."""
-
-    def __init__(self, params, routes, largest, fock_truncation, fock_substeps, mode_substeps):
-        self.params, self.routes = params, routes
-        self.fock_truncation, self.fock_substeps, self.mode_substeps = fock_truncation, fock_substeps, mode_substeps
-        size, tile = _block_and_tile(largest.n_samples)
-        stride = 3 * tile + 2 * size - 2
-        sums = 2 if "barton" in routes else 1
-        work = np.empty(sums * stride + 2 * tile)
-        self.transform = _SpectralSum(-2.0 * params.omega, size, tile, work[:stride])
-        self.amplitude = _TimeDomainSum(params, size, tile, work[stride : 2 * stride]) if sums == 2 else None
-        self.buffers = work[sums * stride :].reshape(2, tile)
-
-    def run(self, grid: TimeGrid, source) -> float:
-        """Walk ``source``, any profile, a CouplingSignal included, on ``grid``, and
-        keep and return its tail ratio max(|q(t0)|, |q(t1)|)/max|q|, 0.0 for q = 0."""
-        sums = [self.transform] if self.amplitude is None else [self.transform, self.amplitude]
-        first, last, q_min, q_max = _walk(grid, source, sums, self.buffers)
+def _execute(run: _Run) -> tuple:
+    """(reports, fit) of ``run``: the report of each point and, for an eta scan,
+    _fit's result, else None.  One coupling._walk per point feeds hb's transform
+    (always: it gives B_1100) and, if selected, barton's amplitude and gives the
+    tail ratio; an eta point whose ratio exceeds tail_rel raises TailSpanError
+    before any total is read.  Then the selected oracles sample the point once,
+    unless it is a CouplingSignal on its grid, and routes fail in _FIELDS' order.
+    The sums' workspaces and the walk's tile buffers for a profile (untouched for
+    a signal on its own grid) share one allocation, made once on the largest grid."""
+    params, routes = run.params, run.routes
+    size, tile = _block_and_tile(run.largest.n_samples)
+    stride = 3 * tile + 2 * size - 2
+    sums = 2 if "barton" in routes else 1
+    work = np.empty(sums * stride + 2 * tile)
+    transform = _SpectralSum(-2.0 * params.omega, size, tile, work[:stride])
+    amplitude = _TimeDomainSum(params, size, tile, work[stride : 2 * stride]) if sums == 2 else None
+    buffers = work[sums * stride :].reshape(2, tile)
+    reports = []
+    for profile, grid in run.points:
+        first, last, q_min, q_max = _walk(grid, profile, [transform, amplitude][:sums], buffers)
         peak = max(q_max, -q_min)
-        self.tail_ratio = float(max(abs(first), abs(last)) / peak) if peak > 0.0 else 0.0
-        return self.tail_ratio
-
-    def report(self, grid: TimeGrid, source, tail_rel: float) -> DissipationReport:
-        """The report of the last ``run`` at ``tail_rel``; routes fail in _FIELDS'
-        order, and the oracles sample ``source`` on ``grid`` once, here, unless it
-        is a CouplingSignal on ``grid``."""
-        params, routes = self.params, self.routes
+        tail_ratio = float(max(abs(first), abs(last)) / peak) if peak > 0.0 else 0.0
+        if run.kind == "eta" and tail_ratio > run.tail_rel:
+            raise TailSpanError(f"grid span insufficient for eta={profile.eta:g}: coupling tails above "
+                                f"{run.tail_rel:g} of peak")
         delta_e = {}
-        if self.amplitude is not None:
+        if amplitude is not None:
             with _overflow_fails("barton"):
-                delta_e["barton"] = _delta_e_barton(self.amplitude.total(), params)
+                delta_e["barton"] = _delta_e_barton(amplitude.total(), params)
         with _overflow_fails("hb"):
-            de_hb = _delta_e_hb(self.transform.total(), params)
+            de_hb = _delta_e_hb(transform.total(), params)
         if "hb" in routes:
             delta_e["hb"] = de_hb
         if "mode_oracle" in routes or "fock_oracle" in routes:
-            signal = source if isinstance(source, CouplingSignal) and source.grid == grid else sample(source, grid)
+            signal = profile if isinstance(profile, CouplingSignal) and profile.grid == grid else sample(profile, grid)
         if "mode_oracle" in routes:
             with _overflow_fails("mode_oracle"):
-                pairs = _oracle._evolve_modes(signal, params, (+1, -1), self.mode_substeps)
+                pairs = _oracle._evolve_modes(signal, params, (+1, -1), run.mode_substeps)
                 delta_e["mode_oracle"] = _oracle.delta_e_modes(*pairs, params)
         if "fock_oracle" in routes:
             with _overflow_fails("fock_oracle"):
-                state = _oracle.evolve_fock(signal, params, self.fock_truncation, self.fock_substeps)
+                state = _oracle.evolve_fock(signal, params, run.fock_truncation, run.fock_substeps)
                 delta_e["fock_oracle"] = _oracle.delta_e_fock(state, params)
-        return DissipationReport(
+        reports.append(DissipationReport(
             **{field: delta_e.get(token) for token, field in _FIELDS.items()},
             relative_spread=_relative_spread(list(delta_e.values())),
             transition_probability=de_hb / (2.0 * params.hbar * params.omega),
             grid=grid,
-            tail_ratio=self.tail_ratio,
-            tail_rel=tail_rel,
-        )
-
-
-def _run_points(params, routes, points, tail_rel, fock_truncation, fock_substeps, mode_substeps, refuse_tails=False):
-    """The report of each (profile, grid) of ``points``, as _plan gives them, from one
-    route pass sized on their largest grid.  With ``refuse_tails`` (an eta scan) a
-    point whose tail ratio exceeds ``tail_rel`` raises TailSpanError before any total is read."""
-    largest = max((grid for _, grid in points), key=lambda grid: grid.n_samples)
-    route_pass = _RoutePass(params, routes, largest, fock_truncation, fock_substeps, mode_substeps)
-    reports = []
-    for profile, grid in points:
-        if route_pass.run(grid, profile) > tail_rel and refuse_tails:
-            raise TailSpanError(f"grid span insufficient for eta={profile.eta:g}: coupling tails above "
-                                f"{tail_rel:g} of peak")
-        reports.append(route_pass.report(grid, profile, tail_rel))
-    return tuple(reports)
+            tail_ratio=tail_ratio,
+            tail_rel=run.tail_rel,
+        ))
+    reports = tuple(reports)
+    return reports, _fit(run, reports) if run.kind == "eta" else None
 
 
 def compare_routes(
@@ -410,9 +421,8 @@ def compare_routes(
     resolve them.
     """
     _require_signal(signal, "compare_routes")
-    options = fock_truncation, fock_substeps, mode_substeps
-    routes, points = _plan(params, routes, None, signal, None, signal.grid, None, tail_rel, *options)
-    return _run_points(params, routes, points, tail_rel, *options)[0]
+    options = dict(fock_truncation=fock_truncation, fock_substeps=fock_substeps, mode_substeps=mode_substeps)
+    return _execute(_plan(params, routes, None, signal, None, signal.grid, None, tail_rel, **options))[0][0]
 
 
 def amplitude_scan(
@@ -432,8 +442,9 @@ def amplitude_scan(
     GaussianPulse, whose q0 is; any other profile, a CouplingSignal
     included, has no amplitude.  Before any point is walked or sampled,
     _plan refuses bad routes, a tail_rel outside (0, 1), no amplitudes or
-    a family without an amplitude (TypeError), and a selected oracle over
-    the work budget on ``grid``, in that order.  Each report is that of
+    a family without an amplitude (TypeError), a selected oracle over the
+    work budget on ``grid``, and a point whose q is not finite at a grid
+    end, in that order.  Each report is that of
     compare_routes on the sampled grid, bit for bit, from one route pass
     sized on ``grid``.  Every point's walk evaluates its profile into the
     pass's tile buffers, so the first-order routes hold O(BLOCK_SAMPLES)
@@ -441,9 +452,8 @@ def amplitude_scan(
     grid once, for the oracles only.  Each report's tail_ratio, tail_rel
     and flags and the oracle options are those of compare_routes.
     """
-    options = fock_truncation, fock_substeps, mode_substeps
-    routes, points = _plan(params, routes, "amplitude", family, amplitudes, grid, None, tail_rel, *options)
-    return _run_points(params, routes, points, tail_rel, *options)
+    options = dict(fock_truncation=fock_truncation, fock_substeps=fock_substeps, mode_substeps=mode_substeps)
+    return _execute(_plan(params, routes, "amplitude", family, amplitudes, grid, None, tail_rel, **options))[0]
 
 
 def _check_tail_rel(tail_rel: float, factor: Optional[float] = None) -> None:
@@ -531,7 +541,8 @@ def adiabatic_scan(
     Before any point runs, _plan refuses, in this order: a non-ramp family
     (TypeError), no etas, an eta not positive or repeated, a bad ``dt``;
     bad routes; a bad tail_rel; a grid above MAX_GRID_SAMPLES or a default
-    dt that overflows; an oracle over the work budget on the largest grid.
+    dt that overflows; an oracle over the work budget on the largest grid;
+    a point whose q is not finite at a grid end.
     Each point's reports are those of compare_routes on the sampled grid,
     bit for bit, from one route pass allocated for the whole scan.  Every
     point's walk evaluates its ramp into the pass's tile buffers, so the
@@ -547,16 +558,15 @@ def adiabatic_scan(
     at most its tail_rel and no report has tail_warning.
     """
     etas = np.asarray(list(etas), dtype=float).tolist()
-    options = fock_truncation, fock_substeps, mode_substeps
-    routes, points = _plan(params, routes, "eta", family, etas, None, dt, tail_rel, *options)
-    return _fit(etas, _run_points(params, routes, points, tail_rel, *options, refuse_tails=True), routes)
+    options = dict(fock_truncation=fock_truncation, fock_substeps=fock_substeps, mode_substeps=mode_substeps)
+    return _execute(_plan(params, routes, "eta", family, etas, None, dt, tail_rel, **options))[1]
 
 
-def _fit(etas, reports, routes) -> AdiabaticScanResult:
-    """The scan result of an eta scan's ``reports`` at ``etas``: its dE is hb's
-    where it ran, else barton's, else an oracle's, with dE*eta and both slopes."""
-    etas = np.asarray(etas, dtype=float)
-    token = next(token for token in ("hb", "barton", "mode_oracle", "fock_oracle") if token in routes)
+def _fit(run: _Run, reports) -> AdiabaticScanResult:
+    """The scan result of an eta ``run``'s ``reports``: its dE is hb's where it
+    ran, else barton's, else an oracle's, with dE*eta and both slopes."""
+    etas = np.asarray(run.values, dtype=float)
+    token = next(token for token in ("hb", "barton", "mode_oracle", "fock_oracle") if token in run.routes)
     delta_e = np.array([report.populated()[token] for report in reports])
     with np.errstate(over="ignore"):  # a product that overflows has no slope and is null in the JSON
         delta_e_times_eta = delta_e * etas

@@ -4,7 +4,7 @@ import functools
 import gc
 import json
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -34,10 +34,11 @@ from casfric.coupling import _walk, _with_amplitude
 from casfric.dissipation import (
     _SCAN_TAIL_FACTOR,
     TAIL_REL_DEFAULT,
-    _RoutePass,
     _TimeDomainSum,
     _delta_e_barton,
     _delta_e_hb,
+    _execute,
+    _plan,
     _ramp_grid,
     ramp_tail_span,
     time_domain_amplitude,
@@ -484,7 +485,7 @@ class TestStreamedScans:
         """A CouplingSignal off its own grid is interpolated tile by tile, with the bits sample gives it."""
         signal = sample(GaussianPulse(q0=0.01, tau=2.0), TimeGrid(-20.0, 20.0, 2001))
         grid = TimeGrid(-19.0, 19.0, 3 * BLOCK_SAMPLES + 17)
-        [report] = dissipation._run_points(PARAMS, routes, [(signal, grid)], TAIL_REL_DEFAULT, 10, 4, 1)
+        [report], _ = _execute(_plan(PARAMS, routes, None, signal, None, grid, None, TAIL_REL_DEFAULT))
         assert report == compare_routes(sample(signal, grid), PARAMS, routes=routes)
 
     def test_an_oracle_point_that_one_mode_substep_cannot_resolve_is_refused(self):
@@ -611,16 +612,37 @@ class TestStreamedScans:
             adiabatic_scan(family, [0.1], params, routes=("barton",), dt=1e4)
         assert str(caught.value) == "grid span insufficient for eta=0.1: coupling tails above 1e-12 of peak"
 
-    @pytest.mark.parametrize("dt", [None, 1e4])
-    def test_a_non_finite_sample_is_refused_as_sampling_refuses_it(self, dt):
-        # gamma*t overflows to inf; refused before the tail test
-        family = SymmetricRamp(gamma=1e308, eta=1.0)
-        with pytest.raises(ValueError) as sampled:
-            sample(SymmetricRamp(gamma=1e308, eta=0.1), _ramp_grid(family, 0.1, dt or np.pi / 32.0, 1e-12))
+    @pytest.mark.parametrize("scan, family, values, grid, options", [
+        # gamma*t overflows to inf at a grid end of the last point
+        ("eta", SymmetricRamp(gamma=1e308, eta=1.0), [0.1], None, {}),
+        ("eta", SymmetricRamp(gamma=1e308, eta=1.0), [0.1], None, {"dt": 1e4}),
+        ("amplitude", SymmetricRamp(gamma=1.0, eta=1e-3), [1.0, 1e308], TimeGrid(0.0, 1e3, 481), {}),
+    ])
+    def test_a_non_finite_sample_is_refused_as_sampling_refuses_it(self, monkeypatch, tmp_path, capsys, scan, family,
+                                                                  values, grid, options):
+        """The plan refuses the point with the ValueError sampling it raises, before any point is walked
+        or sampled, and the CLI refuses it with the same text."""
+        if scan == "eta":
+            point = replace(family, eta=values[-1])
+            grid = _ramp_grid(family, values[-1], options.get("dt", np.pi / 32.0), 1e-12)
+        else:
+            point = _with_amplitude(family, values[-1])
+        with pytest.raises(ValueError, match="^signal values must be finite$"):
+            sample(point, grid)
+
+        def no_point(*args):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(dissipation, "_walk", no_point)
+        monkeypatch.setattr(dissipation, "sample", no_point)
         with pytest.raises(ValueError) as scanned:
-            adiabatic_scan(family, [0.1], PARAMS, routes=("hb",), dt=dt)
-        assert type(scanned.value) is type(sampled.value) is ValueError
-        assert str(scanned.value) == str(sampled.value) == "signal values must be finite"
+            SCANS[scan][0](family, values, None if scan == "eta" else grid, routes=("hb",), **options)
+        assert type(scanned.value) is ValueError and scanned.value.field == "scan"
+        assert str(scanned.value) == f"q of {point} is not finite at a grid end"
+        config = write_scan_config(tmp_path, scan, family, values, None if scan == "eta" else grid,
+                                   {"routes": ("hb",), **options})
+        assert main([str(config)]) == 2
+        assert capsys.readouterr().err == f"error: config.scan: {scanned.value}\n"
 
     def test_flagged_tails_are_those_of_compare_routes(self):
         # exp(-4) = 1.8e-2 of the peak at the endpoints: flagged at 1e-3, not at 0.5
@@ -685,9 +707,7 @@ class TestOneFormulaPerProfile:
         for time, value in zip(times, want):
             assert_same_bits(np.array([profile.evaluate(time)]), np.array([value]))
         # the scan's buffers hold the previous point's values: all of them must be overwritten
-        values, scratch = _RoutePass(PARAMS, ("barton", "hb"), TimeGrid(0.0, 1.0, len(t) + 3), 10, 4, 1).buffers
-        values.fill(np.nan)
-        scratch.fill(np.nan)
+        values, scratch = np.full((2, len(t) + 3), np.nan)
         profile._eval_array(t, values[: len(t)], scratch[: len(t)])
         assert_same_bits(values[: len(t)], want)
 

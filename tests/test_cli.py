@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from casfric.cli import (
+    _PROFILES,
     CSV_HEADER,
     ConfigError,
     ScenarioResult,
@@ -17,7 +18,17 @@ from casfric.cli import (
     main,
     run_scenario,
 )
-from casfric import AdiabaticScanResult, SymmetricRamp, adiabatic_scan, compare_routes, sample
+from casfric import (
+    AdiabaticScanResult,
+    PhysicalParams,
+    SymmetricRamp,
+    TimeGrid,
+    adiabatic_scan,
+    amplitude_scan,
+    compare_routes,
+    load_sampled_csv,
+    sample,
+)
 from casfric.core import MAX_GRID_SAMPLES
 from casfric.dissipation import SCAN_TAIL_REL_DEFAULT, _ramp_grid
 from cli_probes import PROBES, eta_scan, inline, run_all, stderr_matches, table, write_probe
@@ -51,16 +62,16 @@ class TestConfigValidation:
     def test_valid_config_loads(self, tmp_path):
         scenario = load_config(write_config(tmp_path, small_benchmark()))
         assert scenario.scenario_id == "small-benchmark"
-        assert scenario.routes == ("barton", "hb", "mode_oracle", "fock_oracle")
+        assert scenario.run.routes == ("barton", "hb", "mode_oracle", "fock_oracle")
 
     def test_a_null_scan_is_absent(self, tmp_path):
-        assert load_config(write_config(tmp_path, small_benchmark(scan=None))).scan is None
+        assert load_config(write_config(tmp_path, small_benchmark(scan=None))).run.kind is None
 
     def test_a_null_grid_is_absent_in_an_eta_scan(self, tmp_path):
         scenario = load_config(write_probe(PROBES["eta_grid_null"], tmp_path)[0])
-        ramps = [SymmetricRamp(gamma=0.001, eta=eta) for eta in scenario.scan.values]
-        assert scenario.scan.kind == "eta"  # each point runs on the grid the scan builds for its eta
-        assert scenario.points == tuple((ramp, _ramp_grid(ramp, ramp.eta, np.pi / 32.0, SCAN_TAIL_REL_DEFAULT))
+        ramps = [SymmetricRamp(gamma=0.001, eta=eta) for eta in scenario.run.values]
+        assert scenario.run.kind == "eta"  # each point runs on the grid the scan builds for its eta
+        assert scenario.run.points == tuple((ramp, _ramp_grid(ramp, ramp.eta, np.pi / 32.0, SCAN_TAIL_REL_DEFAULT))
                                         for ramp in ramps)
 
 
@@ -310,7 +321,38 @@ def test_shipped_configs_run_clean(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(path.name for path in CONFIG_DIR.glob("*.json")))
 def test_a_scenario_holds_the_one_tail_rel_its_reports_are_tested_against(name):
     scenario = load_config(CONFIG_DIR / name)
-    assert {report.tail_rel for _, report in run_scenario(scenario).rows} == {scenario.tail_rel}
+    assert {report.tail_rel for _, report in run_scenario(scenario).rows} == {scenario.run.tail_rel}
+
+
+def library_run(raw):
+    """(reports, eta-scan result or None) of the library call the shipped config ``raw`` describes."""
+    params = PhysicalParams(**raw["params"])
+    spec = {key: value for key, value in raw["profile"].items() if key != "type"}
+    kind = raw["profile"]["type"]
+    profile = load_sampled_csv(CONFIG_DIR / spec["csv"]) if kind == "sampled" else _PROFILES[kind](**spec)
+    options = {key: raw[key] for key in ("routes", "fock_truncation", "fock_substeps", "mode_substeps", "tail_rel")
+               if key in raw}
+    scan = raw.get("scan") or {}
+    if scan.get("kind") == "eta":
+        result = adiabatic_scan(profile, scan["values"], params, **options,
+                                **{key: scan[key] for key in ("dt", "tail_rel") if key in scan})
+        return result.reports, result
+    grid = TimeGrid(**raw["grid"])
+    if scan.get("kind") == "amplitude":
+        return amplitude_scan(profile, scan["values"], grid, params, **options), None
+    return (compare_routes(sample(profile, grid), params, **options),), None
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in CONFIG_DIR.glob("*.json")))
+def test_the_cli_gives_the_reports_of_the_library_call_its_config_describes(name):
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    result = run_scenario(load_config(CONFIG_DIR / name))
+    reports, scan = library_run(raw)
+    assert result.rows == tuple(zip((raw.get("scan") or {}).get("values", [None]), reports))
+    assert (result.scan is None) == (scan is None)
+    if scan is not None:  # bit for bit, NaN included
+        for field in ("etas", "delta_e", "delta_e_times_eta", "slope_delta_e", "slope_delta_e_times_eta"):
+            assert np.asarray(getattr(result.scan, field)).tobytes() == np.asarray(getattr(scan, field)).tobytes()
 
 
 class TestRangesAndSampleBudget:
@@ -320,7 +362,7 @@ class TestRangesAndSampleBudget:
 
     def test_an_eta_scan_without_tail_rel_takes_the_library_default(self, tmp_path):
         scenario = load_config(write_config(tmp_path, eta_scan()))
-        assert scenario.tail_rel == SCAN_TAIL_REL_DEFAULT == 1e-12
+        assert scenario.run.tail_rel == SCAN_TAIL_REL_DEFAULT == 1e-12
         assert inspect.signature(adiabatic_scan).parameters["tail_rel"].default == SCAN_TAIL_REL_DEFAULT
 
     def test_eta_scan_over_the_budget_is_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
@@ -366,7 +408,7 @@ class TestFockAndSubstepLimits:
 
     def test_truncation_loads_uncapped(self, tmp_path):
         scenario = load_config(write_config(tmp_path, small_benchmark(fock_truncation=10**6, routes=["hb"])))
-        assert scenario.fock_truncation == 10**6
+        assert scenario.run.fock_truncation == 10**6
 
 
 @pytest.mark.parametrize("routes", [("barton", "hb"), ("hb", "mode_oracle")])
@@ -377,10 +419,10 @@ def test_inline_sampled_profile_runs(tmp_path, capsys, routes):
     row = capsys.readouterr().out.strip().split("\n")[1].split(",")
     assert row[1] == "sampled" and float(row[4]) > 0.0
     scenario = load_config(path)
-    [(signal, grid)] = scenario.points
+    [(signal, grid)] = scenario.run.points
     assert (signal.grid.n_samples, grid.n_samples) == (5, 481)
     [(_, report)] = run_scenario(scenario).rows
-    assert report == compare_routes(sample(signal, grid), scenario.params, routes=routes)
+    assert report == compare_routes(sample(signal, grid), scenario.run.params, routes=routes)
 
 
 @pytest.mark.filterwarnings("error")

@@ -109,10 +109,10 @@ def check(tmp_path, capsys, config, at=None):
         assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (text, code, err)
         assert err == refusal if code == 2 else err.startswith("numerical failure: "), (text, err)
         return code
-    points = len(scenario.scan.values) if scenario.scan else 1
+    points = len(scenario.run.points)
     header, *records = csv.reader(io.StringIO(out, newline=""))
     assert header == CSV_HEADER.split(",") and out.endswith("\n"), (text, out)
-    assert len(records) == points + (points + 3 if scenario.scan and scenario.scan.kind == "eta" else 0), (text, out)
+    assert len(records) == points + (points + 3 if scenario.run.kind == "eta" else 0), (text, out)
     assert all(len(row) == len(header) and row[0][:1] != "#" for row in records[:points]), (text, out)
     assert all(row[0].startswith("# adiabatic") for row in records[points:]), (text, out)
     assert err == "" or err.startswith("warning: ") and err.count("\n") == 1, (text, err)

@@ -453,6 +453,16 @@ def test_one_shot_routes_run_every_route_as_a_tuple_does(name, one_shot):
     assert ENTRY_POINTS[name](one_shot(routes)) == ENTRY_POINTS[name](routes)
 
 
+@pytest.mark.parametrize("one_shot", [iter, lambda values: (value for value in values)], ids=["iterator", "generator"])
+def test_one_shot_amplitudes_run_every_point_as_a_list_does(one_shot):
+    def scan(amplitudes):
+        return amplitude_scan(GaussianPulse(q0=0.01, tau=1.0), amplitudes, TimeGrid(-12.0, 12.0, 481), PARAMS,
+                              routes=["hb"])
+
+    amplitudes = [0.01, 0.02]
+    assert scan(one_shot(amplitudes)) == scan(amplitudes)
+
+
 def run_python(code: str) -> str:
     """Standard output of ``code`` run in a fresh interpreter that imports this casfric."""
     src = str(Path(casfric.__file__).resolve().parents[1])
